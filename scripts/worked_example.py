@@ -30,8 +30,8 @@ print(f"output partition   : {trace.output_partition.to_json()}")
 print(f"insertion times    : {list(trace.insertion_times)}")
 print(f"canonical path back: {psi(trace.output_partition).to_json()}")
 
-left, right = standings_partitions(path, chi)
-rho = combined_standings(path, chi)
+left, right = standings_partitions(trace)
+rho = combined_standings(trace)
 sigma = sigma_chi(chi)
 print(f"left standings     : {left.to_json()}")
 print(f"right standings    : {right.to_json()}")

@@ -15,11 +15,12 @@ from .partitions import (
     opposite,
     singletons,
 )
-from .lukasiewicz import InvalidRiseVector, LukPath, enumerate_luk, phi, psi, validate_rise
+from .lukasiewicz import InvalidRiseVector, LukPath, enumerate_luk, psi
 from .deque import (
     ChiWord,
     DequeScenario,
     ScenarioTrace,
+    block_data,
     chi_opposite,
     combined_standings,
     insertion_standings,
@@ -45,15 +46,15 @@ from .fock import (
     VacuumMoments,
     adjoint,
     apply_generator,
-    bimixture,
     bimixture_symbol,
+    bimixture_template,
     canonical_operator,
     inner_product,
     lemma67_vector,
     moment_via_pchi,
     operator_word_functional,
-    reverse_bimixture,
     reverse_bimixture_symbol,
+    reverse_bimixture_template,
     vacuum_expectation,
     vacuum_vector,
     x_op,

@@ -16,15 +16,23 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .cumulants import CumulantEngine
-from .deque import ChiWord, DequeScenario, pchi_by_enumeration, sigma_chi, simulate
+from .deque import (
+    ChiWord,
+    DequeScenario,
+    combined_standings,
+    pchi_by_enumeration,
+    sigma_chi,
+    simulate,
+    standings_partitions,
+)
 from .fock import (
     CoefficientTable,
     PolyScalar,
     VacuumMoments,
-    bimixture_template,
+    bimixture_symbol,
     moment_via_pchi,
 )
-from .lukasiewicz import enumerate_luk, validate_rise
+from .lukasiewicz import LukPath, enumerate_luk
 from .partitions import enumerate_noncrossing, enumerate_partitions
 from .verify import SUITES, Check, run_suite
 
@@ -184,20 +192,18 @@ def cmd_enumerate(args) -> RunReport:
 def cmd_simulate(args) -> RunReport:
     rise = _parse_ints(args.rise, "--rise")
     chi = _parse_chi(args.chi)
-    path = validate_rise(rise)  # InvalidRiseVector propagates verbatim
+    path = LukPath(rise)  # InvalidRiseVector propagates verbatim
     if path.n != chi.n:
         raise UsageError(f"rise-vector has {path.n} steps but chi has {chi.n} letters")
     report = RunReport("simulate", {"rise": list(rise), "chi": chi.letters})
     trace = simulate(DequeScenario(path, chi))
-    from .deque import combined_standings, standings_partitions
-
-    left, right = standings_partitions(path, chi)
+    left, right = standings_partitions(trace)
     report.results = {
         "exit_order": list(trace.exit_order),
         "output_partition": trace.output_partition.to_json(),
         "left_standings": left.to_json() if left else None,
         "right_standings": right.to_json() if right else None,
-        "combined_standings": combined_standings(path, chi).to_json(),
+        "combined_standings": combined_standings(trace).to_json(),
         "sigma_chi": sigma_chi(chi).to_json(),
     }
     return report
@@ -239,8 +245,7 @@ def cmd_cumulant(args) -> RunReport:
     )
     engine = CumulantEngine(VacuumMoments(table))
     kappa = engine.cumulant(chi.letters, tuple(zip(omega, chi.letters)))
-    kind, order = bimixture_template(chi.letters)
-    mixture = table.coeff(kind, tuple(omega[p] for p in order))
+    mixture = table.coeff(*bimixture_symbol(omega, chi))
     report.results["value"] = kappa
     report.checks.append(
         Check(

@@ -98,19 +98,22 @@ class DequeScenario:
 class ScenarioTrace:
     """What a scenario run produces.
 
-    ``output_partition`` groups emission times by insertion batch;
-    ``exit_order`` lists ball labels by emission time; ``insertion_times``
-    is the sorted tuple of steps that insert at least one ball.
+    ``chi`` is the scenario's end-choice word; ``output_partition`` groups
+    emission times by insertion batch; ``exit_order`` lists ball labels by
+    emission time; ``insertion_times`` is the sorted tuple of steps that
+    insert at least one ball.
     """
 
-    __slots__ = ("output_partition", "exit_order", "insertion_times")
+    __slots__ = ("chi", "output_partition", "exit_order", "insertion_times")
 
     def __init__(
         self,
+        chi: ChiWord,
         output_partition: Partition,
         exit_order: Tuple[int, ...],
         insertion_times: Tuple[int, ...],
     ):
+        object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "output_partition", output_partition)
         object.__setattr__(self, "exit_order", exit_order)
         object.__setattr__(self, "insertion_times", insertion_times)
@@ -125,7 +128,8 @@ def simulate(s: DequeScenario) -> ScenarioTrace:
     Step m with insertion count p and side h: the next p balls (in label
     order) are inserted one by one at side h, then one ball is emitted from
     side h.  Emission times grouped by insertion batch give the
-    output-time partition.
+    output-time partition.  This is the one scenario replay in the
+    package; everything derived from a scenario reads its trace.
     """
     n = s.path.n
     pipe: collections.deque[int] = collections.deque()
@@ -154,6 +158,7 @@ def simulate(s: DequeScenario) -> ScenarioTrace:
         sorted(exit_time[ball] for ball in range(lo, hi + 1)) for _, lo, hi in batches
     ]
     return ScenarioTrace(
+        s.chi,
         Partition(n, blocks),
         tuple(exit_order),
         tuple(t for t, _, _ in batches),
@@ -196,7 +201,7 @@ def pchi_by_sigma(chi: ChiWord) -> List[Partition]:
 
 
 def insertion_standings(
-    path: LukPath, chi: ChiWord
+    trace: ScenarioTrace,
 ) -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
     """Per insertion time i: (i, V_i, W_i).
 
@@ -204,7 +209,7 @@ def insertion_standings(
     of i, W_i the r-standings likewise.  V_i or W_i may be empty, never
     both.
     """
-    trace = simulate(DequeScenario(path, chi))
+    chi = trace.chi
     ell_standing = {m: q for q, m in enumerate(chi.m_ell, 1)}
     r_standing = {m: q for q, m in enumerate(chi.m_r, 1)}
     out = []
@@ -216,7 +221,7 @@ def insertion_standings(
 
 
 def standings_partitions(
-    path: LukPath, chi: ChiWord
+    trace: ScenarioTrace,
 ) -> Tuple[Optional[Partition], Optional[Partition]]:
     """(left, right) standings partitions; None on a side chi never uses.
 
@@ -224,9 +229,9 @@ def standings_partitions(
     standings whose l-positions share a block of the output-time
     partition; the right partition is the mirror statement on {1..v}.
     """
-    data = insertion_standings(path, chi)
-    u = len(chi.m_ell)
-    v = len(chi.m_r)
+    data = insertion_standings(trace)
+    u = len(trace.chi.m_ell)
+    v = len(trace.chi.m_r)
     left = None
     if u:
         left = Partition(u, [vi for _, vi, _ in data if vi])
@@ -236,16 +241,16 @@ def standings_partitions(
     return left, right
 
 
-def combined_standings(path: LukPath, chi: ChiWord) -> Partition:
+def combined_standings(trace: ScenarioTrace) -> Partition:
     """Merge both standings into one partition of {1..n}.
 
     Block for insertion time i: V_i united with the reflection
     {n + 1 - q : q in W_i}.  The result is always non-crossing.
     """
-    n = chi.n
+    n = trace.chi.n
     blocks = [
         sorted(vi + tuple(n + 1 - q for q in wi))
-        for _, vi, wi in insertion_standings(path, chi)
+        for _, vi, wi in insertion_standings(trace)
     ]
     return Partition(n, blocks)
 
@@ -277,25 +282,23 @@ BlockData = Tuple[Tuple[int, ...], str]  # (0-based positions, restricted chi)
 PartitionData = Tuple[Tuple[BlockData, ...], ...]
 
 
+def block_data(p: Partition, chi_str: str) -> Tuple[BlockData, ...]:
+    """The blocks of p as 0-based position tuples, each paired with the
+    restriction of chi to the block."""
+    return tuple(
+        (tuple(m - 1 for m in block), "".join(chi_str[m - 1] for m in block))
+        for block in p.blocks
+    )
+
+
 @lru_cache(maxsize=None)
 def restriction_data(chi_str: str) -> PartitionData:
-    """For every partition in the family of chi: its blocks as 0-based
-    position tuples paired with the restriction of chi to the block.
+    """:func:`block_data` of every partition in the family of chi.
 
     Partitions appear in canonical sorted order; within a partition,
     blocks in canonical order.  Cached per chi since the family is reused
     heavily by recursions over sub-words.
     """
-    chi = ChiWord(chi_str)
-    data = []
-    for p in pchi_by_enumeration(chi):
-        data.append(
-            tuple(
-                (
-                    tuple(m - 1 for m in block),
-                    "".join(chi_str[m - 1] for m in block),
-                )
-                for block in p.blocks
-            )
-        )
-    return tuple(data)
+    return tuple(
+        block_data(p, chi_str) for p in pchi_by_enumeration(ChiWord(chi_str))
+    )

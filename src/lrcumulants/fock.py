@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .deque import ChiWord, restriction_data
+from .deque import LEFT, ChiWord, _chi_str, restriction_data
 
 Word = Tuple[int, ...]
 Symbol = Tuple[str, Word]  # ("a" | "b", index word)
@@ -154,7 +154,13 @@ class PolyScalar:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # equal to an int or Fraction => same hash, as __eq__ requires
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and () in terms:
+            return hash(terms[()])
+        return hash(frozenset(terms.items()))
 
     # -- presentation ------------------------------------------------------
 
@@ -434,17 +440,6 @@ def apply_generator(gen: Tuple[str, int], vec: FockVector) -> FockVector:
 _STARS = {"L": "L*", "L*": "L", "R": "R*", "R*": "R"}
 
 
-def add_vectors(v: FockVector, w: FockVector) -> FockVector:
-    out = dict(v)
-    for word, c in w.items():
-        s = out.get(word, 0) + c
-        if s:
-            out[word] = s
-        else:
-            out.pop(word, None)
-    return out
-
-
 def inner_product(v: FockVector, w: FockVector):
     """Sum over common words of the coefficient products (real scalars,
     so no conjugation)."""
@@ -545,7 +540,7 @@ def x_op(p: int, h: str, table: CoefficientTable) -> OperatorExpr:
     terms = []
     for word in product(range(1, table.d + 1), repeat=p):
         c = table.coeff(kind, word)
-        if isinstance(c, (int, Fraction)) and not c:
+        if not c:
             continue
         gens = tuple((create, letter) for letter in reversed(word))
         terms.append((c, gens))
@@ -587,57 +582,54 @@ def vacuum_expectation(ops: Sequence[OperatorExpr]):
 # ---------------------------------------------------------------------------
 
 
-def reverse_bimixture_symbol(omega: Word, chi: "ChiWord | str") -> Symbol:
-    """Symbol assembled from an index word by the first letter of chi.
+@lru_cache(maxsize=None)
+def bimixture_template(chi_str: str) -> Tuple[str, Tuple[int, ...]]:
+    """The mixture rule, as (kind, 0-based position order): the mixture
+    symbol of an index word omega is (kind, omega at those positions in
+    that order).
 
-    First letter "l": kind "a", word = indices at r-positions ascending
-    then at l-positions descending.  First letter "r": kind "b", word =
-    indices at l-positions ascending then at r-positions descending.
+    Last letter "l": kind "a", r-positions descending then l-positions
+    ascending.  Last letter "r": kind "b", l-positions descending then
+    r-positions ascending.
     """
-    chi = chi if isinstance(chi, ChiWord) else ChiWord(chi)
-    if len(omega) != chi.n:
+    chi = ChiWord(chi_str)
+    ell = tuple(m - 1 for m in chi.m_ell)
+    r = tuple(m - 1 for m in chi.m_r)
+    if chi_str[-1] == LEFT:
+        return ALPHA, r[::-1] + ell
+    return BETA, ell[::-1] + r
+
+
+@lru_cache(maxsize=None)
+def reverse_bimixture_template(chi_str: str) -> Tuple[str, Tuple[int, ...]]:
+    """The reverse-mixture rule: the mixture rule of the reversed bi-word.
+
+    First letter "l": kind "a", r-positions ascending then l-positions
+    descending.  First letter "r": kind "b", l-positions ascending then
+    r-positions descending.
+    """
+    last = len(chi_str) - 1
+    kind, order = bimixture_template(chi_str[::-1])
+    return kind, tuple(last - p for p in order)
+
+
+def _pick(template, omega: Word, chi_str: str) -> Symbol:
+    if len(omega) != len(chi_str):
         raise ValueError("index word and chi word lengths differ")
-    if chi.letters[0] == "l":
-        word = tuple(omega[m - 1] for m in chi.m_r) + tuple(
-            omega[m - 1] for m in reversed(chi.m_ell)
-        )
-        return (ALPHA, word)
-    word = tuple(omega[m - 1] for m in chi.m_ell) + tuple(
-        omega[m - 1] for m in reversed(chi.m_r)
-    )
-    return (BETA, word)
+    kind, order = template(chi_str)
+    return kind, tuple(omega[p] for p in order)
 
 
 def bimixture_symbol(omega: Word, chi: "ChiWord | str") -> Symbol:
-    """Symbol assembled from an index word by the last letter of chi.
-
-    Last letter "l": kind "a", word = indices at r-positions descending
-    then at l-positions ascending.  Last letter "r": kind "b", word =
-    indices at l-positions descending then at r-positions ascending.
-    Equals the reverse-mixture of the reversed bi-word.
-    """
-    chi = chi if isinstance(chi, ChiWord) else ChiWord(chi)
-    if len(omega) != chi.n:
-        raise ValueError("index word and chi word lengths differ")
-    if chi.letters[-1] == "l":
-        word = tuple(omega[m - 1] for m in reversed(chi.m_r)) + tuple(
-            omega[m - 1] for m in chi.m_ell
-        )
-        return (ALPHA, word)
-    word = tuple(omega[m - 1] for m in reversed(chi.m_ell)) + tuple(
-        omega[m - 1] for m in chi.m_r
-    )
-    return (BETA, word)
+    """The mixture symbol of the bi-word (omega, chi); see
+    :func:`bimixture_template`."""
+    return _pick(bimixture_template, omega, _chi_str(chi))
 
 
-def reverse_bimixture(omega: Word, chi: "ChiWord | str", table: CoefficientTable):
-    kind, word = reverse_bimixture_symbol(tuple(omega), chi)
-    return table.coeff(kind, word)
-
-
-def bimixture(omega: Word, chi: "ChiWord | str", table: CoefficientTable):
-    kind, word = bimixture_symbol(tuple(omega), chi)
-    return table.coeff(kind, word)
+def reverse_bimixture_symbol(omega: Word, chi: "ChiWord | str") -> Symbol:
+    """The reverse-mixture symbol of the bi-word (omega, chi); see
+    :func:`reverse_bimixture_template`."""
+    return _pick(reverse_bimixture_template, omega, _chi_str(chi))
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +669,7 @@ def lemma67_vector(
             else:
                 value = table.coeff(BETA, word[-p:])
                 word = word[:-p]
-            if isinstance(value, (int, Fraction)) and not value:
+            if not value:
                 return {}
             coeff = coeff * value if coeff != 1 else value
     return {word: coeff}
@@ -707,6 +699,7 @@ class VacuumMoments:
     def __call__(self, cword: CWord):
         value = self._memo.get(cword)
         if value is None:
+            self._check(cword)
             vec = vacuum_vector()
             n = len(cword)
             for j in range(n - 1, -1, -1):
@@ -717,6 +710,14 @@ class VacuumMoments:
             value = vec.get(VACUUM, 0)
             self._memo[cword] = value
         return value
+
+    def _check(self, cword: CWord) -> None:
+        d = self.table.d
+        for i, h in cword:
+            if h not in ("l", "r") or not 1 <= i <= d:
+                raise ValueError(
+                    f"operator {(i, h)!r} is not (index in 1..{d}, side 'l' or 'r')"
+                )
 
     def _apply(self, vec: FockVector, i: int, h: str, max_len: int) -> FockVector:
         """One canonical operator; keep only words of length <= max_len."""
@@ -797,17 +798,19 @@ def moment_via_pchi(omega: Word, chi: "ChiWord | str", table: CoefficientTable):
     Sum over the scenario family of chi; each partition contributes the
     product of the mixtures of the restricted bi-words of its blocks.
     """
-    chi_str = _letters(chi)
+    chi_str = _chi_str(chi)
     omega = tuple(omega)
     if len(omega) != len(chi_str):
         raise ValueError("index word and chi word lengths differ")
+    if any(not 1 <= i <= table.d for i in omega):
+        raise ValueError(f"index word {list(omega)} has letters outside 1..{table.d}")
     coeff = table.coeff
     total = 0
     for pblocks in mixture_plan(chi_str):
         prod: object = None
         for kind, order in pblocks:
             value = coeff(kind, tuple(omega[p] for p in order))
-            if isinstance(value, (int, Fraction)) and not value:
+            if not value:
                 prod = 0
                 break
             prod = value if prod is None else prod * value
@@ -816,48 +819,28 @@ def moment_via_pchi(omega: Word, chi: "ChiWord | str", table: CoefficientTable):
     return total
 
 
-def _letters(chi: "ChiWord | str") -> str:
-    return chi.letters if isinstance(chi, ChiWord) else ChiWord(chi).letters
-
-
-@lru_cache(maxsize=None)
-def bimixture_template(chi_str: str) -> Tuple[str, Tuple[int, ...]]:
-    """(kind, 0-based position order) such that the mixture word for any
-    omega is omega picked at those positions in that order."""
-    n = len(chi_str)
-    kind, word = bimixture_symbol(tuple(range(n)), chi_str)
-    return kind, word
-
-
-@lru_cache(maxsize=None)
-def reverse_bimixture_template(chi_str: str) -> Tuple[str, Tuple[int, ...]]:
-    """Like :func:`bimixture_template`, for the reverse mixture."""
-    n = len(chi_str)
-    kind, word = reverse_bimixture_symbol(tuple(range(n)), chi_str)
-    return kind, word
+def _block_plan(template, blocks: Tuple[Tuple[Word, str], ...]):
+    """(kind, absolute position order) per block ((absolute 0-based
+    positions, restricted chi), ...), with the rule given by template."""
+    plan = []
+    for positions, sub in blocks:
+        kind, order = template(sub)
+        plan.append((kind, tuple(positions[j] for j in order)))
+    return tuple(plan)
 
 
 @lru_cache(maxsize=None)
 def mixture_plan(chi_str: str):
-    """Per partition of the family of chi: (kind, absolute position order)
-    for every block, precomputed so a partition-family moment sum is a
-    chain of table lookups."""
-    plan = []
-    for blocks in restriction_data(chi_str):
-        pblocks = []
-        for positions, sub in blocks:
-            kind, order = bimixture_template(sub)
-            pblocks.append((kind, tuple(positions[j] for j in order)))
-        plan.append(tuple(pblocks))
-    return tuple(plan)
+    """Per partition of the family of chi: the mixture plan of its blocks,
+    precomputed so a partition-family moment sum is a chain of table
+    lookups."""
+    return tuple(
+        _block_plan(bimixture_template, blocks) for blocks in restriction_data(chi_str)
+    )
 
 
 @lru_cache(maxsize=None)
 def reverse_mixture_plan_for_blocks(blocks_and_sub: Tuple[Tuple[Word, str], ...]):
     """Reverse-mixture lookup plan for a fixed block decomposition
     ((absolute 0-based positions, restricted chi), ...)."""
-    plan = []
-    for positions, sub in blocks_and_sub:
-        kind, order = reverse_bimixture_template(sub)
-        plan.append((kind, tuple(positions[j] for j in order)))
-    return tuple(plan)
+    return _block_plan(reverse_bimixture_template, blocks_and_sub)

@@ -85,15 +85,6 @@ def _validate(rise: tuple) -> None:
         raise InvalidRiseVector(f"entries sum to {total}, expected 0")
 
 
-def validate_rise(q: Sequence[int]) -> LukPath:
-    """Check the path conditions and wrap q as a LukPath.
-
-    Raises InvalidRiseVector naming the first failing prefix, or the
-    non-zero total.
-    """
-    return LukPath(q)
-
-
 def enumerate_luk(n: int) -> List[LukPath]:
     """All paths with n steps, each exactly once; there are Catalan(n)."""
     _check_ground_set(n)
@@ -120,35 +111,12 @@ def psi(p: Partition) -> LukPath:
 
     The rise at each block minimum is the block size minus one; every
     other rise is -1.  This map is onto the set of paths, and restricts to
-    a bijection on non-crossing partitions.
+    a bijection on non-crossing partitions.  The inverse of that bijection
+    is the all-"l" deque replay, ``deque.output_partition(path,
+    ChiWord("l" * n))``: a stack whose batches of pop times are the blocks.
     """
     rise = [-1] * p.n
     for block in p.blocks:
         rise[block[0] - 1] = len(block) - 1
     return LukPath(rise)
 
-
-def phi(l: LukPath) -> Partition:
-    """The unique non-crossing partition whose canonical path is l.
-
-    Computed by replaying l as a last-in-first-out stack process: at step m
-    push the next rise_m + 1 balls, then pop one ball; balls pushed in the
-    same step form a block of pop times.
-    """
-    n = l.n
-    stack: List[int] = []
-    next_ball = 1
-    exit_time = [0] * (n + 1)
-    batches: List[tuple[int, int]] = []  # (first ball, last ball) per push step
-    for t, q in enumerate(l.rise, start=1):
-        p = q + 1
-        if p:
-            batches.append((next_ball, next_ball + p - 1))
-            for _ in range(p):
-                stack.append(next_ball)
-                next_ball += 1
-        exit_time[stack.pop()] = t
-    blocks = [
-        sorted(exit_time[ball] for ball in range(lo, hi + 1)) for lo, hi in batches
-    ]
-    return Partition(n, blocks)

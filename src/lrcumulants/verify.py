@@ -20,6 +20,7 @@ from .cumulants import CumulantEngine, is_combinatorially_bifree_upto
 from .deque import (
     ChiWord,
     DequeScenario,
+    block_data,
     chi_opposite,
     combined_standings,
     insertion_standings,
@@ -87,18 +88,20 @@ def all_chi(n: int) -> List[ChiWord]:
 
 
 # ---------------------------------------------------------------------------
-# shared tables and moment caches (concrete tables are pure functions of
-# (d, n_o, seed), so suites can share the expensive memoized moments)
+# shared tables and memos (a table is a pure function of (kind, d, n_o,
+# seed), so cells and suites share its memoized moments and cumulants)
 # ---------------------------------------------------------------------------
 
-_TABLES: Dict[tuple, CoefficientTable] = {}
-_MOMENTS: Dict[int, VacuumMoments] = {}
+Shared = Tuple[CoefficientTable, VacuumMoments, CumulantEngine]
+_SHARED: Dict[tuple, Shared] = {}
 
 
-def shared_table(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> CoefficientTable:
+def shared(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> Shared:
+    """The table (kind, d, n_o, seed) with its process-wide moment and
+    cumulant memos."""
     key = (kind, d, n_o, seed)
-    table = _TABLES.get(key)
-    if table is None:
+    entry = _SHARED.get(key)
+    if entry is None:
         if kind == "symbolic":
             table = CoefficientTable.symbolic(d, n_o)
         elif kind == "random":
@@ -107,16 +110,9 @@ def shared_table(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> Coe
             table = CoefficientTable.separated_random(d, n_o, seed)
         else:
             raise ValueError(f"unknown table kind {kind!r}")
-        _TABLES[key] = table
-    return table
-
-
-def shared_moments(table: CoefficientTable) -> VacuumMoments:
-    vm = _MOMENTS.get(id(table))
-    if vm is None:
         vm = VacuumMoments(table)
-        _MOMENTS[id(table)] = vm
-    return vm
+        entry = _SHARED[key] = (table, vm, CumulantEngine(vm))
+    return entry
 
 
 def _fock_cells(max_n: int, d: int) -> List[Tuple[str, int, int]]:
@@ -136,11 +132,11 @@ def _fock_cells(max_n: int, d: int) -> List[Tuple[str, int, int]]:
     return cells
 
 
-def _cell_table(mode: str, n: int, d: int, max_n: int, seed: int) -> CoefficientTable:
+def _cell(mode: str, n: int, d: int, max_n: int, seed: int) -> Shared:
     if mode == "symbolic":
-        return shared_table("symbolic", d, n)
-    # one table per d covering every length keeps the moment memos shared
-    return shared_table("random", d, max_n, seed)
+        return shared("symbolic", d, n)
+    # one table per d covering every length keeps the memos shared
+    return shared("random", d, max_n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +180,10 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
             for path in enumerate_luk(n):
                 count += 1
                 trace = simulate(DequeScenario(path, chi))
-                rho = combined_standings(path, chi)
+                rho = combined_standings(trace)
                 if not is_noncrossing(rho):
                     failures.append(f"rise={list(path.rise)}: crossing {rho.to_json()}")
-                data = insertion_standings(path, chi)
+                data = insertion_standings(trace)
                 i, v, w = data[-1]
                 block = sorted(v + tuple(n + 1 - q for q in w))
                 if block != list(range(block[0], block[-1] + 1)):
@@ -215,8 +211,9 @@ def suite_lemma48(max_n: int = 6, **_) -> SuiteResult:
             count = 0
             for path in enumerate_luk(n):
                 count += 1
-                image = act(sigma, combined_standings(path, chi))
-                out = simulate(DequeScenario(path, chi)).output_partition
+                trace = simulate(DequeScenario(path, chi))
+                image = act(sigma, combined_standings(trace))
+                out = trace.output_partition
                 if image != out:
                     failures.append(
                         f"rise={list(path.rise)}: {image.to_json()} != {out.to_json()}"
@@ -337,7 +334,7 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     if max_n >= 5 and d >= 2:
         cells.insert(0, ("symbolic", 5, 2))  # single-track products stay cheap
     for mode, n, dd in cells:
-        table = _cell_table(mode, n, dd, max_n, seed)
+        table = _cell(mode, n, dd, max_n, seed)[0]
         coeff = table.coeff
         cell_fail = []
         cell_count = 0
@@ -345,14 +342,7 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
             chi_str = chi.letters
             for path in enumerate_luk(n):
                 partition = simulate(DequeScenario(path, chi)).output_partition
-                blocks = tuple(
-                    (
-                        tuple(m - 1 for m in block),
-                        "".join(chi_str[m - 1] for m in block),
-                    )
-                    for block in partition.blocks
-                )
-                plan = reverse_mixture_plan_for_blocks(blocks)
+                plan = reverse_mixture_plan_for_blocks(block_data(partition, chi_str))
                 for omega in product(range(1, dd + 1), repeat=n):
                     expected: object = None
                     for kind, order in plan:
@@ -381,8 +371,7 @@ def suite_prop610(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     equal the partition-family mixture sums."""
     result = SuiteResult("prop610", {"max_n": max_n, "d": d, "seed": seed})
     for mode, n, dd in _fock_cells(max_n, d):
-        table = _cell_table(mode, n, dd, max_n, seed)
-        vm = shared_moments(table)
+        table, vm, _ = _cell(mode, n, dd, max_n, seed)
         if mode == "random":
             vm.precompute(n)
         cell_fail = []
@@ -411,13 +400,10 @@ def suite_thm65(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """Every chi-cumulant of a canonical-operator word collapses to the
     single mixture coefficient of its bi-word."""
     result = SuiteResult("thm65", {"max_n": max_n, "d": d, "seed": seed})
-    engines: Dict[int, CumulantEngine] = {}
     for mode, n, dd in _fock_cells(max_n, d):
-        table = _cell_table(mode, n, dd, max_n, seed)
-        vm = shared_moments(table)
+        table, vm, engine = _cell(mode, n, dd, max_n, seed)
         if mode == "random":
             vm.precompute(n)
-        engine = engines.setdefault(id(table), CumulantEngine(vm))
         cell_fail = []
         cell_count = 0
         for chi in all_chi(n):
@@ -490,8 +476,7 @@ def suite_eq12x(**_) -> SuiteResult:
     """The symbolic vacuum moment of (left)(right)(left)(right) words at
     two indices matches the golden 14-term sum, by both routes."""
     result = SuiteResult("eq12x", {})
-    table = shared_table("symbolic", 2, 4)
-    vm = shared_moments(table)
+    table, vm, _ = shared("symbolic", 2, 4)
     for omega in product((1, 2), repeat=4):
         expected = interleaved_moment_terms(*omega)
         cword = tuple(zip(omega, "lrlr"))
@@ -513,8 +498,7 @@ def suite_eq12y(**_) -> SuiteResult:
     """The length-4 free cumulant of the interleaved word matches the
     golden 3-term sum."""
     result = SuiteResult("eq12y", {})
-    table = shared_table("symbolic", 2, 4)
-    engine = CumulantEngine(shared_moments(table))
+    engine = shared("symbolic", 2, 4)[2]
     for omega in product((1, 2), repeat=4):
         expected = interleaved_free_cumulant_terms(*omega)
         actual = engine.cumulant("rrrr", tuple(zip(omega, "lrlr")))
@@ -527,9 +511,9 @@ def suite_bifree(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """With per-index separated symbols every mixed cumulant vanishes;
     injecting one mixed coefficient produces a pinpointed violation."""
     result = SuiteResult("bifree", {"max_n": max_n, "d": d, "seed": seed})
-    table = shared_table("separated", d, max_n, seed)
+    table, vm, _ = shared("separated", d, max_n, seed)
     pairs = [((i, "l"), (i, "r")) for i in range(1, d + 1)]
-    ok, violations = is_combinatorially_bifree_upto(pairs, shared_moments(table), max_n)
+    ok, violations = is_combinatorially_bifree_upto(pairs, vm, max_n)
     checked = sum(2 ** n * (d ** n - d) for n in range(2, max_n + 1))
     result.add(
         "separated symbols",
@@ -573,34 +557,21 @@ SUITES: Dict[str, Callable[..., SuiteResult]] = {
     "bifree": suite_bifree,
 }
 
-_DEFAULTS: Dict[str, dict] = {
-    "thm49": {"max_n": 6},
-    "prop46": {"max_n": 6},
-    "lemma48": {"max_n": 6},
-    "prop413": {"max_n": 6},
-    "cor410": {"max_n": 5},
-    "lemma67": {"max_n": 4, "d": 2, "seed": 0},
-    "prop610": {"max_n": 4, "d": 2, "seed": 0},
-    "thm65": {"max_n": 4, "d": 2, "seed": 0},
-    "eq12x": {},
-    "eq12y": {},
-    "bifree": {"max_n": 4, "d": 2, "seed": 0},
-}
-
-
 def run_suite(
     name: str,
     max_n: Optional[int] = None,
     d: Optional[int] = None,
     seed: Optional[int] = None,
 ) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(name)
-    params = dict(_DEFAULTS[name])
-    for key, value in (("max_n", max_n), ("d", d), ("seed", seed)):
-        if value is not None and key in params:
-            params[key] = value
+    """Run one suite at its own defaults, overridden by every parameter
+    given; a suite ignores the parameters it does not take."""
+    suite = SUITES[name]
+    params = {
+        key: value
+        for key, value in (("max_n", max_n), ("d", d), ("seed", seed))
+        if value is not None
+    }
     start = time.perf_counter()
-    result = SUITES[name](**params)
+    result = suite(**params)
     result.elapsed = time.perf_counter() - start
     return result

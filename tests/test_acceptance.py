@@ -12,12 +12,20 @@ from fractions import Fraction
 from math import factorial
 
 from lrcumulants.cumulants import CumulantEngine, moment_from_cumulants
-from lrcumulants.deque import ChiWord, pchi_by_enumeration, sigma_chi
+from lrcumulants.deque import (
+    ChiWord,
+    DequeScenario,
+    combined_standings,
+    output_partition,
+    pchi_by_enumeration,
+    sigma_chi,
+    simulate,
+    standings_partitions,
+)
 from lrcumulants.fock import CoefficientTable, PolyScalar, lemma67_vector
 from lrcumulants.lukasiewicz import LukPath, enumerate_luk
 from lrcumulants.partitions import Partition, Permutation, enumerate_noncrossing
 from lrcumulants.verify import run_suite
-from lrcumulants.deque import combined_standings, standings_partitions
 
 
 def catalan(n):
@@ -61,14 +69,13 @@ def test_criterion_03_worked_examples_bit_exact():
     t0 = time.perf_counter()
     path = LukPath([2, -1, 1, -1, -1])
     chi = ChiWord("rllrl")
-    from lrcumulants.deque import output_partition
-
     assert output_partition(path, chi) == Partition(5, [[1, 2, 4], [3, 5]])
     assert sigma_chi(chi) == Permutation([2, 3, 5, 4, 1])
-    left, right = standings_partitions(path, chi)
+    trace = simulate(DequeScenario(path, chi))
+    left, right = standings_partitions(trace)
     assert left == Partition(3, [[1], [2, 3]])
     assert right == Partition(2, [[1, 2]])
-    assert combined_standings(path, chi) == Partition(5, [[1, 4, 5], [2, 3]])
+    assert combined_standings(trace) == Partition(5, [[1, 4, 5], [2, 3]])
     table = CoefficientTable.symbolic(5, 5)
     scalar = PolyScalar.symbol("a", (5, 3)) * PolyScalar.symbol("b", (2, 4, 1))
     assert lemma67_vector(path, chi, (1, 2, 3, 4, 5), table) == {(): scalar}

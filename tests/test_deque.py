@@ -18,7 +18,7 @@ from lrcumulants.deque import (
     standings_partitions,
     tau_u,
 )
-from lrcumulants.lukasiewicz import LukPath, enumerate_luk, phi, psi
+from lrcumulants.lukasiewicz import LukPath, enumerate_luk, psi
 from lrcumulants.partitions import (
     Partition,
     Permutation,
@@ -66,17 +66,19 @@ def test_worked_scenario():
 
 
 def test_all_left_scenarios_reproduce_phi():
+    # phi(path) is the non-crossing partition whose canonical path is path
     for n in range(1, 7):
         chi = ChiWord("l" * n)
+        phi = {psi(p): p for p in enumerate_noncrossing(n)}
         for path in enumerate_luk(n):
-            assert output_partition(path, chi) == phi(path)
+            assert output_partition(path, chi) == phi[path]
 
 
 def test_all_right_scenarios_reproduce_phi():
     for n in range(1, 6):
         chi = ChiWord("r" * n)
         for path in enumerate_luk(n):
-            assert output_partition(path, chi) == phi(path)
+            assert output_partition(path, chi) == output_partition(path, ChiWord("l" * n))
 
 
 def test_flat_path_gives_singletons():
@@ -123,51 +125,59 @@ def test_family_contains_worked_partition_via_sigma():
 
 
 def test_standings_of_worked_scenario():
-    left, right = standings_partitions(EX_PATH, EX_CHI)
+    trace = simulate(DequeScenario(EX_PATH, EX_CHI))
+    assert trace.chi == EX_CHI
+    left, right = standings_partitions(trace)
     assert left == Partition(3, [[1], [2, 3]])
     assert right == Partition(2, [[1, 2]])
-    assert insertion_standings(EX_PATH, EX_CHI) == [
+    assert insertion_standings(trace) == [
         (1, (1,), (1, 2)),
         (3, (2, 3), ()),
     ]
 
 
 def test_standings_absent_sides():
-    left, right = standings_partitions(LukPath([1, -1, 0]), ChiWord("lll"))
+    path = LukPath([1, -1, 0])
+    left, right = standings_partitions(simulate(DequeScenario(path, ChiWord("lll"))))
     assert right is None
-    assert left == output_partition(LukPath([1, -1, 0]), ChiWord("lll"))
-    left, right = standings_partitions(LukPath([1, -1, 0]), ChiWord("rrr"))
+    assert left == output_partition(path, ChiWord("lll"))
+    left, right = standings_partitions(simulate(DequeScenario(path, ChiWord("rrr"))))
     assert left is None
 
 
 def test_standings_flat_path_all_singletons():
-    left, right = standings_partitions(LukPath([0, 0, 0, 0]), ChiWord("lrlr"))
+    trace = simulate(DequeScenario(LukPath([0, 0, 0, 0]), ChiWord("lrlr")))
+    left, right = standings_partitions(trace)
     assert left == singletons(2)
     assert right == singletons(2)
 
 
 def test_combined_standings_worked_example():
-    assert combined_standings(EX_PATH, EX_CHI) == Partition(5, [[1, 4, 5], [2, 3]])
+    trace = simulate(DequeScenario(EX_PATH, EX_CHI))
+    assert combined_standings(trace) == Partition(5, [[1, 4, 5], [2, 3]])
 
 
 def test_combined_standings_all_left_is_phi():
     for n in range(1, 7):
         chi = ChiWord("l" * n)
         for path in enumerate_luk(n):
-            assert combined_standings(path, chi) == phi(path)
+            trace = simulate(DequeScenario(path, chi))
+            assert combined_standings(trace) == trace.output_partition
 
 
 def test_combined_standings_single_batch():
     for chi in all_chi(4):
-        assert combined_standings(LukPath([3, -1, -1, -1]), chi) == one_block(4)
+        trace = simulate(DequeScenario(LukPath([3, -1, -1, -1]), chi))
+        assert combined_standings(trace) == one_block(4)
 
 
 def test_combined_standings_noncrossing_and_interval_block():
     for n in range(1, 7):
         for chi in all_chi(n):
             for path in enumerate_luk(n):
-                data = insertion_standings(path, chi)
-                rho = combined_standings(path, chi)
+                trace = simulate(DequeScenario(path, chi))
+                data = insertion_standings(trace)
+                rho = combined_standings(trace)
                 assert is_noncrossing(rho)
                 # block of the last insertion time must be an interval
                 i, v, w = data[-1]
@@ -181,9 +191,8 @@ def test_sigma_maps_combined_standings_to_output():
         for chi in all_chi(n):
             sigma = sigma_chi(chi)
             for path in enumerate_luk(n):
-                assert act(sigma, combined_standings(path, chi)) == output_partition(
-                    path, chi
-                )
+                trace = simulate(DequeScenario(path, chi))
+                assert act(sigma, combined_standings(trace)) == trace.output_partition
 
 
 def test_output_partition_canonical_path():

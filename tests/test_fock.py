@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcumulants.deque import ChiWord, DequeScenario, simulate
+from lrcumulants.deque import ChiWord, DequeScenario, block_data, simulate
 from lrcumulants.fock import (
     CoefficientTable,
     OperatorExpr,
@@ -16,14 +16,15 @@ from lrcumulants.fock import (
     VacuumMoments,
     adjoint,
     apply_generator,
-    bimixture,
     bimixture_symbol,
+    bimixture_template,
     canonical_operator,
     inner_product,
     lemma67_vector,
     moment_via_pchi,
-    reverse_bimixture,
     reverse_bimixture_symbol,
+    reverse_bimixture_template,
+    reverse_mixture_plan_for_blocks,
     s_op,
     scalar_to_json,
     vacuum_expectation,
@@ -31,6 +32,7 @@ from lrcumulants.fock import (
     x_op,
 )
 from lrcumulants.lukasiewicz import LukPath, enumerate_luk
+from lrcumulants.partitions import Partition
 
 
 def sym(kind, *word):
@@ -84,6 +86,14 @@ def test_polyscalar_number_interop():
     assert PolyScalar.const(0) == 0
     assert PolyScalar.const(Fraction(3, 4)) == Fraction(3, 4)
     assert x != 0
+
+
+def test_polyscalar_hash_agrees_with_equality():
+    assert len({PolyScalar.const(1), 1}) == 1
+    assert len({PolyScalar.zero(), 0}) == 1
+    assert hash(PolyScalar.const(Fraction(3, 4))) == hash(Fraction(3, 4))
+    assert hash(sym("a", 1) - sym("a", 1)) == hash(0)
+    assert len({sym("a", 1), sym("a", 1) + 0, sym("b", 1)}) == 2
 
 
 def test_polyscalar_rendering_and_json():
@@ -219,16 +229,18 @@ def test_reverse_bimixture_worked_examples():
     assert reverse_bimixture_symbol((3, 5), "ll") == ("a", (5, 3))
     assert reverse_bimixture_symbol((7,), "l") == ("a", (7,))
     table = CoefficientTable.symbolic(9, 4)
-    assert reverse_bimixture((1, 2, 4), "rlr", table) == sym("b", 2, 4, 1)
+    assert table.coeff(*reverse_bimixture_symbol((1, 2, 4), "rlr")) == sym("b", 2, 4, 1)
 
 
 def test_bimixture_worked_examples():
     assert bimixture_symbol((1, 2, 3, 4), "lrlr") == ("b", (3, 1, 2, 4))
     assert bimixture_symbol((5,), "r") == ("b", (5,))
     table = CoefficientTable.symbolic(5, 4)
-    assert bimixture((1, 2, 3, 4), "lrlr", table) == sym("b", 3, 1, 2, 4)
+    assert table.coeff(*bimixture_symbol((1, 2, 3, 4), "lrlr")) == sym("b", 3, 1, 2, 4)
     with pytest.raises(ValueError):
-        bimixture((1, 2), "lrl", table)
+        table.coeff(*bimixture_symbol((1, 2), "lrl"))
+    with pytest.raises(ValueError):
+        bimixture_template("lxr")
 
 
 def test_bimixture_is_reversed_reverse_bimixture():
@@ -239,6 +251,26 @@ def test_bimixture_is_reversed_reverse_bimixture():
                 assert bimixture_symbol(omega, chi_str) == reverse_bimixture_symbol(
                     omega[::-1], chi_str[::-1]
                 )
+
+
+def test_reverse_bimixture_follows_the_first_letter_rule():
+    # the rule spelled out position by position, independent of the reversal
+    for n in range(1, 7):
+        for letters in itertools.product("lr", repeat=n):
+            chi = ChiWord("".join(letters))
+            ell = [m - 1 for m in chi.m_ell]
+            r = [m - 1 for m in chi.m_r]
+            if chi.letters[0] == "l":
+                expected = ("a", tuple(r + ell[::-1]))
+            else:
+                expected = ("b", tuple(ell + r[::-1]))
+            assert reverse_bimixture_template(chi.letters) == expected
+
+
+def test_reverse_plan_of_the_worked_partition():
+    blocks = block_data(Partition(5, [[1, 2, 4], [3, 5]]), "rllrl")
+    assert blocks == (((0, 1, 3), "rlr"), ((2, 4), "ll"))
+    assert reverse_mixture_plan_for_blocks(blocks) == (("b", (1, 3, 0)), ("a", (4, 2)))
 
 
 # -- single-track products ---------------------------------------------------------
@@ -277,8 +309,8 @@ def test_lemma67_factors_over_output_partition():
                     for block in partition.blocks:
                         sub_omega = tuple(omega[m - 1] for m in block)
                         sub_chi = "".join(chi.letters[m - 1] for m in block)
-                        expected = expected * reverse_bimixture(
-                            sub_omega, sub_chi, table
+                        expected = expected * table.coeff(
+                            *reverse_bimixture_symbol(sub_omega, sub_chi)
                         )
                     assert lemma67_vector(path, chi, omega, table) == {(): expected}
 
@@ -310,6 +342,24 @@ def test_sequential_moments_match_partition_sums():
                     assert vm(tuple(zip(omega, chi))) == moment_via_pchi(
                         omega, chi_str, table
                     )
+
+
+def test_moments_reject_operators_outside_the_table():
+    vm = VacuumMoments(CoefficientTable.symbolic(2, 2))
+    with pytest.raises(ValueError):
+        vm(((5, "l"), (5, "l")))
+    with pytest.raises(ValueError):
+        vm(((1, "x"),))
+    assert vm(((1, "l"),)) == sym("a", 1)
+
+
+def test_family_sum_rejects_indices_outside_the_table():
+    table = CoefficientTable.symbolic(2, 2)
+    with pytest.raises(ValueError):
+        moment_via_pchi((5,), "l", table)
+    with pytest.raises(ValueError):
+        moment_via_pchi((1, 0), "lr", table)
+    assert moment_via_pchi((2,), "l", table) == sym("a", 2)
 
 
 def test_precompute_fills_the_same_values():

@@ -4,14 +4,8 @@ from math import factorial
 
 import pytest
 
-from lrcumulants.lukasiewicz import (
-    InvalidRiseVector,
-    LukPath,
-    enumerate_luk,
-    phi,
-    psi,
-    validate_rise,
-)
+from lrcumulants.deque import ChiWord, output_partition
+from lrcumulants.lukasiewicz import InvalidRiseVector, LukPath, enumerate_luk, psi
 from lrcumulants.partitions import (
     Partition,
     enumerate_noncrossing,
@@ -27,29 +21,29 @@ def catalan(n):
 
 
 def test_validate_rise_accepts_paths():
-    p = validate_rise([2, -1, 1, -1, -1])
+    p = LukPath([2, -1, 1, -1, -1])
     assert p.n == 5
     assert p.rise == (2, -1, 1, -1, -1)
     assert p.heights() == [2, 1, 2, 1, 0]
-    assert validate_rise([0, 0, 0]).rise == (0, 0, 0)
+    assert LukPath([0, 0, 0]).rise == (0, 0, 0)
     assert p.to_json() == [2, -1, 1, -1, -1]
     assert LukPath.from_json([0]) == LukPath([0])
 
 
 def test_validate_rise_reports_first_failing_prefix():
     with pytest.raises(InvalidRiseVector) as err:
-        validate_rise([-1, 1])
+        LukPath([-1, 1])
     assert err.value.prefix == 1
     with pytest.raises(InvalidRiseVector) as err:
-        validate_rise([1, -1, -1, 2])
+        LukPath([1, -1, -1, 2])
     assert err.value.prefix == 3
     with pytest.raises(InvalidRiseVector) as err:
-        validate_rise([1, 0])
+        LukPath([1, 0])
     assert err.value.prefix is None  # bad total, every prefix fine
     with pytest.raises(InvalidRiseVector):
-        validate_rise([])
+        LukPath([])
     with pytest.raises(InvalidRiseVector) as err:
-        validate_rise([2, -2])
+        LukPath([2, -2])
     assert err.value.prefix == 2  # entries below -1 are rejected outright
 
 
@@ -69,7 +63,7 @@ def test_enumerate_luk_matches_filtering_all_vectors():
     brute = set()
     for vec in itertools.product(range(-1, n), repeat=n):
         try:
-            brute.add(validate_rise(vec))
+            brute.add(LukPath(vec))
         except InvalidRiseVector:
             pass
     assert brute == set(enumerate_luk(n))
@@ -82,19 +76,23 @@ def test_psi_examples():
 
 
 def test_phi_examples():
-    assert phi(LukPath([2, -1, 1, -1, -1])) == Partition(5, [[1, 2, 5], [3, 4]])
-    assert phi(LukPath([0, 0, 0, 0])) == singletons(4)
-    assert phi(LukPath([4, -1, -1, -1, -1])) == one_block(5)
+    # phi, the inverse of psi on non-crossing partitions, is the all-l replay
+    assert output_partition(LukPath([2, -1, 1, -1, -1]), ChiWord("lllll")) == Partition(
+        5, [[1, 2, 5], [3, 4]]
+    )
+    assert output_partition(LukPath([0, 0, 0, 0]), ChiWord("llll")) == singletons(4)
+    assert output_partition(LukPath([4, -1, -1, -1, -1]), ChiWord("lllll")) == one_block(5)
 
 
 def test_phi_psi_round_trips():
     for n in range(1, 8):
+        chi = ChiWord("l" * n)
         for path in enumerate_luk(n):
-            p = phi(path)
+            p = output_partition(path, chi)
             assert is_noncrossing(p)
             assert psi(p) == path
         for p in enumerate_noncrossing(n):
-            assert phi(psi(p)) == p
+            assert output_partition(psi(p), chi) == p
 
 
 def test_psi_surjective_onto_paths():
