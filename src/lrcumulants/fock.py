@@ -193,13 +193,6 @@ class PolyScalar:
         ]
 
 
-def scalar_to_json(value):
-    """JSON form of a scalar: string for rationals, term list for polynomials."""
-    if isinstance(value, PolyScalar):
-        return value.to_json()
-    return str(Fraction(value))
-
-
 # ---------------------------------------------------------------------------
 # Coefficient tables
 # ---------------------------------------------------------------------------
@@ -208,11 +201,11 @@ def scalar_to_json(value):
 class CoefficientTable:
     """The coefficient families of the two symbol polynomials.
 
-    ``kind`` "a" indexes the left side, "b" the right side.  In symbolic
-    mode every coefficient of word length <= n_o is an independent formal
-    symbol; in concrete mode the coefficients are stored rationals
-    (missing entries are zero) and they vanish beyond length n_o by
-    construction.
+    ``kind`` "a" indexes the left side, "b" the right side.  ``alpha`` and
+    ``beta`` map every index word with a non-zero coefficient to it: in
+    symbolic mode every word of length 1..n_o holds its own formal symbol;
+    in concrete mode the stored rationals (missing entries are zero).
+    Either way the coefficients vanish beyond length n_o.
     """
 
     __slots__ = ("d", "n_o", "mode", "alpha", "beta", "_creator_cache")
@@ -225,20 +218,24 @@ class CoefficientTable:
         alpha: Optional[Mapping[Word, Fraction]] = None,
         beta: Optional[Mapping[Word, Fraction]] = None,
     ):
-        if d < 1 or n_o < 1:
-            raise ValueError("d and n_o must be positive")
+        if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (d, n_o)):
+            raise ValueError(f"d and n_o must be positive integers, got {d!r} and {n_o!r}")
         if mode not in ("symbolic", "concrete"):
             raise ValueError(f"unknown table mode {mode!r}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "n_o", n_o)
         object.__setattr__(self, "mode", mode)
-        for name, table in (("alpha", alpha), ("beta", beta)):
+        for kind, name, table in ((ALPHA, "alpha", alpha), (BETA, "beta", beta)):
             if mode == "symbolic":
                 if table is not None:
                     raise ValueError("symbolic tables carry no stored values")
-                object.__setattr__(self, name, None)
+                cleaned = {
+                    word: PolyScalar.symbol(kind, word)
+                    for p in range(1, n_o + 1)
+                    for word in product(range(1, d + 1), repeat=p)
+                }
             else:
-                cleaned: Dict[Word, Fraction] = {}
+                cleaned = {}
                 for word, value in (table or {}).items():
                     word = tuple(word)
                     if not word or len(word) > n_o:
@@ -250,7 +247,7 @@ class CoefficientTable:
                     value = Fraction(value)
                     if value:
                         cleaned[word] = value
-                object.__setattr__(self, name, cleaned)
+            object.__setattr__(self, name, cleaned)
         object.__setattr__(self, "_creator_cache", {})
 
     def __setattr__(self, name, value):
@@ -330,22 +327,22 @@ class CoefficientTable:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "CoefficientTable":
-        d = obj["d"]
-        n_o = obj["n_o"]
         mode = obj.get("mode")
         if mode is None:
             mode = "concrete" if ("alpha" in obj or "beta" in obj) else "symbolic"
-        if mode == "symbolic":
-            return cls.symbolic(d, n_o)
 
-        def parse(table: Mapping[str, str]) -> Dict[Word, Fraction]:
-            out = {}
-            for key, value in table.items():
-                word = tuple(int(part) for part in key.split(","))
-                out[word] = Fraction(value)
-            return out
+        def parse(name: str) -> Optional[Dict[Word, Fraction]]:
+            table = obj.get(name)
+            if table is None:
+                return None
+            if not isinstance(table, Mapping):
+                raise ValueError(f"{name} must be a map from index words to rationals")
+            return {
+                tuple(int(part) for part in key.split(",")): Fraction(value)
+                for key, value in table.items()
+            }
 
-        return cls(d, n_o, "concrete", parse(obj.get("alpha", {})), parse(obj.get("beta", {})))
+        return cls(obj["d"], obj["n_o"], mode, parse("alpha"), parse("beta"))
 
     @classmethod
     def from_file(cls, path: str) -> "CoefficientTable":
@@ -356,12 +353,7 @@ class CoefficientTable:
 
     def coeff(self, kind: str, word: Word):
         """The coefficient for (kind, word): a symbol, a rational, or 0."""
-        if len(word) > self.n_o:
-            return 0
-        if self.mode == "symbolic":
-            return PolyScalar.symbol(kind, word)
-        table = self.alpha if kind == ALPHA else self.beta
-        return table.get(word, 0)
+        return (self.alpha if kind == ALPHA else self.beta).get(word, 0)
 
     def creator_entries(self, kind: str, i: int):
         """Used when applying a canonical operator for index i.
@@ -374,21 +366,12 @@ class CoefficientTable:
         cached = self._creator_cache.get(key)
         if cached is not None:
             return cached
-        entries: List[List[Tuple[Word, Word, object]]] = []
-        if self.mode == "symbolic":
-            for pm1 in range(self.n_o):
-                level = []
-                for m in product(range(1, self.d + 1), repeat=pm1):
-                    level.append((m, m[::-1], PolyScalar.symbol(kind, m + (i,))))
-                entries.append(level)
-        else:
-            table = self.alpha if kind == ALPHA else self.beta
-            by_len: Dict[int, List[Tuple[Word, Word, object]]] = {}
-            for word, value in table.items():
-                if word[-1] == i:
-                    m = word[:-1]
-                    by_len.setdefault(len(m), []).append((m, m[::-1], value))
-            entries = [sorted(by_len.get(pm1, []), key=lambda e: e[0]) for pm1 in range(self.n_o)]
+        by_len: Dict[int, List[Tuple[Word, Word, object]]] = {}
+        for word, value in (self.alpha if kind == ALPHA else self.beta).items():
+            if word[-1] == i:
+                m = word[:-1]
+                by_len.setdefault(len(m), []).append((m, m[::-1], value))
+        entries = [sorted(by_len.get(pm1, []), key=lambda e: e[0]) for pm1 in range(self.n_o)]
         self._creator_cache[key] = entries
         return entries
 
@@ -653,6 +636,8 @@ def lemma67_vector(
     n = chi.n
     if len(omega) != n or path.n != n:
         raise ValueError("path, chi and omega must have equal lengths")
+    if min(omega) < 1 or max(omega) > table.d:
+        raise ValueError(f"index word {list(omega)} has letters outside 1..{table.d}")
     coeff: object = 1
     word: Word = ()
     for m in range(n, 0, -1):
@@ -700,15 +685,8 @@ class VacuumMoments:
         value = self._memo.get(cword)
         if value is None:
             self._check(cword)
-            vec = vacuum_vector()
-            n = len(cword)
-            for j in range(n - 1, -1, -1):
-                i, h = cword[j]
-                vec = self._apply(vec, i, h, j)
-                if not vec:
-                    break
-            value = vec.get(VACUUM, 0)
-            self._memo[cword] = value
+            self._sweep(tuple(h for _, h in cword), tuple((i,) for i, _ in cword))
+            value = self._memo[cword]
         return value
 
     def _check(self, cword: CWord) -> None:
@@ -746,30 +724,33 @@ class VacuumMoments:
         return out
 
     def precompute(self, n: int) -> None:
-        """Fill the memo with every moment of length <= n over all sides.
-
-        Runs one depth-first sweep per side word, so states shared by all
-        index words with a common tail are computed once.
-        """
-        d = self.table.d
-        memo = self._memo
+        """Fill the memo with every moment of length <= n over all sides
+        and indices."""
+        indices = range(1, self.table.d + 1)
         for k in range(self._precomputed + 1, n + 1):
             for chi in product("lr", repeat=k):
-                self._sweep(k, chi, d, memo)
+                self._sweep(chi, (indices,) * k)
         self._precomputed = max(self._precomputed, n)
 
-    def _sweep(self, k: int, chi: Tuple[str, ...], d: int, memo) -> None:
-        def descend(j: int, vec: FockVector, tail: CWord) -> None:
-            if j == k:
+    def _sweep(self, chi: Sequence[str], letters: Sequence[Iterable[int]]) -> None:
+        """Memoize the moment of every word with sides chi and an index
+        from letters[m] at each position m.
+
+        A depth-first sweep from the right end: the state after the
+        operators at positions m.. is computed once and shared by every
+        word with that tail.
+        """
+        memo = self._memo
+
+        def descend(m: int, vec: FockVector, tail: CWord) -> None:
+            if m < 0:
                 memo[tail] = vec.get(VACUUM, 0)
                 return
-            h = chi[k - 1 - j]
-            remaining = k - 1 - j
-            for i in range(1, d + 1):
-                nxt = self._apply(vec, i, h, remaining)
-                descend(j + 1, nxt, ((i, h),) + tail)
+            h = chi[m]
+            for i in letters[m]:
+                descend(m - 1, self._apply(vec, i, h, m), ((i, h),) + tail)
 
-        descend(0, vacuum_vector(), ())
+        descend(len(chi) - 1, vacuum_vector(), ())
 
 
 def operator_word_functional(operators: Mapping[object, OperatorExpr]):

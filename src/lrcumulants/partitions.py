@@ -78,13 +78,6 @@ class Partition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, m: int) -> Tuple[int, ...]:
-        """The block containing m."""
-        for block in self.blocks:
-            if m in block:
-                return block
-        raise ValueError(f"{m} is not in the ground set 1..{self.n}")
-
     def block_index(self) -> List[int]:
         """List mapping element m (1-based) to the index of its block."""
         idx = [0] * (self.n + 1)

@@ -78,6 +78,12 @@ class SuiteResult:
     def add(self, name: str, expected, actual, ok: Optional[bool] = None) -> None:
         self.checks.append(Check(name, expected, actual, ok if ok is not None else expected == actual))
 
+    def add_sweep(self, name: str, summary: str, count: int, failures: List[str]) -> None:
+        """One check over ``count`` instances: ``summary`` if none failed,
+        else the first three failures."""
+        self.add(name, summary, failures[:3] or summary, not failures)
+        self.instances += count
+
 
 def catalan(n: int) -> int:
     return factorial(2 * n) // (factorial(n) * factorial(n + 1))
@@ -174,11 +180,10 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
     back to the path."""
     result = SuiteResult("prop46", {"max_n": max_n})
     for n in range(1, max_n + 1):
+        paths = enumerate_luk(n)
         for chi in all_chi(n):
             failures = []
-            count = 0
-            for path in enumerate_luk(n):
-                count += 1
+            for path in paths:
                 trace = simulate(DequeScenario(path, chi))
                 rho = combined_standings(trace)
                 if not is_noncrossing(rho):
@@ -190,13 +195,8 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
                     failures.append(f"rise={list(path.rise)}: block {block} not an interval")
                 if psi(trace.output_partition) != path:
                     failures.append(f"rise={list(path.rise)}: wrong canonical path")
-            result.add(
-                f"n={n} chi={chi}",
-                f"{count} scenarios, all non-crossing/interval/path-consistent",
-                failures or f"{count} scenarios, all non-crossing/interval/path-consistent",
-                not failures,
-            )
-            result.instances += count
+            summary = f"{len(paths)} scenarios, all non-crossing/interval/path-consistent"
+            result.add_sweep(f"n={n} chi={chi}", summary, len(paths), failures)
     return result
 
 
@@ -205,12 +205,11 @@ def suite_lemma48(max_n: int = 6, **_) -> SuiteResult:
     the output-time partition, for every scenario."""
     result = SuiteResult("lemma48", {"max_n": max_n})
     for n in range(1, max_n + 1):
+        paths = enumerate_luk(n)
         for chi in all_chi(n):
             sigma = sigma_chi(chi)
             failures = []
-            count = 0
-            for path in enumerate_luk(n):
-                count += 1
+            for path in paths:
                 trace = simulate(DequeScenario(path, chi))
                 image = act(sigma, combined_standings(trace))
                 out = trace.output_partition
@@ -218,13 +217,8 @@ def suite_lemma48(max_n: int = 6, **_) -> SuiteResult:
                     failures.append(
                         f"rise={list(path.rise)}: {image.to_json()} != {out.to_json()}"
                     )
-            result.add(
-                f"n={n} chi={chi}",
-                f"{count} scenarios mapped onto their output partitions",
-                failures or f"{count} scenarios mapped onto their output partitions",
-                not failures,
-            )
-            result.instances += count
+            summary = f"{len(paths)} scenarios mapped onto their output partitions"
+            result.add_sweep(f"n={n} chi={chi}", summary, len(paths), failures)
     return result
 
 
@@ -245,25 +239,30 @@ def suite_prop413(max_n: int = 6, **_) -> SuiteResult:
             )
             result.instances += 1
         rev = Permutation.reversal(n)
-        for chi in all_chi(n):
-            opp = chi_opposite(chi)
-            mirrored = sorted(opposite(p) for p in pchi_by_enumeration(chi))
-            ok = mirrored == pchi_by_enumeration(opp)
-            result.add(
-                f"n={n} chi={chi} mirrored family",
-                "families agree",
-                "families agree" if ok else "families differ",
-                ok,
-            )
-            u = len(chi.m_ell)
-            lhs = sigma_chi(opp)
-            rhs = rev.compose(sigma_chi(chi)).compose(tau_u(n, u))
-            result.add(
-                f"n={n} chi={chi} permutation factorization",
-                list(lhs.images),
-                list(rhs.images),
-            )
-            result.instances += 2
+        for first in all_chi(n):
+            opp = chi_opposite(first)
+            if opp.letters < first.letters:
+                continue  # the pair was checked when opp came first
+            # one family per word of the pair, each checked against the other
+            pair = {w: pchi_by_enumeration(w) for w in dict.fromkeys((first, opp))}
+            for chi, family in pair.items():
+                opp = chi_opposite(chi)
+                ok = sorted(opposite(p) for p in family) == pair[opp]
+                result.add(
+                    f"n={n} chi={chi} mirrored family",
+                    "families agree",
+                    "families agree" if ok else "families differ",
+                    ok,
+                )
+                u = len(chi.m_ell)
+                lhs = sigma_chi(opp)
+                rhs = rev.compose(sigma_chi(chi)).compose(tau_u(n, u))
+                result.add(
+                    f"n={n} chi={chi} permutation factorization",
+                    list(lhs.images),
+                    list(rhs.images),
+                )
+                result.instances += 2
     return result
 
 
@@ -333,36 +332,37 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     cells = _fock_cells(max_n, d)
     if max_n >= 5 and d >= 2:
         cells.insert(0, ("symbolic", 5, 2))  # single-track products stay cheap
+    # per n: every (chi, path) with the reverse-mixture plan of its
+    # output partition, replayed once and shared by the cells of that n
+    scenarios: Dict[int, List[tuple]] = {}
     for mode, n, dd in cells:
         table = _cell(mode, n, dd, max_n, seed)[0]
         coeff = table.coeff
+        if n not in scenarios:
+            scenarios[n] = [
+                (chi, path, reverse_mixture_plan_for_blocks(block_data(
+                    simulate(DequeScenario(path, chi)).output_partition, chi.letters)))
+                for chi in all_chi(n)
+                for path in enumerate_luk(n)
+            ]
         cell_fail = []
         cell_count = 0
-        for chi in all_chi(n):
-            chi_str = chi.letters
-            for path in enumerate_luk(n):
-                partition = simulate(DequeScenario(path, chi)).output_partition
-                plan = reverse_mixture_plan_for_blocks(block_data(partition, chi_str))
-                for omega in product(range(1, dd + 1), repeat=n):
-                    expected: object = None
-                    for kind, order in plan:
-                        value = coeff(kind, tuple(omega[p] for p in order))
-                        expected = value if expected is None else expected * value
-                    vec = lemma67_vector(path, chi, omega, table)
-                    actual = vec.get((), 0) if len(vec) <= 1 else "not a vacuum multiple"
-                    cell_count += 1
-                    if actual != expected or set(vec) - {()}:
-                        cell_fail.append(
-                            f"chi={chi_str} rise={list(path.rise)} omega={list(omega)}: "
-                            f"expected {expected}, got {actual}"
-                        )
-        result.add(
-            f"{mode} n={n} d={dd}",
-            f"{cell_count} products collapse to the vacuum multiple",
-            cell_fail[:3] or f"{cell_count} products collapse to the vacuum multiple",
-            not cell_fail,
-        )
-        result.instances += cell_count
+        for chi, path, plan in scenarios[n]:
+            for omega in product(range(1, dd + 1), repeat=n):
+                expected: object = None
+                for kind, order in plan:
+                    value = coeff(kind, tuple(omega[p] for p in order))
+                    expected = value if expected is None else expected * value
+                vec = lemma67_vector(path, chi, omega, table)
+                actual = vec.get((), 0) if len(vec) <= 1 else "not a vacuum multiple"
+                cell_count += 1
+                if actual != expected or set(vec) - {()}:
+                    cell_fail.append(
+                        f"chi={chi.letters} rise={list(path.rise)} omega={list(omega)}: "
+                        f"expected {expected}, got {actual}"
+                    )
+        summary = f"{cell_count} products collapse to the vacuum multiple"
+        result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
     return result
 
 
@@ -372,8 +372,7 @@ def suite_prop610(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     result = SuiteResult("prop610", {"max_n": max_n, "d": d, "seed": seed})
     for mode, n, dd in _fock_cells(max_n, d):
         table, vm, _ = _cell(mode, n, dd, max_n, seed)
-        if mode == "random":
-            vm.precompute(n)
+        vm.precompute(n)
         cell_fail = []
         cell_count = 0
         for chi in all_chi(n):
@@ -386,13 +385,8 @@ def suite_prop610(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
                     cell_fail.append(
                         f"chi={chi_str} omega={list(omega)}: engine {lhs} != family sum {rhs}"
                     )
-        result.add(
-            f"{mode} n={n} d={dd}",
-            f"{cell_count} moments agree across routes",
-            cell_fail[:3] or f"{cell_count} moments agree across routes",
-            not cell_fail,
-        )
-        result.instances += cell_count
+        summary = f"{cell_count} moments agree across routes"
+        result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
     return result
 
 
@@ -402,8 +396,7 @@ def suite_thm65(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     result = SuiteResult("thm65", {"max_n": max_n, "d": d, "seed": seed})
     for mode, n, dd in _fock_cells(max_n, d):
         table, vm, engine = _cell(mode, n, dd, max_n, seed)
-        if mode == "random":
-            vm.precompute(n)
+        vm.precompute(n)
         cell_fail = []
         cell_count = 0
         for chi in all_chi(n):
@@ -417,13 +410,8 @@ def suite_thm65(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
                     cell_fail.append(
                         f"chi={chi_str} omega={list(omega)}: cumulant {kappa} != mixture {expected}"
                     )
-        result.add(
-            f"{mode} n={n} d={dd}",
-            f"{cell_count} cumulants equal their mixture coefficient",
-            cell_fail[:3] or f"{cell_count} cumulants equal their mixture coefficient",
-            not cell_fail,
-        )
-        result.instances += cell_count
+        summary = f"{cell_count} cumulants equal their mixture coefficient"
+        result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
     return result
 
 

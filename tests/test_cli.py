@@ -115,9 +115,17 @@ def test_moment_table_io_error(capsys):
 
 def test_moment_invalid_table_is_io_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run(capsys, "moment", "--chi", "l", "--omega", "1", "--table", str(path))
-    assert code == 3
+    for text in (
+        "{not json",
+        '{"d": 2, "n_o": 2, "mode": "Symbolic"}',  # unknown mode
+        '{"d": 2, "n_o": 2, "mode": "symbolic", "alpha": {"1": "1/2"}}',
+        '{"d": 2, "n_o": 2.5, "alpha": {"1": "1/2"}}',
+        '{"d": true, "n_o": 2, "alpha": {"1": "1/2"}}',
+        '{"d": 2, "n_o": 2, "alpha": ["1", "1/2"]}',
+    ):
+        path.write_text(text)
+        code, _, err = run(capsys, "moment", "--chi", "lr", "--omega", "1,2", "--table", str(path))
+        assert code == 3, text
 
 
 def test_moment_length_mismatch(capsys):

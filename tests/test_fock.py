@@ -26,7 +26,6 @@ from lrcumulants.fock import (
     reverse_bimixture_template,
     reverse_mixture_plan_for_blocks,
     s_op,
-    scalar_to_json,
     vacuum_expectation,
     vacuum_vector,
     x_op,
@@ -103,7 +102,6 @@ def test_polyscalar_rendering_and_json():
         {"coeff": "-3/4", "monomial": []},
         {"coeff": "1", "monomial": ["a[1,2]", "b[3]"]},
     ]
-    assert scalar_to_json(Fraction(1, 3)) == "1/3"
 
 
 def test_monomials_sorted_by_kind_length_word():
@@ -297,6 +295,15 @@ def test_lemma67_single_batch_all_left():
     assert vec == {(): sym("a", 2, 1, 2, 1)}
 
 
+def test_lemma67_rejects_indices_outside_the_table():
+    path, chi = LukPath([0]), ChiWord("l")
+    for table in (CoefficientTable.symbolic(2, 2), CoefficientTable.random(2, 2, seed=0)):
+        for omega in ((7,), (0,)):
+            with pytest.raises(ValueError):
+                lemma67_vector(path, chi, omega, table)
+        assert lemma67_vector(path, chi, (2,), table) == {(): table.coeff("a", (2,))}
+
+
 def test_lemma67_factors_over_output_partition():
     table = CoefficientTable.symbolic(2, 4)
     for n in range(1, 5):
@@ -363,12 +370,13 @@ def test_family_sum_rejects_indices_outside_the_table():
 
 
 def test_precompute_fills_the_same_values():
-    table = CoefficientTable.random(2, 3, seed=1)
-    vm = VacuumMoments(table)
-    vm.precompute(3)
-    fresh = VacuumMoments(table)
-    for cword, value in vm._memo.items():
-        assert fresh(cword) == value
+    for table in (CoefficientTable.random(2, 3, seed=1), CoefficientTable.symbolic(2, 3)):
+        vm = VacuumMoments(table)
+        vm.precompute(3)
+        assert len(vm._memo) == sum(4 ** k for k in range(1, 4))
+        fresh = VacuumMoments(table)
+        for cword, value in vm._memo.items():
+            assert fresh(cword) == value
 
 
 # -- coefficient tables ---------------------------------------------------------------
@@ -390,6 +398,14 @@ def test_table_json_round_trip(tmp_path):
     assert sym_table.to_json() == sym_obj
 
 
+def test_symbolic_table_stores_one_symbol_per_word():
+    table = CoefficientTable.symbolic(3, 2)
+    assert table.coeff("a", (1, 2)) == PolyScalar.symbol("a", (1, 2))
+    assert table.coeff("b", (3,)) == PolyScalar.symbol("b", (3,))
+    assert table.coeff("a", (1, 2, 3)) == 0  # beyond n_o
+    assert len(table.alpha) == len(table.beta) == 3 + 3 ** 2
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         CoefficientTable(2, 2, "concrete", {(1, 2, 1): 1}, {})  # beyond n_o
@@ -399,6 +415,11 @@ def test_table_validation():
         CoefficientTable(2, 2, "weird")
     with pytest.raises(ValueError):
         CoefficientTable.symbolic(0, 2)
+    for d, n_o in ((2.5, 2), (2, 2.5), (True, 2), (2, True), ("2", 2)):
+        with pytest.raises(ValueError):
+            CoefficientTable.symbolic(d, n_o)
+    with pytest.raises(ValueError):
+        CoefficientTable(2, 2, "symbolic", {(1,): 1}, None)
 
 
 def test_separated_table_vanishes_off_diagonal():
