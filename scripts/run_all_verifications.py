@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification suite and print a one-line summary per suite.
 
-Default scales finish in seconds; --full runs the acceptance scales
-(several minutes, dominated by the n=6, d=3 rational sweeps).
+Default scales finish in seconds; --full runs the acceptance scales.
+On a 2-vCPU Xeon host with Python 3.11 --full took 132 s, almost all of it
+in the n=6, d=3 operator-model sweeps (lemma67 66 s, prop610 31 s, thm65
+32 s).
 """
 
 import argparse

@@ -152,7 +152,7 @@ def _load_table(args, n: int, omega: tuple) -> CoefficientTable:
         except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as err:
             raise TableError(f"cannot load table {args.table}: {err}") from err
     else:  # default to the symbolic model
-        d = args.d if args.d else max(omega)
+        d = args.d if args.d is not None else max(omega)
         table = CoefficientTable.symbolic(d, n)
     if any(not 1 <= i <= table.d for i in omega):
         raise UsageError(f"omega letters must lie in 1..{table.d}")
@@ -219,8 +219,8 @@ def cmd_moment(args) -> RunReport:
         "moment",
         {"chi": chi.letters, "omega": list(omega), "table": args.table or "symbolic"},
     )
-    engine_value = VacuumMoments(table)(tuple(zip(omega, chi.letters)))
-    family_value = moment_via_pchi(omega, chi.letters, table)
+    engine_value = table.rational(VacuumMoments(table)(tuple(zip(omega, chi.letters))), chi.n)
+    family_value = table.rational(moment_via_pchi(omega, chi.letters, table), chi.n)
     report.results["value"] = engine_value
     report.checks.append(
         Check(
@@ -244,8 +244,8 @@ def cmd_cumulant(args) -> RunReport:
         {"chi": chi.letters, "omega": list(omega), "table": args.table or "symbolic"},
     )
     engine = CumulantEngine(VacuumMoments(table))
-    kappa = engine.cumulant(chi.letters, tuple(zip(omega, chi.letters)))
-    mixture = table.coeff(*bimixture_symbol(omega, chi))
+    kappa = table.rational(engine.cumulant(chi.letters, tuple(zip(omega, chi.letters))), chi.n)
+    mixture = table.rational(table.coeff(*bimixture_symbol(omega, chi)), chi.n)
     report.results["value"] = kappa
     report.checks.append(
         Check(

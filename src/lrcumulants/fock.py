@@ -1,11 +1,12 @@
 """Exact symbolic engine for canonical operators on the full Fock space over C^d.
 
 Basis words are tuples over {1..d} (the empty tuple is the vacuum).
-Vectors are sparse dicts word -> scalar, where a scalar is either an
-exact rational (``fractions.Fraction`` / int) or a :class:`PolyScalar`,
-a polynomial over the rationals in formal coefficient symbols a[...]
-and b[...].  All scalar rings in use are fixed by complex conjugation,
-so adjoints never conjugate anything.
+Vectors are sparse dicts word -> scalar, where a scalar is either a
+Python int (a concrete table's graded coefficients, see
+:class:`CoefficientTable`) or a :class:`PolyScalar`, a polynomial over the
+rationals in formal coefficient symbols a[...] and b[...].  All scalar
+rings in use are fixed by complex conjugation, so adjoints never
+conjugate anything.
 
 The canonical operator for index i on side h is "annihilate one letter
 at side h" composed after "create at side h with every coefficient of
@@ -18,9 +19,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .deque import LEFT, ChiWord, _chi_str, restriction_data
@@ -54,6 +57,8 @@ class PolyScalar:
 
     Monomials are multisets of symbols, stored as tuples sorted by
     (kind, word length, word); zero coefficients are never stored.
+    Symbols and whole constants carry int coefficients, so sums and
+    products of them stay in int arithmetic.
     Supports +, -, * with other PolyScalar values, ints and Fractions,
     and equality against the same.
     """
@@ -75,6 +80,8 @@ class PolyScalar:
     @classmethod
     def const(cls, value) -> "PolyScalar":
         value = Fraction(value)
+        if value.denominator == 1:
+            value = value.numerator
         return cls({(): value} if value else None)
 
     @classmethod
@@ -82,7 +89,7 @@ class PolyScalar:
         word = tuple(word)
         if kind not in (ALPHA, BETA) or not word:
             raise ValueError(f"bad symbol ({kind!r}, {word!r})")
-        return cls({((kind, word),): Fraction(1)})
+        return cls({((kind, word),): 1})
 
     @staticmethod
     def _coerce(value) -> "PolyScalar":
@@ -198,17 +205,55 @@ class PolyScalar:
 # ---------------------------------------------------------------------------
 
 
+# "p" or "p/q" with q > 0: the exact rationals a table file may hold as
+# strings (matched with re.fullmatch, compiled on first use, not at import)
+_RATIONAL = r"[+-]?[0-9]+(/0*[1-9][0-9]*)?"
+
+
+def _exact(value, where: str) -> Fraction:
+    """A table value as a Fraction: an int, a Fraction, or a "p/q" string.
+    Floats, bools and anything else are not exact and are rejected."""
+    if isinstance(value, str) and re.fullmatch(_RATIONAL, value):
+        return Fraction(value)
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"{where} must be an integer or a 'p/q' string, got {value!r}")
+
+
+def _checked(name: str, table: Mapping, d: int, n_o: int) -> Dict[Word, Fraction]:
+    """The non-zero entries of one concrete coefficient map, validated."""
+    cleaned = {}
+    for word, value in table.items():
+        word = tuple(word)
+        if not word or len(word) > n_o:
+            raise ValueError(f"{name} entry {word} outside word lengths 1..{n_o}")
+        if any(not 1 <= i <= d for i in word):
+            raise ValueError(f"{name} entry {word} has letters outside 1..{d}")
+        value = _exact(value, f"{name} entry {word}")
+        if value:
+            cleaned[word] = value
+    return cleaned
+
+
 class CoefficientTable:
     """The coefficient families of the two symbol polynomials.
 
     ``kind`` "a" indexes the left side, "b" the right side.  ``alpha`` and
     ``beta`` map every index word with a non-zero coefficient to it: in
     symbolic mode every word of length 1..n_o holds its own formal symbol;
-    in concrete mode the stored rationals (missing entries are zero).
+    in concrete mode a rational coefficient c(w) is stored as the graded
+    int c(w) * scale**len(w), where ``scale`` is the lcm of the
+    denominators (1 for a symbolic table); missing entries are zero.
     Either way the coefficients vanish beyond length n_o.
+
+    Every term of a length-n moment, cumulant or single-track product is a
+    product of coefficients whose word lengths add up to n, so the engines
+    compute that quantity times scale**n in int arithmetic, and two
+    length-n values of one table are equal exactly when the rationals they
+    stand for are.  :meth:`rational` divides the grading back out.
     """
 
-    __slots__ = ("d", "n_o", "mode", "alpha", "beta", "_creator_cache")
+    __slots__ = ("d", "n_o", "mode", "scale", "alpha", "beta", "_creator_cache")
 
     def __init__(
         self,
@@ -222,32 +267,37 @@ class CoefficientTable:
             raise ValueError(f"d and n_o must be positive integers, got {d!r} and {n_o!r}")
         if mode not in ("symbolic", "concrete"):
             raise ValueError(f"unknown table mode {mode!r}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "n_o", n_o)
-        object.__setattr__(self, "mode", mode)
-        for kind, name, table in ((ALPHA, "alpha", alpha), (BETA, "beta", beta)):
-            if mode == "symbolic":
-                if table is not None:
-                    raise ValueError("symbolic tables carry no stored values")
-                cleaned = {
+        if mode == "symbolic":
+            if alpha is not None or beta is not None:
+                raise ValueError("symbolic tables carry no stored values")
+            scale = 1
+            stored = [
+                {
                     word: PolyScalar.symbol(kind, word)
                     for p in range(1, n_o + 1)
                     for word in product(range(1, d + 1), repeat=p)
                 }
-            else:
-                cleaned = {}
-                for word, value in (table or {}).items():
-                    word = tuple(word)
-                    if not word or len(word) > n_o:
-                        raise ValueError(
-                            f"{name} entry {word} outside word lengths 1..{n_o}"
-                        )
-                    if any(not 1 <= i <= d for i in word):
-                        raise ValueError(f"{name} entry {word} has letters outside 1..{d}")
-                    value = Fraction(value)
-                    if value:
-                        cleaned[word] = value
-            object.__setattr__(self, name, cleaned)
+                for kind in (ALPHA, BETA)
+            ]
+        else:
+            rationals = [
+                _checked(name, table or {}, d, n_o)
+                for name, table in (("alpha", alpha), ("beta", beta))
+            ]
+            scale = lcm(*(v.denominator for table in rationals for v in table.values()))
+            stored = [
+                {
+                    word: v.numerator * (scale // v.denominator) * scale ** (len(word) - 1)
+                    for word, v in table.items()
+                }
+                for table in rationals
+            ]
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n_o", n_o)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "alpha", stored[0])
+        object.__setattr__(self, "beta", stored[1])
         object.__setattr__(self, "_creator_cache", {})
 
     def __setattr__(self, name, value):
@@ -299,18 +349,13 @@ class CoefficientTable:
         return cls(d, n_o, "concrete", alpha, beta)
 
     def with_entry(self, kind: str, word: Iterable[int], value) -> "CoefficientTable":
-        """A copy of a concrete table with one coefficient replaced."""
+        """A copy of a concrete table with one coefficient replaced by the
+        rational ``value``."""
         if self.mode != "concrete":
             raise ValueError("with_entry only applies to concrete tables")
-        alpha = dict(self.alpha)
-        beta = dict(self.beta)
-        target = alpha if kind == ALPHA else beta
-        word = tuple(word)
-        value = Fraction(value)
-        if value:
-            target[word] = value
-        else:
-            target.pop(word, None)
+        alpha = self._rationals(self.alpha)
+        beta = self._rationals(self.beta)
+        (alpha if kind == ALPHA else beta)[tuple(word)] = value
         return CoefficientTable(self.d, self.n_o, "concrete", alpha, beta)
 
     # -- JSON --------------------------------------------------------------
@@ -318,27 +363,31 @@ class CoefficientTable:
     def to_json(self) -> dict:
         obj = {"d": self.d, "n_o": self.n_o, "mode": self.mode}
         if self.mode == "concrete":
-            for name, table in (("alpha", self.alpha), ("beta", self.beta)):
+            for name, stored in (("alpha", self.alpha), ("beta", self.beta)):
                 obj[name] = {
                     ",".join(map(str, word)): str(value)
-                    for word, value in sorted(table.items(), key=lambda kv: (len(kv[0]), kv[0]))
+                    for word, value in sorted(
+                        self._rationals(stored).items(), key=lambda kv: (len(kv[0]), kv[0])
+                    )
                 }
         return obj
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "CoefficientTable":
+        """A table from its JSON form; values must be JSON integers or
+        "p/q" strings."""
         mode = obj.get("mode")
         if mode is None:
             mode = "concrete" if ("alpha" in obj or "beta" in obj) else "symbolic"
 
-        def parse(name: str) -> Optional[Dict[Word, Fraction]]:
+        def parse(name: str) -> Optional[Dict[Word, object]]:
             table = obj.get(name)
             if table is None:
                 return None
             if not isinstance(table, Mapping):
                 raise ValueError(f"{name} must be a map from index words to rationals")
             return {
-                tuple(int(part) for part in key.split(",")): Fraction(value)
+                tuple(int(part) for part in key.split(",")): value
                 for key, value in table.items()
             }
 
@@ -352,8 +401,19 @@ class CoefficientTable:
     # -- coefficient access --------------------------------------------------
 
     def coeff(self, kind: str, word: Word):
-        """The coefficient for (kind, word): a symbol, a rational, or 0."""
+        """The stored coefficient for (kind, word): a symbol, a graded int,
+        or 0."""
         return (self.alpha if kind == ALPHA else self.beta).get(word, 0)
+
+    def rational(self, value, n: int):
+        """The rational that the graded value of a length-n quantity stands
+        for, value / scale**n.  A symbolic value is returned unchanged."""
+        if isinstance(value, PolyScalar):
+            return value
+        return Fraction(value, self.scale ** n)
+
+    def _rationals(self, stored: Mapping[Word, int]) -> Dict[Word, Fraction]:
+        return {word: self.rational(value, len(word)) for word, value in stored.items()}
 
     def creator_entries(self, kind: str, i: int):
         """Used when applying a canonical operator for index i.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -354,12 +353,13 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
                     value = coeff(kind, tuple(omega[p] for p in order))
                     expected = value if expected is None else expected * value
                 vec = lemma67_vector(path, chi, omega, table)
-                actual = vec.get((), 0) if len(vec) <= 1 else "not a vacuum multiple"
+                actual = vec.get((), 0)
                 cell_count += 1
                 if actual != expected or set(vec) - {()}:
+                    got = table.rational(actual, n) if len(vec) <= 1 else "not a vacuum multiple"
                     cell_fail.append(
                         f"chi={chi.letters} rise={list(path.rise)} omega={list(omega)}: "
-                        f"expected {expected}, got {actual}"
+                        f"expected {table.rational(expected, n)}, got {got}"
                     )
         summary = f"{cell_count} products collapse to the vacuum multiple"
         result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
@@ -383,7 +383,8 @@ def suite_prop610(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
                 cell_count += 1
                 if lhs != rhs:
                     cell_fail.append(
-                        f"chi={chi_str} omega={list(omega)}: engine {lhs} != family sum {rhs}"
+                        f"chi={chi_str} omega={list(omega)}: engine {table.rational(lhs, n)}"
+                        f" != family sum {table.rational(rhs, n)}"
                     )
         summary = f"{cell_count} moments agree across routes"
         result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
@@ -408,7 +409,8 @@ def suite_thm65(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
                 cell_count += 1
                 if kappa != expected:
                     cell_fail.append(
-                        f"chi={chi_str} omega={list(omega)}: cumulant {kappa} != mixture {expected}"
+                        f"chi={chi_str} omega={list(omega)}: cumulant {table.rational(kappa, n)}"
+                        f" != mixture {table.rational(expected, n)}"
                     )
         summary = f"{cell_count} cumulants equal their mixture coefficient"
         result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
@@ -507,15 +509,16 @@ def suite_bifree(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
         "separated symbols",
         "all mixed cumulants vanish",
         "all mixed cumulants vanish" if ok else [
-            f"chi={chi} omega={list(idx)} value={value}" for chi, idx, value in violations[:3]
+            f"chi={chi} omega={list(idx)} value={table.rational(value, len(idx))}"
+            for chi, idx, value in violations[:3]
         ],
         ok,
     )
     result.instances += checked
 
-    patched = table.with_entry("a", (1, 2), Fraction(1))
+    patched = table.with_entry("a", (1, 2), 1)
     ok2, violations2 = is_combinatorially_bifree_upto(pairs, VacuumMoments(patched), 2)
-    hits = {(chi, idx): value for chi, idx, value in violations2}
+    hits = {(chi, idx): patched.rational(value, 2) for chi, idx, value in violations2}
     witness = hits.get(("ll", (1, 2)))
     result.add(
         "injected mixed coefficient",

@@ -122,10 +122,33 @@ def test_moment_invalid_table_is_io_error(tmp_path, capsys):
         '{"d": 2, "n_o": 2.5, "alpha": {"1": "1/2"}}',
         '{"d": true, "n_o": 2, "alpha": {"1": "1/2"}}',
         '{"d": 2, "n_o": 2, "alpha": ["1", "1/2"]}',
+        '{"d": 2, "n_o": 2, "alpha": {"1": 0.1}}',  # floats are not exact
+        '{"d": 2, "n_o": 2, "alpha": {"1": 1, "1,1": true}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1": "0.5"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1": "1/0"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1": null}}',
     ):
         path.write_text(text)
         code, _, err = run(capsys, "moment", "--chi", "lr", "--omega", "1,2", "--table", str(path))
         assert code == 3, text
+
+
+def test_table_values_are_integers_or_fraction_strings(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text('{"d": 1, "n_o": 2, "alpha": {"1": "-3/4", "1,1": 2}, "beta": {"1": 5}}')
+    code, out, _ = run(capsys, "moment", "--chi", "l", "--omega", "1", "--table", str(path))
+    assert code == 0
+    assert "value: -3/4" in out
+    code, out, _ = run(capsys, "cumulant", "--chi", "ll", "--omega", "1,1", "--table", str(path))
+    assert code == 0
+    assert "value: 2" in out and "status: pass" in out
+
+
+def test_symbolic_d_must_be_positive(capsys):
+    for d in ("0", "-1"):
+        code, out, err = run(capsys, "moment", "--chi", "l", "--omega", "1", "--symbolic", "--d", d)
+        assert code == 2, d
+        assert out == "" and "positive" in err
 
 
 def test_moment_length_mismatch(capsys):

@@ -175,5 +175,7 @@ def test_bifree_detects_injected_mixed_coefficient():
     ok, violations = is_combinatorially_bifree_upto(pairs, vm, 2)
     assert not ok
     assert ("ll", (1, 2)) in {(chi, idx) for chi, idx, _ in violations}
-    witness = [v for chi, idx, v in violations if (chi, idx) == ("ll", (1, 2))]
+    witness = [
+        table.rational(v, 2) for chi, idx, v in violations if (chi, idx) == ("ll", (1, 2))
+    ]
     assert witness == [Fraction(1)]

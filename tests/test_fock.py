@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcumulants.deque import ChiWord, DequeScenario, block_data, simulate
+from lrcumulants.cumulants import CumulantEngine
+from lrcumulants.deque import ChiWord, DequeScenario, block_data, restriction_data, simulate
 from lrcumulants.fock import (
     CoefficientTable,
     OperatorExpr,
@@ -93,6 +94,15 @@ def test_polyscalar_hash_agrees_with_equality():
     assert hash(PolyScalar.const(Fraction(3, 4))) == hash(Fraction(3, 4))
     assert hash(sym("a", 1) - sym("a", 1)) == hash(0)
     assert len({sym("a", 1), sym("a", 1) + 0, sym("b", 1)}) == 2
+
+
+def test_polyscalar_keeps_integral_coefficients_as_int():
+    (coeff,) = sym("a", 1, 2).terms.values()
+    assert type(coeff) is int
+    two = PolyScalar.const(Fraction(4, 2))
+    assert type(two.terms[()]) is int
+    assert two == 2 and hash(two) == hash(2)
+    assert type((sym("a", 1) * sym("b", 2) + 3).sorted_terms()[0][1]) is int
 
 
 def test_polyscalar_rendering_and_json():
@@ -433,6 +443,107 @@ def test_separated_table_vanishes_off_diagonal():
 def test_with_entry_overrides():
     table = CoefficientTable.separated_random(2, 2, seed=0)
     patched = table.with_entry("a", (1, 2), Fraction(1))
-    assert patched.coeff("a", (1, 2)) == 1
+    assert patched.rational(patched.coeff("a", (1, 2)), 2) == 1
     assert table.coeff("a", (1, 2)) == 0
-    assert patched.coeff("b", (2, 2)) == table.coeff("b", (2, 2))
+    assert patched.rational(patched.coeff("b", (2, 2)), 2) == table.rational(
+        table.coeff("b", (2, 2)), 2
+    )
+
+
+# -- graded storage and the rational boundary ------------------------------------------
+
+
+def test_concrete_table_stores_graded_ints():
+    table = CoefficientTable(
+        2, 2, "concrete", {(1,): Fraction(1, 2), (1, 2): Fraction(-1, 3)}, {(2,): 5}
+    )
+    assert table.scale == 6
+    assert table.alpha == {(1,): 3, (1, 2): -12}
+    assert table.beta == {(2,): 30}
+    assert table.rational(table.coeff("a", (1, 2)), 2) == Fraction(-1, 3)
+    assert table.rational(-12 * 30, 3) == Fraction(-1, 3) * 5
+    assert type(table.rational(30, 1)) is Fraction
+    assert CoefficientTable.symbolic(2, 2).scale == 1
+    assert CoefficientTable(1, 1, "concrete", {}, {}).scale == 1
+    x = sym("a", 1)
+    assert CoefficientTable.symbolic(2, 2).rational(x, 1) is x
+
+
+def test_table_rejects_inexact_values():
+    for value in (0.5, True, None, "0.5", "1/0", "1 /2", "x"):
+        with pytest.raises(ValueError):
+            CoefficientTable(1, 1, "concrete", {(1,): value}, {})
+        with pytest.raises(ValueError):
+            CoefficientTable.from_json_obj({"d": 1, "n_o": 1, "alpha": {"1": value}})
+    table = CoefficientTable.from_json_obj(
+        {"d": 1, "n_o": 1, "alpha": {"1": "-6/4"}, "beta": {"1": 3}}
+    )
+    assert table.to_json()["alpha"] == {"1": "-3/2"} and table.to_json()["beta"] == {"1": "3"}
+
+
+PRIME_DENOMINATORS = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+)
+
+
+@st.composite
+def sparse_tables(draw):
+    """A concrete table with a few random entries, and the rationals it was
+    built from."""
+    d = draw(st.integers(1, 2))
+    n_o = draw(st.integers(1, 5))
+    words = [w for p in range(1, n_o + 1) for w in itertools.product(range(1, d + 1), repeat=p)]
+    rationals = st.builds(
+        Fraction,
+        st.integers(-60, 60).filter(bool),
+        st.one_of(st.sampled_from(PRIME_DENOMINATORS), st.integers(1, 97)),
+    )
+    alpha, beta = [
+        draw(st.dictionaries(st.sampled_from(words), rationals, max_size=12)) for _ in range(2)
+    ]
+    return CoefficientTable(d, n_o, "concrete", alpha, beta), alpha, beta
+
+
+def fraction_maps(obj):
+    """The coefficients of a table's JSON form as plain Fractions, by kind."""
+    return {
+        kind: {tuple(map(int, key.split(","))): Fraction(v) for key, v in obj[name].items()}
+        for kind, name in (("a", "alpha"), ("b", "beta"))
+    }
+
+
+def fraction_family_sum(maps, omega, chi):
+    """The moment of (omega, chi) as a Fraction sum over the chi family."""
+    total = Fraction(0)
+    for blocks in restriction_data(chi):
+        prod = Fraction(1)
+        for positions, sub in blocks:
+            kind, order = bimixture_template(sub)
+            prod *= maps[kind].get(tuple(omega[positions[j]] for j in order), 0)
+        total += prod
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_tables(), st.data())
+def test_graded_values_match_plain_fraction_family_sums(drawn, data):
+    table, alpha, beta = drawn
+    obj = table.to_json()
+    for name, given_map in (("alpha", alpha), ("beta", beta)):
+        assert obj[name] == {",".join(map(str, w)): str(v) for w, v in given_map.items()}
+    assert CoefficientTable.from_json_obj(obj).to_json() == obj
+    maps = fraction_maps(obj)
+
+    n = data.draw(st.integers(1, 5))
+    chi = data.draw(st.text("lr", min_size=n, max_size=n))
+    omega = tuple(data.draw(st.lists(st.integers(1, table.d), min_size=n, max_size=n)))
+    cword = tuple(zip(omega, chi))
+    reference = CumulantEngine(
+        lambda w: fraction_family_sum(maps, tuple(i for i, _ in w), "".join(h for _, h in w))
+    )
+    vm = VacuumMoments(table)
+    assert table.rational(vm(cword), n) == fraction_family_sum(maps, omega, chi)
+    kappa = table.rational(CumulantEngine(vm).cumulant(chi, cword), n)
+    assert kappa == reference.cumulant(chi, cword)
+    kind, word = bimixture_symbol(omega, chi)
+    assert kappa == maps[kind].get(word, 0)
