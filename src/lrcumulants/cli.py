@@ -25,16 +25,10 @@ from .deque import (
     simulate,
     standings_partitions,
 )
-from .fock import (
-    CoefficientTable,
-    PolyScalar,
-    VacuumMoments,
-    bimixture_symbol,
-    moment_via_pchi,
-)
+from .fock import CoefficientTable, PolyScalar, VacuumMoments
 from .lukasiewicz import LukPath, enumerate_luk
 from .partitions import enumerate_noncrossing, enumerate_partitions
-from .verify import SUITES, Check, run_suite
+from .verify import SUITES, Check, cumulant_routes, moment_routes, run_suite
 
 
 class UsageError(Exception):
@@ -144,8 +138,8 @@ def _parse_ints(text: str, what: str) -> tuple:
 
 
 def _load_table(args, n: int, omega: tuple) -> CoefficientTable:
-    if args.table and args.symbolic:
-        raise UsageError("--table and --symbolic are mutually exclusive")
+    if args.table and (args.symbolic or args.d is not None):
+        raise UsageError("--table excludes --symbolic and --d: a table file sets its own d")
     if args.table:
         try:
             table = CoefficientTable.from_file(args.table)
@@ -209,52 +203,27 @@ def cmd_simulate(args) -> RunReport:
     return report
 
 
-def cmd_moment(args) -> RunReport:
+def _operator_query(args) -> RunReport:
+    """``moment`` or ``cumulant``: the value of one bi-word by the route
+    pair of its suite (prop610 or thm65), checked against the other route."""
     chi = _parse_chi(args.chi)
     omega = _parse_ints(args.omega, "--omega")
     if len(omega) != chi.n:
         raise UsageError(f"--omega has {len(omega)} letters but --chi has {chi.n}")
     table = _load_table(args, chi.n, omega)
     report = RunReport(
-        "moment",
+        args.command,
         {"chi": chi.letters, "omega": list(omega), "table": args.table or "symbolic"},
     )
-    engine_value = table.rational(VacuumMoments(table)(tuple(zip(omega, chi.letters))), chi.n)
-    family_value = table.rational(moment_via_pchi(omega, chi.letters, table), chi.n)
-    report.results["value"] = engine_value
-    report.checks.append(
-        Check(
-            "operator route equals partition-family route",
-            engine_value,
-            family_value,
-            engine_value == family_value,
-        )
-    )
-    return report
-
-
-def cmd_cumulant(args) -> RunReport:
-    chi = _parse_chi(args.chi)
-    omega = _parse_ints(args.omega, "--omega")
-    if len(omega) != chi.n:
-        raise UsageError(f"--omega has {len(omega)} letters but --chi has {chi.n}")
-    table = _load_table(args, chi.n, omega)
-    report = RunReport(
-        "cumulant",
-        {"chi": chi.letters, "omega": list(omega), "table": args.table or "symbolic"},
-    )
-    engine = CumulantEngine(VacuumMoments(table))
-    kappa = table.rational(engine.cumulant(chi.letters, tuple(zip(omega, chi.letters))), chi.n)
-    mixture = table.rational(table.coeff(*bimixture_symbol(omega, chi)), chi.n)
-    report.results["value"] = kappa
-    report.checks.append(
-        Check(
-            "cumulant recursion equals mixture coefficient",
-            mixture,
-            kappa,
-            kappa == mixture,
-        )
-    )
+    if args.command == "moment":
+        routes, check = moment_routes, "operator route equals partition-family route"
+    else:
+        routes, check = cumulant_routes, "cumulant recursion equals mixture coefficient"
+    vm = VacuumMoments(table)
+    pair = routes((table, vm, CumulantEngine(vm)), chi.letters, omega)
+    value, other = (table.rational(v, chi.n) for v in pair)
+    report.results["value"] = value
+    report.checks.append(Check(check, other, value, value == other))
     return report
 
 
@@ -323,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "enumerate": cmd_enumerate,
     "simulate": cmd_simulate,
-    "moment": cmd_moment,
-    "cumulant": cmd_cumulant,
+    "moment": _operator_query,
+    "cumulant": _operator_query,
     "verify": cmd_verify,
 }
 

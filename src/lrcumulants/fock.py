@@ -22,7 +22,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -208,6 +208,12 @@ class PolyScalar:
 # "p" or "p/q" with q > 0: the exact rationals a table file may hold as
 # strings (matched with re.fullmatch, compiled on first use, not at import)
 _RATIONAL = r"[+-]?[0-9]+(/0*[1-9][0-9]*)?"
+# the one spelling of an index word as a table-file key: "1", "2,1,3"
+_WORD_KEY = r"[1-9][0-9]*(,[1-9][0-9]*)*"
+
+#: A symbolic table holds 2 * (d + d**2 + ... + d**n_o) symbols and is
+#: rejected before it is built when that exceeds this bound.
+MAX_SYMBOLS = 100_000
 
 
 def _exact(value, where: str) -> Fraction:
@@ -253,7 +259,7 @@ class CoefficientTable:
     stand for are.  :meth:`rational` divides the grading back out.
     """
 
-    __slots__ = ("d", "n_o", "mode", "scale", "alpha", "beta", "_creator_cache")
+    __slots__ = ("d", "n_o", "mode", "scale", "alpha", "beta")
 
     def __init__(
         self,
@@ -270,6 +276,11 @@ class CoefficientTable:
         if mode == "symbolic":
             if alpha is not None or beta is not None:
                 raise ValueError("symbolic tables carry no stored values")
+            # summed lazily, so a huge n_o stops at the bound
+            if any(c > MAX_SYMBOLS for c in accumulate(2 * d**p for p in range(1, n_o + 1))):
+                raise ValueError(
+                    f"a symbolic table with d={d}, n_o={n_o} exceeds {MAX_SYMBOLS} symbols"
+                )
             scale = 1
             stored = [
                 {
@@ -298,7 +309,6 @@ class CoefficientTable:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "alpha", stored[0])
         object.__setattr__(self, "beta", stored[1])
-        object.__setattr__(self, "_creator_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CoefficientTable is immutable")
@@ -374,11 +384,15 @@ class CoefficientTable:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "CoefficientTable":
-        """A table from its JSON form; values must be JSON integers or
-        "p/q" strings."""
+        """A table from its JSON form: an object whose maps have canonical
+        index-word keys and JSON integers or "p/q" strings as values."""
+        if not isinstance(obj, Mapping):
+            raise ValueError("a table must be a JSON object")
         mode = obj.get("mode")
         if mode is None:
             mode = "concrete" if ("alpha" in obj or "beta" in obj) else "symbolic"
+
+        word_key = re.compile(_WORD_KEY).fullmatch
 
         def parse(name: str) -> Optional[Dict[Word, object]]:
             table = obj.get(name)
@@ -386,10 +400,12 @@ class CoefficientTable:
                 return None
             if not isinstance(table, Mapping):
                 raise ValueError(f"{name} must be a map from index words to rationals")
-            return {
-                tuple(int(part) for part in key.split(",")): value
-                for key, value in table.items()
-            }
+            words = {}
+            for key, value in table.items():
+                if not word_key(key):
+                    raise ValueError(f"{name} key {key!r} is not an index word like '1,2'")
+                words[tuple(map(int, key.split(",")))] = value
+            return words
 
         return cls(obj["d"], obj["n_o"], mode, parse("alpha"), parse("beta"))
 
@@ -414,26 +430,6 @@ class CoefficientTable:
 
     def _rationals(self, stored: Mapping[Word, int]) -> Dict[Word, Fraction]:
         return {word: self.rational(value, len(word)) for word, value in stored.items()}
-
-    def creator_entries(self, kind: str, i: int):
-        """Used when applying a canonical operator for index i.
-
-        Entry list indexed by m = p - 1 (0 .. n_o - 1): the non-zero
-        coefficients of words of length p ending in i, as triples
-        (word prefix m, reversed prefix, coefficient value).
-        """
-        key = (kind, i)
-        cached = self._creator_cache.get(key)
-        if cached is not None:
-            return cached
-        by_len: Dict[int, List[Tuple[Word, Word, object]]] = {}
-        for word, value in (self.alpha if kind == ALPHA else self.beta).items():
-            if word[-1] == i:
-                m = word[:-1]
-                by_len.setdefault(len(m), []).append((m, m[::-1], value))
-        entries = [sorted(by_len.get(pm1, []), key=lambda e: e[0]) for pm1 in range(self.n_o)]
-        self._creator_cache[key] = entries
-        return entries
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +736,15 @@ class VacuumMoments:
         self.table = table
         self._memo: Dict[CWord, object] = {}
         self._precomputed = 0
+        # (side, i) -> per prefix length: the non-zero coefficients of the
+        # words ending in i, as (prefix, reversed prefix, value)
+        self._creators: Dict[Tuple[str, int], List[List[Tuple[Word, Word, object]]]] = {}
+        for h, stored in (("l", table.alpha), ("r", table.beta)):
+            for word, value in stored.items():
+                m = word[:-1]
+                if (h, word[-1]) not in self._creators:
+                    self._creators[h, word[-1]] = [[] for _ in range(table.n_o)]
+                self._creators[h, word[-1]][len(m)].append((m, m[::-1], value))
 
     def __call__(self, cword: CWord):
         value = self._memo.get(cword)
@@ -759,7 +764,7 @@ class VacuumMoments:
 
     def _apply(self, vec: FockVector, i: int, h: str, max_len: int) -> FockVector:
         """One canonical operator; keep only words of length <= max_len."""
-        entries = self.table.creator_entries(ALPHA if h == "l" else BETA, i)
+        entries = self._creators.get((h, i), ())
         left = h == "l"
         out: FockVector = {}
         for z, c in vec.items():
@@ -880,7 +885,6 @@ def mixture_plan(chi_str: str):
     )
 
 
-@lru_cache(maxsize=None)
 def reverse_mixture_plan_for_blocks(blocks_and_sub: Tuple[Tuple[Word, str], ...]):
     """Reverse-mixture lookup plan for a fixed block decomposition
     ((absolute 0-based positions, restricted chi), ...)."""

@@ -366,55 +366,62 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     return result
 
 
-def suite_prop610(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
-    """Sequentially computed vacuum moments of canonical-operator words
-    equal the partition-family mixture sums."""
-    result = SuiteResult("prop610", {"max_n": max_n, "d": d, "seed": seed})
+def moment_routes(cell: Shared, chi_str: str, omega: Tuple[int, ...]) -> tuple:
+    """Prop 6.10's two routes to the vacuum moment of the bi-word
+    (omega, chi): sequential operator application, the family sum."""
+    table, vm, _ = cell
+    return vm(tuple(zip(omega, chi_str))), moment_via_pchi(omega, chi_str, table)
+
+
+def cumulant_routes(cell: Shared, chi_str: str, omega: Tuple[int, ...]) -> tuple:
+    """Thm 6.5's two routes to the chi-cumulant of the bi-word
+    (omega, chi): the cumulant recursion, the mixture coefficient."""
+    table, _, engine = cell
+    kind, order = bimixture_template(chi_str)
+    return (
+        engine.cumulant(chi_str, tuple(zip(omega, chi_str))),
+        table.coeff(kind, tuple(omega[p] for p in order)),
+    )
+
+
+def _route_sweep(
+    suite: str, routes: Callable, labels: Tuple[str, str], summary: str,
+    max_n: int, d: int, seed: int,
+) -> SuiteResult:
+    """Compare a suite's two routes on every bi-word of every Fock cell;
+    ``labels`` name the routes in failure messages."""
+    result = SuiteResult(suite, {"max_n": max_n, "d": d, "seed": seed})
     for mode, n, dd in _fock_cells(max_n, d):
-        table, vm, _ = _cell(mode, n, dd, max_n, seed)
+        cell = _cell(mode, n, dd, max_n, seed)
+        table, vm, _ = cell
         vm.precompute(n)
         cell_fail = []
         cell_count = 0
         for chi in all_chi(n):
-            chi_str = chi.letters
             for omega in product(range(1, dd + 1), repeat=n):
-                lhs = vm(tuple(zip(omega, chi_str)))
-                rhs = moment_via_pchi(omega, chi_str, table)
+                lhs, rhs = routes(cell, chi.letters, omega)
                 cell_count += 1
                 if lhs != rhs:
                     cell_fail.append(
-                        f"chi={chi_str} omega={list(omega)}: engine {table.rational(lhs, n)}"
-                        f" != family sum {table.rational(rhs, n)}"
+                        f"chi={chi.letters} omega={list(omega)}: {labels[0]} "
+                        f"{table.rational(lhs, n)} != {labels[1]} {table.rational(rhs, n)}"
                     )
-        summary = f"{cell_count} moments agree across routes"
-        result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
+        result.add_sweep(f"{mode} n={n} d={dd}", f"{cell_count} {summary}", cell_count, cell_fail)
     return result
+
+
+def suite_prop610(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
+    """Sequentially computed vacuum moments of canonical-operator words
+    equal the partition-family mixture sums."""
+    return _route_sweep("prop610", moment_routes, ("engine", "family sum"),
+                        "moments agree across routes", max_n, d, seed)
 
 
 def suite_thm65(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """Every chi-cumulant of a canonical-operator word collapses to the
     single mixture coefficient of its bi-word."""
-    result = SuiteResult("thm65", {"max_n": max_n, "d": d, "seed": seed})
-    for mode, n, dd in _fock_cells(max_n, d):
-        table, vm, engine = _cell(mode, n, dd, max_n, seed)
-        vm.precompute(n)
-        cell_fail = []
-        cell_count = 0
-        for chi in all_chi(n):
-            chi_str = chi.letters
-            kind, order = bimixture_template(chi_str)
-            for omega in product(range(1, dd + 1), repeat=n):
-                kappa = engine.cumulant(chi_str, tuple(zip(omega, chi_str)))
-                expected = table.coeff(kind, tuple(omega[p] for p in order))
-                cell_count += 1
-                if kappa != expected:
-                    cell_fail.append(
-                        f"chi={chi_str} omega={list(omega)}: cumulant {table.rational(kappa, n)}"
-                        f" != mixture {table.rational(expected, n)}"
-                    )
-        summary = f"{cell_count} cumulants equal their mixture coefficient"
-        result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
-    return result
+    return _route_sweep("thm65", cumulant_routes, ("cumulant", "mixture"),
+                        "cumulants equal their mixture coefficient", max_n, d, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +473,10 @@ def suite_eq12x(**_) -> SuiteResult:
     """The symbolic vacuum moment of (left)(right)(left)(right) words at
     two indices matches the golden 14-term sum, by both routes."""
     result = SuiteResult("eq12x", {})
-    table, vm, _ = shared("symbolic", 2, 4)
+    cell = shared("symbolic", 2, 4)
     for omega in product((1, 2), repeat=4):
         expected = interleaved_moment_terms(*omega)
-        cword = tuple(zip(omega, "lrlr"))
-        engine_value = vm(cword)
-        family_value = moment_via_pchi(omega, "lrlr", table)
+        engine_value, family_value = moment_routes(cell, "lrlr", omega)
         ok = engine_value == expected == family_value
         result.add(
             f"omega={list(omega)}",

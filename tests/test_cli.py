@@ -127,6 +127,12 @@ def test_moment_invalid_table_is_io_error(tmp_path, capsys):
         '{"d": 2, "n_o": 2, "alpha": {"1": "0.5"}}',
         '{"d": 2, "n_o": 2, "alpha": {"1": "1/0"}}',
         '{"d": 2, "n_o": 2, "alpha": {"1": null}}',
+        "[1, 2]",  # the top level must be an object
+        '"hello"',
+        '{"d": 2, "n_o": 2, "alpha": {"1": "1/2", "01": "3"}}',  # two keys for one word
+        '{"d": 2, "n_o": 2, "alpha": {" 2": "1/2"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"+1": "1/2"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1_1": "1/2"}}',
     ):
         path.write_text(text)
         code, _, err = run(capsys, "moment", "--chi", "lr", "--omega", "1,2", "--table", str(path))
@@ -149,6 +155,26 @@ def test_symbolic_d_must_be_positive(capsys):
         code, out, err = run(capsys, "moment", "--chi", "l", "--omega", "1", "--symbolic", "--d", d)
         assert code == 2, d
         assert out == "" and "positive" in err
+
+
+def test_symbolic_table_size_is_capped(capsys):
+    # 2 * 50001 symbols, one over the cap
+    code, out, err = run(
+        capsys, "moment", "--chi", "l", "--omega", "1", "--symbolic", "--d", "50001"
+    )
+    assert code == 2
+    assert out == "" and "100000 symbols" in err
+
+
+def test_d_with_a_table_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(CoefficientTable.random(2, 2, seed=0).to_json()))
+    for d in ("2", "7"):
+        code, out, err = run(
+            capsys, "moment", "--chi", "l", "--omega", "1", "--table", str(path), "--d", d
+        )
+        assert code == 2, d
+        assert out == "" and "--d" in err
 
 
 def test_moment_length_mismatch(capsys):

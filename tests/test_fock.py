@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrcumulants import fock
 from lrcumulants.cumulants import CumulantEngine
 from lrcumulants.deque import ChiWord, DequeScenario, block_data, restriction_data, simulate
 from lrcumulants.fock import (
@@ -430,6 +431,18 @@ def test_table_validation():
             CoefficientTable.symbolic(d, n_o)
     with pytest.raises(ValueError):
         CoefficientTable(2, 2, "symbolic", {(1,): 1}, None)
+
+
+def test_symbolic_table_size_is_capped(monkeypatch):
+    # d=2, n_o=3 holds 2 * (2 + 4 + 8) = 28 symbols
+    monkeypatch.setattr(fock, "MAX_SYMBOLS", 28)
+    assert len(CoefficientTable.symbolic(2, 3).alpha) == 14
+    monkeypatch.setattr(fock, "MAX_SYMBOLS", 27)
+    with pytest.raises(ValueError, match="exceeds 27 symbols"):
+        CoefficientTable.symbolic(2, 3)
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        CoefficientTable.symbolic(2, 10**9)  # rejected before anything is built
 
 
 def test_separated_table_vanishes_off_diagonal():

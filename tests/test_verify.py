@@ -1,9 +1,10 @@
-"""The operator-model suites fail when one of their two routes is wrong."""
+"""A suite fails when one of its routes or constructions is wrong."""
 
 import pytest
 
 from lrcumulants import verify
 from lrcumulants.fock import reverse_bimixture_template
+from lrcumulants.partitions import Permutation, one_block
 
 
 def doubled_vector(vector):
@@ -14,12 +15,37 @@ def doubled(fn):
     return lambda *args: 2 * fn(*args)
 
 
+def without_last(family):
+    return lambda chi: family(chi)[:-1]
+
+
+def one_block_path(psi):
+    return lambda p: psi(one_block(p.n))
+
+
+def identity_permutation(_):
+    return lambda chi: Permutation.identity(chi.n)
+
+
+def identity(_):
+    return lambda chi: chi
+
+
+def without_one_block(family):
+    return lambda chi: [p for p in family(chi) if p != one_block(chi.n)]
+
+
 @pytest.mark.parametrize(
     "suite, attr, perturb",
     [
         ("lemma67", "lemma67_vector", doubled_vector),
         ("prop610", "moment_via_pchi", doubled),
         ("thm65", "bimixture_template", lambda _: reverse_bimixture_template),
+        ("thm49", "pchi_by_sigma", without_last),
+        ("prop46", "psi", one_block_path),
+        ("lemma48", "sigma_chi", identity_permutation),
+        ("prop413", "chi_opposite", identity),
+        ("cor410", "pchi_by_enumeration", without_one_block),
     ],
 )
 def test_operator_suite_fails_when_one_route_is_perturbed(monkeypatch, suite, attr, perturb):
