@@ -2,9 +2,9 @@
 """Run every verification suite and print a one-line summary per suite.
 
 Default scales finish in seconds; --full runs the acceptance scales.
-On a 2-vCPU Xeon host with Python 3.11 --full took 132 s, almost all of it
-in the n=6, d=3 operator-model sweeps (lemma67 66 s, prop610 31 s, thm65
-32 s).
+On a 2-vCPU Xeon host with Python 3.11 --full took 39-43 s over two runs,
+most of it in thm65's n=6, d=3 cells (27-32 s); lemma67 and prop610 took
+about 4 s each.
 """
 
 import argparse

@@ -211,9 +211,11 @@ _RATIONAL = r"[+-]?[0-9]+(/0*[1-9][0-9]*)?"
 # the one spelling of an index word as a table-file key: "1", "2,1,3"
 _WORD_KEY = r"[1-9][0-9]*(,[1-9][0-9]*)*"
 
-#: A symbolic table holds 2 * (d + d**2 + ... + d**n_o) symbols and is
-#: rejected before it is built when that exceeds this bound.
+#: A symbolic table holds 2 * (d + d**2 + ... + d**n_o) symbols, whose
+#: words hold 2 * (d + 2 d**2 + ... + n_o d**n_o) letters; it is rejected
+#: before it is built when either count exceeds its bound.
 MAX_SYMBOLS = 100_000
+MAX_LETTERS = 1_000_000
 
 
 def _exact(value, where: str) -> Fraction:
@@ -277,9 +279,12 @@ class CoefficientTable:
             if alpha is not None or beta is not None:
                 raise ValueError("symbolic tables carry no stored values")
             # summed lazily, so a huge n_o stops at the bound
-            if any(c > MAX_SYMBOLS for c in accumulate(2 * d**p for p in range(1, n_o + 1))):
+            sizes = zip(accumulate(2 * d**p for p in range(1, n_o + 1)),
+                        accumulate(2 * p * d**p for p in range(1, n_o + 1)))
+            if any(s > MAX_SYMBOLS or l > MAX_LETTERS for s, l in sizes):
                 raise ValueError(
-                    f"a symbolic table with d={d}, n_o={n_o} exceeds {MAX_SYMBOLS} symbols"
+                    f"a symbolic table with d={d}, n_o={n_o} exceeds {MAX_SYMBOLS} symbols "
+                    f"or {MAX_LETTERS} stored letters"
                 )
             scale = 1
             stored = [
@@ -889,3 +894,81 @@ def reverse_mixture_plan_for_blocks(blocks_and_sub: Tuple[Tuple[Word, str], ...]
     """Reverse-mixture lookup plan for a fixed block decomposition
     ((absolute 0-based positions, restricted chi), ...)."""
     return _block_plan(reverse_bimixture_template, blocks_and_sub)
+
+
+# ---------------------------------------------------------------------------
+# Plans evaluated over every index word at once
+# ---------------------------------------------------------------------------
+
+
+class OmegaGrid:
+    """Evaluates position plans at every index word omega in [d]^n.
+
+    A plan is a tuple of (kind, 0-based position order) blocks, as built
+    by :func:`mixture_plan`; at omega it stands for the product over its
+    blocks of coeff(kind, omega at those positions in that order).  Only
+    the coefficient lookups depend on omega, so the grid holds each
+    length's coefficients as one dense column, in ``itertools.product``
+    order, and evaluates a plan by list gathers: one pass per block over
+    all d**n words.  Values are whatever the table stores, so graded ints
+    and :class:`PolyScalar` go through the same code.
+    """
+
+    def __init__(self, table: CoefficientTable, n: int):
+        self.table = table
+        self.n = n
+        #: every index word of length n, in product order
+        self.omegas: List[Word] = list(product(range(1, table.d + 1), repeat=n))
+        letters = range(1, table.d + 1)
+        # kind -> [None, column of length-1 words, ..., column of length-n words]
+        self._columns = {
+            kind: [None] + [
+                [table.coeff(kind, word) for word in product(letters, repeat=p)]
+                for p in range(1, n + 1)
+            ]
+            for kind in (ALPHA, BETA)
+        }
+        # position order -> per omega, the index of omega at those
+        # positions in the column of that length
+        self._gathers: Dict[Tuple[int, ...], List[int]] = {}
+
+    def _gather(self, order: Tuple[int, ...]) -> List[int]:
+        index = self._gathers.get(order)
+        if index is None:
+            d = self.table.d
+            weight = [0] * self.n
+            for j, p in enumerate(order):
+                weight[p] += d ** (len(order) - 1 - j)
+            index = [0]
+            for w in weight:  # the last position varies fastest, as in product
+                index = [x + w * i for x in index for i in range(d)]
+            self._gathers[order] = index
+        return index
+
+    def values(self, plan, factor=1) -> list:
+        """factor times the product of the plan's blocks, at every omega."""
+        out = None
+        for kind, order in plan:
+            column = self._columns[kind][len(order)]
+            index = self._gather(order)
+            if out is None:
+                out = [column[i] for i in index]
+            else:
+                out = [v * column[i] for v, i in zip(out, index)]
+        if out is None:
+            return [factor] * len(self.omegas)
+        return out if factor == 1 else [factor * v for v in out]
+
+    def total(self, terms) -> list:
+        """The sum of ``values(plan, factor)`` over (plan, factor) terms, at
+        every omega."""
+        out = None
+        for plan, factor in terms:
+            values = self.values(plan, factor)
+            out = values if out is None else [t + v for t, v in zip(out, values)]
+        return [0] * len(self.omegas) if out is None else out
+
+    def family_sums(self, chi_str: str) -> list:
+        """The partition-family sum of :func:`moment_via_pchi` at every
+        omega."""
+        return self.total((plan, 1) for plan in mixture_plan(chi_str))

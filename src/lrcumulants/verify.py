@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 from math import factorial
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .cumulants import CumulantEngine, is_combinatorially_bifree_upto
@@ -31,6 +32,7 @@ from .deque import (
 )
 from .fock import (
     CoefficientTable,
+    OmegaGrid,
     PolyScalar,
     VacuumMoments,
     bimixture_template,
@@ -323,6 +325,26 @@ def suite_cor410(max_n: int = 5, **_) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+def _strip_terms(path, chi: ChiWord) -> Tuple[tuple, bool]:
+    """The operator side of Lemma 6.7 for (chi, path) as omega-independent
+    (plan, factor) terms, and whether it ends at a multiple of the vacuum.
+
+    One run of ``lemma67_vector`` on omega = (1, ..., n) records them,
+    against a stand-in table over d = n letters whose every coefficient
+    is its own formal symbol: each symbol of the result names the
+    positions (plus one) that one strip read, in order.
+    """
+    n = chi.n
+    stand_in = SimpleNamespace(d=n, coeff=PolyScalar.symbol)
+    vec = lemma67_vector(path, chi, tuple(range(1, n + 1)), stand_in)
+    value = PolyScalar.zero() + vec.get((), 0)  # an int if nothing was stripped
+    terms = tuple(
+        (tuple((kind, tuple(m - 1 for m in word)) for kind, word in mono), factor)
+        for mono, factor in value.terms.items()
+    )
+    return terms, not set(vec) - {()}
+
+
 def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """Alternating annihilation-block/creator products applied to the
     vacuum give the product of reverse-mixtures over the scenario's
@@ -331,35 +353,34 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     cells = _fock_cells(max_n, d)
     if max_n >= 5 and d >= 2:
         cells.insert(0, ("symbolic", 5, 2))  # single-track products stay cheap
-    # per n: every (chi, path) with the reverse-mixture plan of its
-    # output partition, replayed once and shared by the cells of that n
+    # per n: every (chi, path) with its strip terms and the reverse-mixture
+    # plan of its output partition, recorded once and shared by the cells
+    # of that n
     scenarios: Dict[int, List[tuple]] = {}
     for mode, n, dd in cells:
         table = _cell(mode, n, dd, max_n, seed)[0]
-        coeff = table.coeff
+        grid = OmegaGrid(table, n)
         if n not in scenarios:
             scenarios[n] = [
-                (chi, path, reverse_mixture_plan_for_blocks(block_data(
+                (chi, path, *_strip_terms(path, chi), reverse_mixture_plan_for_blocks(block_data(
                     simulate(DequeScenario(path, chi)).output_partition, chi.letters)))
                 for chi in all_chi(n)
                 for path in enumerate_luk(n)
             ]
         cell_fail = []
         cell_count = 0
-        for chi, path, plan in scenarios[n]:
-            for omega in product(range(1, dd + 1), repeat=n):
-                expected: object = None
-                for kind, order in plan:
-                    value = coeff(kind, tuple(omega[p] for p in order))
-                    expected = value if expected is None else expected * value
-                vec = lemma67_vector(path, chi, omega, table)
-                actual = vec.get((), 0)
-                cell_count += 1
-                if actual != expected or set(vec) - {()}:
-                    got = table.rational(actual, n) if len(vec) <= 1 else "not a vacuum multiple"
+        for chi, path, terms, vacuum_only, plan in scenarios[n]:
+            expected = grid.values(plan)
+            actual = grid.total(terms)
+            cell_count += len(grid.omegas)
+            if actual == expected and vacuum_only:
+                continue
+            for omega, want, got in zip(grid.omegas, expected, actual):
+                if got != want or not vacuum_only:
+                    shown = table.rational(got, n) if vacuum_only else "not a vacuum multiple"
                     cell_fail.append(
                         f"chi={chi.letters} rise={list(path.rise)} omega={list(omega)}: "
-                        f"expected {table.rational(expected, n)}, got {got}"
+                        f"expected {table.rational(want, n)}, got {shown}"
                     )
         summary = f"{cell_count} products collapse to the vacuum multiple"
         result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
@@ -384,28 +405,44 @@ def cumulant_routes(cell: Shared, chi_str: str, omega: Tuple[int, ...]) -> tuple
     )
 
 
+def _moment_columns(cell: Shared, grid: OmegaGrid, chi_str: str) -> tuple:
+    """Prop 6.10's two routes at every omega of the grid: sequential
+    operator application, the family sums evaluated over the grid."""
+    vm = cell[1]
+    return [vm(tuple(zip(omega, chi_str))) for omega in grid.omegas], grid.family_sums(chi_str)
+
+
+def _cumulant_columns(cell: Shared, grid: OmegaGrid, chi_str: str) -> tuple:
+    """Thm 6.5's two routes at every omega of the grid, one
+    :func:`cumulant_routes` call each."""
+    return tuple(zip(*(cumulant_routes(cell, chi_str, omega) for omega in grid.omegas)))
+
+
 def _route_sweep(
     suite: str, routes: Callable, labels: Tuple[str, str], summary: str,
     max_n: int, d: int, seed: int,
 ) -> SuiteResult:
     """Compare a suite's two routes on every bi-word of every Fock cell;
-    ``labels`` name the routes in failure messages."""
+    ``routes(cell, grid, chi_str)`` gives both routes' values at every
+    omega of the grid, and ``labels`` name the routes in failure
+    messages."""
     result = SuiteResult(suite, {"max_n": max_n, "d": d, "seed": seed})
     for mode, n, dd in _fock_cells(max_n, d):
         cell = _cell(mode, n, dd, max_n, seed)
         table, vm, _ = cell
         vm.precompute(n)
+        grid = OmegaGrid(table, n)
         cell_fail = []
         cell_count = 0
         for chi in all_chi(n):
-            for omega in product(range(1, dd + 1), repeat=n):
-                lhs, rhs = routes(cell, chi.letters, omega)
-                cell_count += 1
-                if lhs != rhs:
-                    cell_fail.append(
-                        f"chi={chi.letters} omega={list(omega)}: {labels[0]} "
-                        f"{table.rational(lhs, n)} != {labels[1]} {table.rational(rhs, n)}"
-                    )
+            lhs, rhs = routes(cell, grid, chi.letters)
+            cell_count += len(grid.omegas)
+            cell_fail += [
+                f"chi={chi.letters} omega={list(omega)}: {labels[0]} "
+                f"{table.rational(left, n)} != {labels[1]} {table.rational(right, n)}"
+                for omega, left, right in zip(grid.omegas, lhs, rhs)
+                if left != right
+            ]
         result.add_sweep(f"{mode} n={n} d={dd}", f"{cell_count} {summary}", cell_count, cell_fail)
     return result
 
@@ -413,14 +450,14 @@ def _route_sweep(
 def suite_prop610(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """Sequentially computed vacuum moments of canonical-operator words
     equal the partition-family mixture sums."""
-    return _route_sweep("prop610", moment_routes, ("engine", "family sum"),
+    return _route_sweep("prop610", _moment_columns, ("engine", "family sum"),
                         "moments agree across routes", max_n, d, seed)
 
 
 def suite_thm65(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """Every chi-cumulant of a canonical-operator word collapses to the
     single mixture coefficient of its bi-word."""
-    return _route_sweep("thm65", cumulant_routes, ("cumulant", "mixture"),
+    return _route_sweep("thm65", _cumulant_columns, ("cumulant", "mixture"),
                         "cumulants equal their mixture coefficient", max_n, d, seed)
 
 

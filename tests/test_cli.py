@@ -158,12 +158,16 @@ def test_symbolic_d_must_be_positive(capsys):
 
 
 def test_symbolic_table_size_is_capped(capsys):
-    # 2 * 50001 symbols, one over the cap
-    code, out, err = run(
-        capsys, "moment", "--chi", "l", "--omega", "1", "--symbolic", "--d", "50001"
-    )
-    assert code == 2
-    assert out == "" and "100000 symbols" in err
+    n = 2000
+    for query, message in (
+        # 2 * 50001 symbols, one over the cap
+        (("--chi", "l", "--omega", "1", "--d", "50001"), "100000 symbols"),
+        # 4,000 symbols holding 4,002,000 letters
+        (("--chi", "l" * n, "--omega", ",".join(["1"] * n)), "1000000 stored letters"),
+    ):
+        code, out, err = run(capsys, "moment", *query, "--symbolic")
+        assert code == 2
+        assert out == "" and message in err
 
 
 def test_d_with_a_table_file_is_a_usage_error(tmp_path, capsys):

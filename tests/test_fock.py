@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcumulants import fock
+from lrcumulants import fock, verify
 from lrcumulants.cumulants import CumulantEngine
 from lrcumulants.deque import ChiWord, DequeScenario, block_data, restriction_data, simulate
 from lrcumulants.fock import (
     CoefficientTable,
+    OmegaGrid,
     OperatorExpr,
     PolyScalar,
     VacuumMoments,
@@ -362,6 +363,40 @@ def test_sequential_moments_match_partition_sums():
                     )
 
 
+# -- plans evaluated over every index word ----------------------------------------
+
+
+GRID_TABLES = [CoefficientTable.symbolic(2, 4)] + [
+    CoefficientTable.random(d, 4, seed) for d, seed in ((1, 5), (2, 6), (3, 7))
+]
+
+
+@pytest.mark.parametrize("table", GRID_TABLES, ids=lambda t: f"{t.mode}-d{t.d}")
+def test_grid_matches_the_single_word_routes(table):
+    for n in range(1, 5):
+        grid = OmegaGrid(table, n)
+        assert grid.omegas == list(itertools.product(range(1, table.d + 1), repeat=n))
+        for chi in map("".join, itertools.product("lr", repeat=n)):
+            sums = grid.family_sums(chi)
+            assert sums == [moment_via_pchi(omega, chi, table) for omega in grid.omegas]
+            for path in enumerate_luk(n):
+                terms, vacuum_only = verify._strip_terms(path, ChiWord(chi))
+                assert vacuum_only
+                assert grid.total(terms) == [
+                    lemma67_vector(path, ChiWord(chi), omega, table).get((), 0)
+                    for omega in grid.omegas
+                ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.text("lr", min_size=7, max_size=7), st.integers(0, 10**6))
+def test_family_sums_match_the_engine_at_length_seven(chi, seed):
+    table = CoefficientTable.random(2, 7, seed)
+    vm = VacuumMoments(table)
+    grid = OmegaGrid(table, 7)
+    assert grid.family_sums(chi) == [vm(tuple(zip(omega, chi))) for omega in grid.omegas]
+
+
 def test_moments_reject_operators_outside_the_table():
     vm = VacuumMoments(CoefficientTable.symbolic(2, 2))
     with pytest.raises(ValueError):
@@ -443,6 +478,11 @@ def test_symbolic_table_size_is_capped(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValueError):
         CoefficientTable.symbolic(2, 10**9)  # rejected before anything is built
+    # 100,000 symbols, but about 1.25e9 letters per side
+    with pytest.raises(ValueError, match="1000000 stored letters"):
+        CoefficientTable.symbolic(1, 50_000)
+    for d, n_o in ((9, 4), (5, 6)):  # 57,204 and 224,610 letters
+        assert len(CoefficientTable.symbolic(d, n_o).alpha) == sum(d**p for p in range(1, n_o + 1))
 
 
 def test_separated_table_vanishes_off_diagonal():

@@ -15,6 +15,26 @@ def doubled(fn):
     return lambda *args: 2 * fn(*args)
 
 
+def doubled_family_sums(grid_type):
+    class Doubled(grid_type):
+        def family_sums(self, chi_str):
+            return [2 * v for v in super().family_sums(chi_str)]
+
+    return Doubled
+
+
+def first_long_block_reversed(plan_for_blocks):
+    def perturbed(blocks):
+        plan = list(plan_for_blocks(blocks))
+        for j, (kind, order) in enumerate(plan):
+            if len(order) > 1:
+                plan[j] = (kind, order[::-1])
+                break
+        return tuple(plan)
+
+    return perturbed
+
+
 def without_last(family):
     return lambda chi: family(chi)[:-1]
 
@@ -39,7 +59,9 @@ def without_one_block(family):
     "suite, attr, perturb",
     [
         ("lemma67", "lemma67_vector", doubled_vector),
-        ("prop610", "moment_via_pchi", doubled),
+        ("lemma67", "reverse_mixture_plan_for_blocks", first_long_block_reversed),
+        ("prop610", "OmegaGrid", doubled_family_sums),
+        ("eq12x", "moment_via_pchi", doubled),
         ("thm65", "bimixture_template", lambda _: reverse_bimixture_template),
         ("thm49", "pchi_by_sigma", without_last),
         ("prop46", "psi", one_block_path),
