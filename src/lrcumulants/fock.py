@@ -917,9 +917,9 @@ class OmegaGrid:
     def __init__(self, table: CoefficientTable, n: int):
         self.table = table
         self.n = n
-        #: every index word of length n, in product order
-        self.omegas: List[Word] = list(product(range(1, table.d + 1), repeat=n))
         letters = range(1, table.d + 1)
+        #: every index word of length n, in product order
+        self.omegas: List[Word] = list(product(letters, repeat=n))
         # kind -> [None, column of length-1 words, ..., column of length-n words]
         self._columns = {
             kind: [None] + [
