@@ -34,6 +34,13 @@ class CumulantEngine:
         self._memo: Dict[Tuple[str, tuple], object] = {}
 
     def cumulant(self, chi: "ChiWord | str", word: Sequence) -> object:
+        """The chi-cumulant of the word, an n-tuple of element ids.
+
+        chi and the word are independent inputs: kappa_chi is defined on
+        any n-tuple of elements, so on the Fock model the sides of the
+        word's operators need not agree with chi (the golden free cumulant
+        of eq12y is the all-"r" cumulant of an l r l r operator word).
+        """
         chi_str = _chi_str(chi)
         word = tuple(word)
         if len(chi_str) != len(word):

@@ -912,6 +912,9 @@ class OmegaGrid:
     order, and evaluates a plan by list gathers: one pass per block over
     all d**n words.  Values are whatever the table stores, so graded ints
     and :class:`PolyScalar` go through the same code.
+
+    :meth:`cumulants` runs the moment-cumulant recursion the same way,
+    with one column over [d]^k per chi word of length k <= n.
     """
 
     def __init__(self, table: CoefficientTable, n: int):
@@ -928,33 +931,40 @@ class OmegaGrid:
             ]
             for kind in (ALPHA, BETA)
         }
-        # position order -> per omega, the index of omega at those
-        # positions in the column of that length
-        self._gathers: Dict[Tuple[int, ...], List[int]] = {}
+        # (length k, position order) -> per omega in [d]^k, the index of
+        # omega at those positions in the column of that length
+        self._gathers: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
 
-    def _gather(self, order: Tuple[int, ...]) -> List[int]:
-        index = self._gathers.get(order)
+    def _gather(self, order: Tuple[int, ...], k: int) -> List[int]:
+        index = self._gathers.get((k, order))
         if index is None:
             d = self.table.d
-            weight = [0] * self.n
+            weight = [0] * k
             for j, p in enumerate(order):
                 weight[p] += d ** (len(order) - 1 - j)
             index = [0]
             for w in weight:  # the last position varies fastest, as in product
                 index = [x + w * i for x in index for i in range(d)]
-            self._gathers[order] = index
+            self._gathers[k, order] = index
         return index
 
-    def values(self, plan, factor=1) -> list:
-        """factor times the product of the plan's blocks, at every omega."""
+    def _product(self, factors, k: int) -> Optional[list]:
+        """Per omega in [d]^k, the product over (column, order) factors of
+        the column's value at omega read at those positions in that
+        order; None for no factors."""
         out = None
-        for kind, order in plan:
-            column = self._columns[kind][len(order)]
-            index = self._gather(order)
+        for column, order in factors:
+            index = self._gather(order, k)
             if out is None:
                 out = [column[i] for i in index]
             else:
                 out = [v * column[i] for v, i in zip(out, index)]
+        return out
+
+    def values(self, plan, factor=1) -> list:
+        """factor times the product of the plan's blocks, at every omega."""
+        columns = self._columns
+        out = self._product(((columns[kind][len(order)], order) for kind, order in plan), self.n)
         if out is None:
             return [factor] * len(self.omegas)
         return out if factor == 1 else [factor * v for v in out]
@@ -972,3 +982,40 @@ class OmegaGrid:
         """The partition-family sum of :func:`moment_via_pchi` at every
         omega."""
         return self.total((plan, 1) for plan in mixture_plan(chi_str))
+
+    def cumulants(self, chi_str: str, moments, memo: Dict[str, list]) -> list:
+        """The chi-cumulant of the bi-word (omega, chi) at every omega.
+
+        The moment-cumulant recursion of :class:`~.cumulants.CumulantEngine`,
+        one column over [d]^k per chi word of length k <= n: K_chi is the
+        column of vacuum moments ``moments((omega, chi))`` minus, for each
+        partition of the family of chi other than the one-block partition,
+        the product of its blocks' sub-word columns gathered at the
+        blocks' positions.  ``memo`` maps chi words to their columns, for
+        one table and one moment functional; every column reached is read
+        from it or computed and stored, so grids of several lengths over
+        one table can share it.
+        """
+        if len(chi_str) != self.n:
+            raise ValueError(f"chi has {len(chi_str)} letters but the grid's words have {self.n}")
+        return self._cumulant_column(chi_str, moments, memo)
+
+    def _cumulant_column(self, chi_str: str, moments, memo: Dict[str, list]) -> list:
+        column = memo.get(chi_str)
+        if column is None:
+            k = len(chi_str)
+            column = [
+                moments(tuple(zip(omega, chi_str)))
+                for omega in product(range(1, self.table.d + 1), repeat=k)
+            ]
+            for blocks in restriction_data(chi_str):
+                if len(blocks) == 1:  # the one-block partition is the cumulant itself
+                    continue
+                factors = [
+                    (self._cumulant_column(sub, moments, memo), positions)
+                    for positions, sub in blocks
+                ]
+                term = self._product(factors, k)
+                column = [m - t for m, t in zip(column, term)]
+            memo[chi_str] = column
+        return column

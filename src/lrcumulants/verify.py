@@ -99,7 +99,22 @@ def all_chi(n: int) -> List[ChiWord]:
 # seed), so cells and suites share its memoized moments and cumulants)
 # ---------------------------------------------------------------------------
 
-Shared = Tuple[CoefficientTable, VacuumMoments, CumulantEngine]
+
+class Shared(tuple):
+    """``(table, vm, engine)``: a table with its moment memo and its
+    scalar cumulant engine.  ``cumulant_columns`` maps chi letters to the
+    table's cumulant column over [d]^len(chi), as filled by
+    :meth:`OmegaGrid.cumulants`; the grids of every cell of the table
+    share it."""
+
+    cumulant_columns: Dict[str, list]
+
+    def __new__(cls, table: CoefficientTable, vm: VacuumMoments, engine: CumulantEngine):
+        cell = super().__new__(cls, (table, vm, engine))
+        cell.cumulant_columns = {}
+        return cell
+
+
 _SHARED: Dict[tuple, Shared] = {}
 
 
@@ -118,7 +133,7 @@ def shared(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> Shared:
         else:
             raise ValueError(f"unknown table kind {kind!r}")
         vm = VacuumMoments(table)
-        entry = _SHARED[key] = (table, vm, CumulantEngine(vm))
+        entry = _SHARED[key] = Shared(table, vm, CumulantEngine(vm))
     return entry
 
 
@@ -413,9 +428,11 @@ def _moment_columns(cell: Shared, grid: OmegaGrid, chi_str: str) -> tuple:
 
 
 def _cumulant_columns(cell: Shared, grid: OmegaGrid, chi_str: str) -> tuple:
-    """Thm 6.5's two routes at every omega of the grid, one
-    :func:`cumulant_routes` call each."""
-    return tuple(zip(*(cumulant_routes(cell, chi_str, omega) for omega in grid.omegas)))
+    """Thm 6.5's two routes at every omega of the grid: the cumulant
+    recursion run over the grid, one column per sub-word of chi, and the
+    mixture coefficient."""
+    mixture = bimixture_template(chi_str)
+    return grid.cumulants(chi_str, cell[1], cell.cumulant_columns), grid.values((mixture,))
 
 
 def _route_sweep(

@@ -14,6 +14,7 @@ from lrcumulants.cumulants import (
     moment_from_cumulants,
 )
 from lrcumulants.fock import CoefficientTable, PolyScalar, VacuumMoments
+from lrcumulants.verify import shared
 
 
 def rational_functional(n, seed):
@@ -113,6 +114,15 @@ def test_length_mismatch_rejected():
         lr_cumulant("lr", (1, 2, 3), phi)
     with pytest.raises(ValueError):
         moment_from_cumulants("lrl", (1, 2), lambda c, w: 1)
+
+
+def test_chi_and_the_operator_sides_are_independent():
+    # kappa_chi is defined on any tuple of elements; eq12y takes the
+    # all-r cumulant of an l r l r operator word
+    _, vm, engine = shared("random", 2, 3, 0)
+    a, b = (1, "r"), (2, "l")
+    assert engine.cumulant("lr", (a, b)) == vm((a, b)) - vm((a,)) * vm((b,))
+    assert engine.cumulant("lr", (a, b)) != engine.cumulant("lr", ((1, "l"), (2, "r")))
 
 
 def test_free_cumulants_of_canonical_operators_are_single_symbols():

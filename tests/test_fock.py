@@ -373,12 +373,18 @@ GRID_TABLES = [CoefficientTable.symbolic(2, 4)] + [
 
 @pytest.mark.parametrize("table", GRID_TABLES, ids=lambda t: f"{t.mode}-d{t.d}")
 def test_grid_matches_the_single_word_routes(table):
+    vm = VacuumMoments(table)
+    engine = CumulantEngine(vm)
+    columns = {}  # shared by the grids of every length, as in the sweeps
     for n in range(1, 5):
         grid = OmegaGrid(table, n)
         assert grid.omegas == list(itertools.product(range(1, table.d + 1), repeat=n))
         for chi in map("".join, itertools.product("lr", repeat=n)):
             sums = grid.family_sums(chi)
             assert sums == [moment_via_pchi(omega, chi, table) for omega in grid.omegas]
+            assert grid.cumulants(chi, vm, columns) == [
+                engine.cumulant(chi, tuple(zip(omega, chi))) for omega in grid.omegas
+            ]
             for path in enumerate_luk(n):
                 terms, vacuum_only = verify._strip_terms(path, ChiWord(chi))
                 assert vacuum_only
@@ -395,6 +401,27 @@ def test_family_sums_match_the_engine_at_length_seven(chi, seed):
     vm = VacuumMoments(table)
     grid = OmegaGrid(table, 7)
     assert grid.family_sums(chi) == [vm(tuple(zip(omega, chi))) for omega in grid.omegas]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.text("lr", min_size=7, max_size=7), st.integers(0, 10**6))
+def test_cumulant_columns_match_the_engine_at_length_seven(chi, seed):
+    table = CoefficientTable.random(2, 7, seed)
+    vm = VacuumMoments(table)
+    engine = CumulantEngine(vm)
+    grid = OmegaGrid(table, 7)
+    assert grid.cumulants(chi, vm, {}) == [
+        engine.cumulant(chi, tuple(zip(omega, chi))) for omega in grid.omegas
+    ]
+
+
+def test_cumulant_columns_reject_a_chi_of_another_length():
+    table = CoefficientTable.random(2, 3, seed=0)
+    vm = VacuumMoments(table)
+    grid = OmegaGrid(table, 2)
+    for chi in ("", "l", "lrl"):
+        with pytest.raises(ValueError):
+            grid.cumulants(chi, vm, {})
 
 
 def test_moments_reject_operators_outside_the_table():

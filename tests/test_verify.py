@@ -3,6 +3,7 @@
 import pytest
 
 from lrcumulants import verify
+from lrcumulants.deque import restriction_data
 from lrcumulants.fock import reverse_bimixture_template
 from lrcumulants.partitions import Permutation, one_block
 
@@ -21,6 +22,21 @@ def doubled_family_sums(grid_type):
             return [2 * v for v in super().family_sums(chi_str)]
 
     return Doubled
+
+
+def last_partition_unsubtracted(grid_type):
+    """Cumulant columns that leave the term of the family's last
+    partition in; the shared columns of shorter words stay correct."""
+    class Perturbed(grid_type):
+        def cumulants(self, chi_str, moments, memo):
+            column = super().cumulants(chi_str, moments, memo)
+            *_, last = restriction_data(chi_str)
+            if len(last) == 1:
+                return column
+            term = self._product([(memo[sub], positions) for positions, sub in last], len(chi_str))
+            return [v + t for v, t in zip(column, term)]
+
+    return Perturbed
 
 
 def first_long_block_reversed(plan_for_blocks):
@@ -63,6 +79,7 @@ def without_one_block(family):
         ("prop610", "OmegaGrid", doubled_family_sums),
         ("eq12x", "moment_via_pchi", doubled),
         ("thm65", "bimixture_template", lambda _: reverse_bimixture_template),
+        ("thm65", "OmegaGrid", last_partition_unsubtracted),
         ("thm49", "pchi_by_sigma", without_last),
         ("prop46", "psi", one_block_path),
         ("lemma48", "sigma_chi", identity_permutation),
