@@ -32,10 +32,12 @@ class ChiWord:
     """A word over {l, r} choosing the active end of each step.
 
     Keeps the positions of the l-steps (``m_ell``) and of the r-steps
-    (``m_r``), both in increasing order.
+    (``m_r``), both in increasing order, and the standing of each position
+    among the steps of its side: ``standing[m - 1]`` is q when m is the
+    q-th l-position or the q-th r-position.
     """
 
-    __slots__ = ("n", "letters", "m_ell", "m_r")
+    __slots__ = ("n", "letters", "m_ell", "m_r", "standing")
 
     def __init__(self, letters: "str | Iterable[str]"):
         word = "".join(letters)
@@ -52,6 +54,11 @@ class ChiWord:
         object.__setattr__(
             self, "m_r", tuple(m for m, h in enumerate(word, 1) if h == RIGHT)
         )
+        standing = [0] * len(word)
+        for side in (self.m_ell, self.m_r):
+            for q, m in enumerate(side, 1):
+                standing[m - 1] = q
+        object.__setattr__(self, "standing", tuple(standing))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChiWord is immutable")
@@ -136,30 +143,27 @@ def simulate(s: DequeScenario) -> ScenarioTrace:
     next_ball = 1
     exit_order: List[int] = []
     exit_time = [0] * (n + 1)
-    batches: List[Tuple[int, int, int]] = []  # (step, first ball, last ball)
+    batches: List[Tuple[int, int, int]] = []  # (step, first ball, last ball + 1)
     for t, (q, h) in enumerate(zip(s.path.rise, s.chi.letters), start=1):
-        p = q + 1
-        if p == 0 and not pipe:
-            raise RuntimeError(f"step {t} would emit from an empty queue")
-        if p:
-            batches.append((t, next_ball, next_ball + p - 1))
-        for _ in range(p):
+        if q >= 0:
+            end = next_ball + q + 1
+            batches.append((t, next_ball, end))
+            # extendleft inserts one ball at a time, reversing the batch
             if h == LEFT:
-                pipe.appendleft(next_ball)
+                pipe.extendleft(range(next_ball, end))
             else:
-                pipe.append(next_ball)
-            next_ball += 1
+                pipe.extend(range(next_ball, end))
+            next_ball = end
+        elif not pipe:
+            raise RuntimeError(f"step {t} would emit from an empty queue")
         ball = pipe.popleft() if h == LEFT else pipe.pop()
         exit_order.append(ball)
         exit_time[ball] = t
     if pipe or next_ball != n + 1:
         raise RuntimeError("scenario did not move every ball to the output")
-    blocks = [
-        sorted(exit_time[ball] for ball in range(lo, hi + 1)) for _, lo, hi in batches
-    ]
     return ScenarioTrace(
         s.chi,
-        Partition(n, blocks),
+        Partition(n, [exit_time[lo:end] for _, lo, end in batches]),
         tuple(exit_order),
         tuple(t for t, _, _ in batches),
     )
@@ -209,14 +213,17 @@ def insertion_standings(
     of i, W_i the r-standings likewise.  V_i or W_i may be empty, never
     both.
     """
-    chi = trace.chi
-    ell_standing = {m: q for q, m in enumerate(chi.m_ell, 1)}
-    r_standing = {m: q for q, m in enumerate(chi.m_r, 1)}
+    letters = trace.chi.letters
+    standing = trace.chi.standing
     out = []
+    # blocks are ascending and standings grow with position, so V_i and
+    # W_i come out sorted
     for i, block in zip(trace.insertion_times, trace.output_partition.blocks):
-        v = tuple(sorted(ell_standing[m] for m in block if m in ell_standing))
-        w = tuple(sorted(r_standing[m] for m in block if m in r_standing))
-        out.append((i, v, w))
+        v: List[int] = []
+        w: List[int] = []
+        for m in block:
+            (v if letters[m - 1] == LEFT else w).append(standing[m - 1])
+        out.append((i, tuple(v), tuple(w)))
     return out
 
 

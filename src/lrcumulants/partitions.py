@@ -8,7 +8,7 @@ as dictionary keys.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Enumeration functions reject n above this bound (Bell(11) = 678570
 #: objects is the largest batch we are willing to materialize).
@@ -205,10 +205,22 @@ def is_noncrossing(p: Partition) -> bool:
     return True
 
 
+#: n -> NC(n), filled on first use; at most MAX_GROUND_SET entries.
+_NONCROSSING: Dict[int, Tuple[Partition, ...]] = {}
+
+
 def enumerate_noncrossing(n: int) -> List[Partition]:
-    """The non-crossing partitions of {1..n}; there are Catalan(n) of them."""
+    """The non-crossing partitions of {1..n}; there are Catalan(n) of them.
+
+    The Bell filter runs once per n; every call returns a fresh list.
+    """
     _check_ground_set(n)
-    return [p for p in enumerate_partitions(n) if is_noncrossing(p)]
+    family = _NONCROSSING.get(n)
+    if family is None:
+        family = _NONCROSSING[n] = tuple(
+            p for p in enumerate_partitions(n) if is_noncrossing(p)
+        )
+    return list(family)
 
 
 def leq(p: Partition, q: Partition) -> bool:

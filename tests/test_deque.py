@@ -1,8 +1,11 @@
 """Deque-scenario simulation, standings partitions, and the family machinery."""
 
+import collections
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrcumulants.deque import (
     ChiWord,
@@ -51,6 +54,13 @@ def test_chi_word_basics():
         ChiWord("")
     with pytest.raises(ValueError):
         ChiWord("lrx")
+
+
+def test_chi_word_standing_of_worked_example():
+    # r l l r l: positions 1, 4 are the first and second r-steps;
+    # positions 2, 3, 5 the first, second and third l-steps
+    assert EX_CHI.standing == (1, 1, 2, 2, 3)
+    assert ChiWord("lrlr").standing == (1, 1, 2, 2)
 
 
 def test_scenario_length_mismatch():
@@ -255,3 +265,70 @@ def test_family_lattice_properties():
             for p in fam:
                 for q in fam:
                     assert meet(p, q) in fam
+
+
+def one_ball_replay(path, chi):
+    """Reference replay: balls enter and leave one at a time, and each
+    block is gathered by asking every ball for its batch."""
+    pipe = collections.deque()
+    batch_of = {}
+    exit_time = {}
+    exit_order = []
+    insertion_times = []
+    ball = 0
+    for t, (q, h) in enumerate(zip(path.rise, chi.letters), start=1):
+        if q + 1:
+            insertion_times.append(t)
+        for _ in range(q + 1):
+            ball += 1
+            batch_of[ball] = t
+            if h == "l":
+                pipe.appendleft(ball)
+            else:
+                pipe.append(ball)
+        out = pipe.popleft() if h == "l" else pipe.pop()
+        exit_order.append(out)
+        exit_time[out] = t
+    blocks = [[exit_time[b] for b in batch_of if batch_of[b] == i] for i in insertion_times]
+    return tuple(exit_order), Partition(path.n, blocks), tuple(insertion_times)
+
+
+def dict_standings(trace):
+    """Reference standings: a dict from position to standing per side."""
+    chi = trace.chi
+    ell_standing = {m: q for q, m in enumerate(chi.m_ell, 1)}
+    r_standing = {m: q for q, m in enumerate(chi.m_r, 1)}
+    return [
+        (
+            i,
+            tuple(sorted(ell_standing[m] for m in block if m in ell_standing)),
+            tuple(sorted(r_standing[m] for m in block if m in r_standing)),
+        )
+        for i, block in zip(trace.insertion_times, trace.output_partition.blocks)
+    ]
+
+
+def assert_replay_matches_reference(path, chi):
+    trace = simulate(DequeScenario(path, chi))
+    exit_order, partition, insertion_times = one_ball_replay(path, chi)
+    assert trace.exit_order == exit_order
+    assert trace.output_partition == partition
+    assert trace.insertion_times == insertion_times
+    assert insertion_standings(trace) == dict_standings(trace)
+
+
+def test_simulate_and_standings_match_one_ball_reference():
+    for n in range(1, 7):
+        for chi in all_chi(n):
+            for path in enumerate_luk(n):
+                assert_replay_matches_reference(path, chi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_simulate_and_standings_match_one_ball_reference_at_lengths_eight_and_nine(data):
+    n = data.draw(st.integers(8, 9))
+    chi = ChiWord(data.draw(st.text(alphabet="lr", min_size=n, max_size=n)))
+    paths = enumerate_luk(n)
+    path = paths[data.draw(st.integers(0, len(paths) - 1))]
+    assert_replay_matches_reference(path, chi)

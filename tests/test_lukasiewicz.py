@@ -55,6 +55,16 @@ def test_enumerate_luk_counts():
         assert len(set(paths)) == len(paths)
 
 
+def test_enumerate_luk_returns_a_fresh_list():
+    paths = enumerate_luk(4)
+    expected = list(paths)
+    paths.pop()
+    paths.append(LukPath([0, 0, 0, 0]))
+    paths.reverse()
+    assert enumerate_luk(4) == expected
+    assert enumerate_luk(4) is not enumerate_luk(4)
+
+
 def test_enumerate_luk_matches_filtering_all_vectors():
     # Independent route: every vector in {-1..n-1}^n that validates.
     import itertools

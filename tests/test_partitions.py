@@ -105,6 +105,16 @@ def test_noncrossing_counts_are_catalan():
         assert len(enumerate_noncrossing(n)) == catalan(n)
 
 
+def test_enumerate_noncrossing_returns_a_fresh_list():
+    family = enumerate_noncrossing(4)
+    expected = list(family)
+    family.pop()
+    family.append(Partition(4, [[1, 3], [2, 4]]))
+    family.sort(reverse=True)
+    assert enumerate_noncrossing(4) == expected
+    assert enumerate_noncrossing(4) is not enumerate_noncrossing(4)
+
+
 def test_noncrossing_agrees_with_quadruple_scan():
     for n in range(1, 8):
         for p in enumerate_partitions(n):

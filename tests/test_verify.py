@@ -67,6 +67,14 @@ def identity(_):
     return lambda chi: chi
 
 
+def doubled_cumulants(engine_type):
+    class Doubled(engine_type):
+        def cumulant(self, chi, word):
+            return 2 * super().cumulant(chi, word)
+
+    return Doubled
+
+
 def without_one_block(family):
     return lambda chi: [p for p in family(chi) if p != one_block(chi.n)]
 
@@ -78,6 +86,7 @@ def without_one_block(family):
         ("lemma67", "reverse_mixture_plan_for_blocks", first_long_block_reversed),
         ("prop610", "OmegaGrid", doubled_family_sums),
         ("eq12x", "moment_via_pchi", doubled),
+        ("eq12y", "CumulantEngine", doubled_cumulants),
         ("thm65", "bimixture_template", lambda _: reverse_bimixture_template),
         ("thm65", "OmegaGrid", last_partition_unsubtracted),
         ("thm49", "pchi_by_sigma", without_last),
@@ -85,10 +94,14 @@ def without_one_block(family):
         ("lemma48", "sigma_chi", identity_permutation),
         ("prop413", "chi_opposite", identity),
         ("cor410", "pchi_by_enumeration", without_one_block),
+        ("cor410", "sigma_chi", identity_permutation),
     ],
 )
 def test_operator_suite_fails_when_one_route_is_perturbed(monkeypatch, suite, attr, perturb):
     assert verify.run_suite(suite, max_n=4, d=2).passed
+    # fresh shared cells: a defect in what they are built from takes effect
+    # here and leaves no wrong memo behind for later tests
+    monkeypatch.setattr(verify, "_SHARED", {})
     monkeypatch.setattr(verify, attr, perturb(getattr(verify, attr)))
     result = verify.run_suite(suite, max_n=4, d=2)
     assert result.passed is False
