@@ -2,9 +2,9 @@
 """Run every verification suite and print a one-line summary per suite.
 
 Default scales finish in seconds; --full runs the acceptance scales.
-On a 2-vCPU Xeon host with Python 3.11 --full took 14-16 s over two runs:
-lemma67 and prop610 about 4-6 s each, thm65 about 2 s, the five
-combinatorial suites about 2.4 s together (cor410 about 0.9 s).
+On a 2-vCPU Xeon host with Python 3.11 --full took 12.6-13.2 s over two
+runs: lemma67 and prop610 about 4-5 s each, thm65 about 2 s, the five
+combinatorial suites about 1.5 s together (cor410 about 0.5-0.6 s).
 Before thm65's cumulant recursion ran over all of [d]^n at once, the same
 host took 37-40 s, 28-29 s of it in thm65.
 """

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .lukasiewicz import LukPath, enumerate_luk
@@ -159,11 +160,16 @@ def simulate(s: DequeScenario) -> ScenarioTrace:
         ball = pipe.popleft() if h == LEFT else pipe.pop()
         exit_order.append(ball)
         exit_time[ball] = t
+    # no emission from an empty queue and every ball emitted: together they
+    # make exit_time a bijection from the balls 1..n onto the times 1..n, so
+    # the batches' exit times are a partition of {1..n} by construction
     if pipe or next_ball != n + 1:
         raise RuntimeError("scenario did not move every ball to the output")
     return ScenarioTrace(
         s.chi,
-        Partition(n, [exit_time[lo:end] for _, lo, end in batches]),
+        Partition._unchecked(
+            n, tuple(sorted([tuple(sorted(exit_time[lo:end])) for _, lo, end in batches]))
+        ),
         tuple(exit_order),
         tuple(t for t, _, _ in batches),
     )
@@ -186,7 +192,9 @@ def pchi_by_enumeration(chi: ChiWord) -> List[Partition]:
         raise RuntimeError(
             f"duplicate output partition for chi={chi.letters!r}; simulator bug"
         )
-    return sorted(family)
+    # keyed by the blocks: Partition.__lt__'s order, with no Python-level
+    # comparison per pair
+    return sorted(family, key=attrgetter("blocks"))
 
 
 def sigma_chi(chi: ChiWord) -> Permutation:
@@ -201,7 +209,8 @@ def pchi_by_sigma(chi: ChiWord) -> List[Partition]:
     non-crossing partitions under the action of ``sigma_chi``."""
     _check_ground_set(chi.n)
     sigma = sigma_chi(chi)
-    return sorted(act(sigma, p) for p in enumerate_noncrossing(chi.n))
+    family = [act(sigma, p) for p in enumerate_noncrossing(chi.n)]
+    return sorted(family, key=attrgetter("blocks"))
 
 
 def insertion_standings(
@@ -254,12 +263,19 @@ def combined_standings(trace: ScenarioTrace) -> Partition:
     Block for insertion time i: V_i united with the reflection
     {n + 1 - q : q in W_i}.  The result is always non-crossing.
     """
-    n = trace.chi.n
-    blocks = [
-        sorted(vi + tuple(n + 1 - q for q in wi))
-        for _, vi, wi in insertion_standings(trace)
-    ]
-    return Partition(n, blocks)
+    return _merge_standings(trace.chi.n, insertion_standings(trace))
+
+
+def _merge_standings(
+    n: int, standings: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]
+) -> Partition:
+    """:func:`combined_standings` from the trace's
+    :func:`insertion_standings`."""
+    # the V_i partition {1..u} and the reflected W_i partition {u+1..n};
+    # V_i and the reflection of W_i read backwards are ascending, and every
+    # element of the first is below every element of the second
+    blocks = [vi + tuple([n + 1 - q for q in reversed(wi)]) for _, vi, wi in standings]
+    return Partition._unchecked(n, tuple(sorted(blocks)))
 
 
 def chi_opposite(chi: ChiWord) -> ChiWord:

@@ -49,7 +49,11 @@ class Partition:
 
     @classmethod
     def _unchecked(cls, n: int, canonical_blocks: Tuple[Tuple[int, ...], ...]) -> "Partition":
-        # Fast path for enumeration: caller guarantees canonical valid blocks.
+        # The trusted constructor, for blocks that are a partition by
+        # construction.  The caller guarantees that ``canonical_blocks`` are
+        # non-empty ascending tuples, sorted by their minimum, that together
+        # cover {1..n} exactly once; nothing is checked or copied.  Blocks
+        # that come from outside go through ``Partition(n, blocks)``.
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", canonical_blocks)
@@ -249,18 +253,26 @@ def meet(p: Partition, q: Partition) -> Partition:
     groups: dict[tuple[int, int], list[int]] = {}
     for m in range(1, p.n + 1):
         groups.setdefault((pidx[m], qidx[m]), []).append(m)
-    return Partition(p.n, groups.values())
+    # groups are opened and filled in increasing m: already canonical
+    return Partition._unchecked(p.n, tuple(map(tuple, groups.values())))
 
 
 def act(t: Permutation, p: Partition) -> Partition:
     """Apply t to every element of every block, then re-canonicalize."""
     if t.n != p.n:
         raise ValueError("permutation and partition sizes differ")
-    images = t.images
-    return Partition(p.n, ([images[m - 1] for m in block] for block in p.blocks))
+    # a permutation image of a partition is a partition; only the order of
+    # elements and blocks needs restoring
+    image = ((0,) + t.images).__getitem__
+    return Partition._unchecked(
+        p.n, tuple(sorted([tuple(sorted(map(image, block))) for block in p.blocks]))
+    )
 
 
 def opposite(p: Partition) -> Partition:
     """The image of p under the order-reversing map m -> n + 1 - m."""
     n = p.n
-    return Partition(n, ([n + 1 - m for m in block] for block in p.blocks))
+    # reflecting an ascending block and reading it backwards keeps it ascending
+    return Partition._unchecked(
+        n, tuple(sorted([tuple([n + 1 - m for m in reversed(block)]) for block in p.blocks]))
+    )

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 from math import factorial
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -20,6 +21,7 @@ from .cumulants import CumulantEngine, is_combinatorially_bifree_upto
 from .deque import (
     ChiWord,
     DequeScenario,
+    _merge_standings,
     block_data,
     chi_opposite,
     combined_standings,
@@ -42,6 +44,7 @@ from .fock import (
 )
 from .lukasiewicz import enumerate_luk, psi
 from .partitions import (
+    MAX_GROUND_SET,
     Permutation,
     act,
     enumerate_noncrossing,
@@ -201,10 +204,10 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
             failures = []
             for path in paths:
                 trace = simulate(DequeScenario(path, chi))
-                rho = combined_standings(trace)
+                data = insertion_standings(trace)
+                rho = _merge_standings(n, data)
                 if not is_noncrossing(rho):
                     failures.append(f"rise={list(path.rise)}: crossing {rho.to_json()}")
-                data = insertion_standings(trace)
                 i, v, w = data[-1]
                 block = sorted(v + tuple(n + 1 - q for q in w))
                 if block != list(range(block[0], block[-1] + 1)):
@@ -263,7 +266,8 @@ def suite_prop413(max_n: int = 6, **_) -> SuiteResult:
             pair = {w: pchi_by_enumeration(w) for w in dict.fromkeys((first, opp))}
             for chi, family in pair.items():
                 opp = chi_opposite(chi)
-                ok = sorted(opposite(p) for p in family) == pair[opp]
+                mirrored = sorted([opposite(p) for p in family], key=attrgetter("blocks"))
+                ok = mirrored == pair[opp]
                 result.add(
                     f"n={n} chi={chi} mirrored family",
                     "families agree",
@@ -616,8 +620,13 @@ def run_suite(
     seed: Optional[int] = None,
 ) -> SuiteResult:
     """Run one suite at its own defaults, overridden by every parameter
-    given; a suite ignores the parameters it does not take."""
+    given; a suite ignores the parameters it does not take.  A ``max_n``
+    beyond ``MAX_GROUND_SET`` raises ``ValueError`` before any sweep."""
     suite = SUITES[name]
+    if max_n is not None and max_n > MAX_GROUND_SET:
+        raise ValueError(
+            f"max_n {max_n} exceeds the supported ground-set limit {MAX_GROUND_SET}"
+        )
     params = {
         key: value
         for key, value in (("max_n", max_n), ("d", d), ("seed", seed))

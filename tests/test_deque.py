@@ -332,3 +332,31 @@ def test_simulate_and_standings_match_one_ball_reference_at_lengths_eight_and_ni
     paths = enumerate_luk(n)
     path = paths[data.draw(st.integers(0, len(paths) - 1))]
     assert_replay_matches_reference(path, chi)
+
+
+def assert_trusted_partitions_are_canonical(path, chi):
+    """simulate and combined_standings build their partitions without
+    validation; the validating constructor must accept them unchanged."""
+    trace = simulate(DequeScenario(path, chi))
+    for p in (trace.output_partition, combined_standings(trace)):
+        checked = Partition(p.n, p.blocks)
+        assert checked == p
+        assert checked.blocks == p.blocks
+
+
+def test_trusted_partitions_match_the_validating_constructor():
+    for n in range(1, 8):
+        paths = enumerate_luk(n)
+        for chi in all_chi(n):
+            for path in paths:
+                assert_trusted_partitions_are_canonical(path, chi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trusted_partitions_match_the_validating_constructor_at_lengths_eight_and_nine(data):
+    n = data.draw(st.integers(8, 9))
+    chi = ChiWord(data.draw(st.text(alphabet="lr", min_size=n, max_size=n)))
+    paths = enumerate_luk(n)
+    path = paths[data.draw(st.integers(0, len(paths) - 1))]
+    assert_trusted_partitions_are_canonical(path, chi)

@@ -1,6 +1,7 @@
 """Partition, order, and permutation-action behaviour."""
 
 import itertools
+import random
 from math import factorial
 
 import pytest
@@ -238,3 +239,30 @@ def test_opposite_preserves_noncrossing():
     for n in range(1, 7):
         for p in enumerate_partitions(n):
             assert is_noncrossing(opposite(p)) == is_noncrossing(p)
+
+
+def assert_validated_as(p, blocks):
+    """p equals the validating construction from ``blocks``, canonical
+    block tuples included."""
+    checked = Partition(p.n, blocks)
+    assert checked == p
+    assert checked.blocks == p.blocks
+
+
+def test_act_and_opposite_match_the_validating_constructor():
+    rng = random.Random(0)
+    for n in range(1, 7):
+        perms = [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(20)]
+        for p in enumerate_partitions(n):
+            for t in perms:
+                assert_validated_as(act(t, p), [[t(m) for m in b] for b in p.blocks])
+            assert_validated_as(opposite(p), [[n + 1 - m for m in b] for b in p.blocks])
+
+
+def test_meet_matches_the_validating_constructor():
+    for n in range(1, 6):
+        family = enumerate_partitions(n)
+        for p in family:
+            for q in family:
+                blocks = [set(a) & set(b) for a in p.blocks for b in q.blocks]
+                assert_validated_as(meet(p, q), [b for b in blocks if b])

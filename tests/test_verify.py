@@ -2,10 +2,11 @@
 
 import pytest
 
-from lrcumulants import verify
-from lrcumulants.deque import restriction_data
+from lrcumulants import deque, verify
+from lrcumulants.cli import main
+from lrcumulants.deque import ScenarioTrace, restriction_data
 from lrcumulants.fock import reverse_bimixture_template
-from lrcumulants.partitions import Permutation, one_block
+from lrcumulants.partitions import MAX_GROUND_SET, Partition, Permutation, one_block
 
 
 def doubled_vector(vector):
@@ -106,3 +107,50 @@ def test_operator_suite_fails_when_one_route_is_perturbed(monkeypatch, suite, at
     result = verify.run_suite(suite, max_n=4, d=2)
     assert result.passed is False
     assert result.instances > 0 and any(not c.ok for c in result.checks)
+
+
+def overlapping_batches(scenario, simulate=deque.simulate):
+    """A replay whose output partition reads each batch one exit time too
+    far, exit_time[lo:end + 1]: neighbouring blocks overlap, so the blocks
+    are no partition, and the trusted constructor does not notice."""
+    trace = simulate(scenario)
+    exit_time = [0] * (scenario.path.n + 1)
+    for t, ball in enumerate(trace.exit_order, start=1):
+        exit_time[ball] = t
+    blocks = []
+    lo = 1
+    for q in scenario.path.rise:
+        if q >= 0:
+            end = lo + q + 1
+            blocks.append(tuple(sorted(exit_time[lo:end + 1])))
+            lo = end
+    return ScenarioTrace(
+        trace.chi,
+        Partition._unchecked(scenario.path.n, tuple(sorted(blocks))),
+        trace.exit_order,
+        trace.insertion_times,
+    )
+
+
+def test_thm49_fails_when_simulate_emits_a_non_partition(monkeypatch):
+    monkeypatch.setattr(deque, "simulate", overlapping_batches)
+    result = verify.run_suite("thm49", max_n=4)
+    assert result.passed is False
+    assert result.instances == 30
+    assert sum(not c.ok for c in result.checks) == 28
+
+
+def test_run_suite_rejects_max_n_beyond_the_ground_set_limit(monkeypatch):
+    calls = []
+
+    def recording_suite(**params):
+        calls.append(params)
+        return verify.SuiteResult("thm49", params)
+
+    monkeypatch.setitem(verify.SUITES, "thm49", recording_suite)
+    with pytest.raises(ValueError, match="max_n"):
+        verify.run_suite("thm49", max_n=MAX_GROUND_SET + 1)
+    assert main(["verify", "thm49", "--max-n", str(MAX_GROUND_SET + 1)]) == 2
+    assert calls == []
+    verify.run_suite("thm49", max_n=MAX_GROUND_SET)
+    assert calls == [{"max_n": MAX_GROUND_SET}]
