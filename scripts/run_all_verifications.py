@@ -12,21 +12,7 @@ host took 37-40 s, 28-29 s of it in thm65.
 import argparse
 import sys
 
-from lrcumulants.verify import SUITES, run_suite
-
-FULL_SCALES = {
-    "thm49": {"max_n": 6},
-    "prop46": {"max_n": 6},
-    "lemma48": {"max_n": 6},
-    "prop413": {"max_n": 6},
-    "cor410": {"max_n": 5},
-    "lemma67": {"max_n": 6, "d": 3, "seed": 0},
-    "prop610": {"max_n": 6, "d": 3, "seed": 0},
-    "thm65": {"max_n": 6, "d": 3, "seed": 0},
-    "eq12x": {},
-    "eq12y": {},
-    "bifree": {"max_n": 4, "d": 2, "seed": 0},
-}
+from lrcumulants.verify import ACCEPTANCE_SCALES, SUITES, run_suite
 
 
 def main() -> int:
@@ -37,7 +23,7 @@ def main() -> int:
 
     all_ok = True
     for name in SUITES:
-        params = dict(FULL_SCALES[name]) if args.full else {}
+        params = dict(ACCEPTANCE_SCALES[name]) if args.full else {}
         if "seed" in params:
             params["seed"] = args.seed
         result = run_suite(name, **params)

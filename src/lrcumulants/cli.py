@@ -215,12 +215,13 @@ def _operator_query(args) -> RunReport:
         args.command,
         {"chi": chi.letters, "omega": list(omega), "table": args.table or "symbolic"},
     )
-    if args.command == "moment":
-        routes, check = moment_routes, "operator route equals partition-family route"
-    else:
-        routes, check = cumulant_routes, "cumulant recursion equals mixture coefficient"
     vm = VacuumMoments(table)
-    pair = routes((table, vm, CumulantEngine(vm)), chi.letters, omega)
+    if args.command == "moment":
+        check = "operator route equals partition-family route"
+        pair = moment_routes(vm, chi.letters, omega)
+    else:
+        check = "cumulant recursion equals mixture coefficient"
+        pair = cumulant_routes(table, CumulantEngine(vm), chi.letters, omega)
     value, other = (table.rational(v, chi.n) for v in pair)
     report.results["value"] = value
     report.checks.append(Check(check, other, value, value == other))

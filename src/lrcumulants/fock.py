@@ -902,7 +902,8 @@ def reverse_mixture_plan_for_blocks(blocks_and_sub: Tuple[Tuple[Word, str], ...]
 
 
 class OmegaGrid:
-    """Evaluates position plans at every index word omega in [d]^n.
+    """Evaluates position plans at every index word omega in [d]^n, for
+    every length n, over one table and its moment memo.
 
     A plan is a tuple of (kind, 0-based position order) blocks, as built
     by :func:`mixture_plan`; at omega it stands for the product over its
@@ -914,26 +915,32 @@ class OmegaGrid:
     and :class:`PolyScalar` go through the same code.
 
     :meth:`cumulants` runs the moment-cumulant recursion the same way,
-    with one column over [d]^k per chi word of length k <= n.
+    with one column over [d]^k per chi word of length k.  The grid keeps
+    what it builds for as long as it lives: the coefficient columns, the
+    gather indices and the cumulant columns.
     """
 
-    def __init__(self, table: CoefficientTable, n: int):
-        self.table = table
-        self.n = n
-        letters = range(1, table.d + 1)
-        #: every index word of length n, in product order
-        self.omegas: List[Word] = list(product(letters, repeat=n))
-        # kind -> [None, column of length-1 words, ..., column of length-n words]
-        self._columns = {
-            kind: [None] + [
-                [table.coeff(kind, word) for word in product(letters, repeat=p)]
-                for p in range(1, n + 1)
-            ]
-            for kind in (ALPHA, BETA)
-        }
+    def __init__(self, vm: VacuumMoments):
+        self.vm = vm
+        self.table = vm.table
+        # (kind, length p) -> the coefficients of the words of length p
+        self._columns: Dict[Tuple[str, int], list] = {}
         # (length k, position order) -> per omega in [d]^k, the index of
         # omega at those positions in the column of that length
         self._gathers: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+        # chi letters -> the chi-cumulant at every omega in [d]^len(chi)
+        self._cumulants: Dict[str, list] = {}
+
+    def omegas(self, n: int) -> List[Word]:
+        """Every index word of length n, in product order."""
+        return list(product(range(1, self.table.d + 1), repeat=n))
+
+    def _column(self, kind: str, p: int) -> list:
+        column = self._columns.get((kind, p))
+        if column is None:
+            coeff = self.table.coeff
+            column = self._columns[kind, p] = [coeff(kind, word) for word in self.omegas(p)]
+        return column
 
     def _gather(self, order: Tuple[int, ...], k: int) -> List[int]:
         index = self._gathers.get((k, order))
@@ -961,61 +968,54 @@ class OmegaGrid:
                 out = [v * column[i] for v, i in zip(out, index)]
         return out
 
-    def values(self, plan, factor=1) -> list:
-        """factor times the product of the plan's blocks, at every omega."""
-        columns = self._columns
-        out = self._product(((columns[kind][len(order)], order) for kind, order in plan), self.n)
+    def values(self, plan, n: int, factor=1) -> list:
+        """factor times the product of the plan's blocks, at every omega
+        of length n."""
+        out = self._product(((self._column(kind, len(order)), order) for kind, order in plan), n)
         if out is None:
-            return [factor] * len(self.omegas)
+            return [factor] * self.table.d ** n
         return out if factor == 1 else [factor * v for v in out]
 
-    def total(self, terms) -> list:
-        """The sum of ``values(plan, factor)`` over (plan, factor) terms, at
-        every omega."""
+    def total(self, terms, n: int) -> list:
+        """The sum of ``values(plan, n, factor)`` over (plan, factor)
+        terms, at every omega of length n."""
         out = None
         for plan, factor in terms:
-            values = self.values(plan, factor)
+            values = self.values(plan, n, factor)
             out = values if out is None else [t + v for t, v in zip(out, values)]
-        return [0] * len(self.omegas) if out is None else out
+        return [0] * self.table.d ** n if out is None else out
+
+    def moments(self, chi_str: str) -> list:
+        """The vacuum moment of the bi-word (omega, chi) at every omega."""
+        vm = self.vm
+        return [vm(tuple(zip(omega, chi_str))) for omega in self.omegas(len(chi_str))]
 
     def family_sums(self, chi_str: str) -> list:
         """The partition-family sum of :func:`moment_via_pchi` at every
         omega."""
-        return self.total((plan, 1) for plan in mixture_plan(chi_str))
+        return self.total(((plan, 1) for plan in mixture_plan(chi_str)), len(chi_str))
 
-    def cumulants(self, chi_str: str, moments, memo: Dict[str, list]) -> list:
+    def cumulants(self, chi_str: str) -> list:
         """The chi-cumulant of the bi-word (omega, chi) at every omega.
 
         The moment-cumulant recursion of :class:`~.cumulants.CumulantEngine`,
-        one column over [d]^k per chi word of length k <= n: K_chi is the
-        column of vacuum moments ``moments((omega, chi))`` minus, for each
-        partition of the family of chi other than the one-block partition,
-        the product of its blocks' sub-word columns gathered at the
-        blocks' positions.  ``memo`` maps chi words to their columns, for
-        one table and one moment functional; every column reached is read
-        from it or computed and stored, so grids of several lengths over
-        one table can share it.
+        one column over [d]^k per chi word of length k: K_chi is the
+        column of :meth:`moments` minus, for each partition of the family
+        of chi other than the one-block partition, the product of its
+        blocks' sub-word columns gathered at the blocks' positions.  Every
+        column reached is read from the grid's memo or computed and kept
+        there.
         """
-        if len(chi_str) != self.n:
-            raise ValueError(f"chi has {len(chi_str)} letters but the grid's words have {self.n}")
-        return self._cumulant_column(chi_str, moments, memo)
-
-    def _cumulant_column(self, chi_str: str, moments, memo: Dict[str, list]) -> list:
-        column = memo.get(chi_str)
+        column = self._cumulants.get(chi_str)
         if column is None:
+            family = restriction_data(chi_str)  # ValueError unless chi is a word over {l, r}
             k = len(chi_str)
-            column = [
-                moments(tuple(zip(omega, chi_str)))
-                for omega in product(range(1, self.table.d + 1), repeat=k)
-            ]
-            for blocks in restriction_data(chi_str):
+            column = self.moments(chi_str)
+            for blocks in family:
                 if len(blocks) == 1:  # the one-block partition is the cumulant itself
                     continue
-                factors = [
-                    (self._cumulant_column(sub, moments, memo), positions)
-                    for positions, sub in blocks
-                ]
+                factors = [(self.cumulants(sub), positions) for positions, sub in blocks]
                 term = self._product(factors, k)
                 column = [m - t for m, t in zip(column, term)]
-            memo[chi_str] = column
+            self._cumulants[chi_str] = column
         return column

@@ -25,7 +25,7 @@ from lrcumulants.deque import (
 from lrcumulants.fock import CoefficientTable, PolyScalar, lemma67_vector
 from lrcumulants.lukasiewicz import LukPath, enumerate_luk
 from lrcumulants.partitions import Partition, Permutation, enumerate_noncrossing
-from lrcumulants.verify import run_suite
+from lrcumulants.verify import ACCEPTANCE_SCALES, run_suite
 
 
 def catalan(n):
@@ -37,9 +37,9 @@ def announce(num, description, instances, elapsed, ok):
     print(f"{marker} criterion {num:>2} ({description}): {instances} instances in {elapsed:.1f}s")
 
 
-def run_and_announce(num, description, suite, **params):
+def run_and_announce(num, description, suite):
     t0 = time.perf_counter()
-    result = run_suite(suite, **params)
+    result = run_suite(suite, **ACCEPTANCE_SCALES[suite])
     announce(num, description, result.instances, time.perf_counter() - t0, result.passed)
     failures = [c for c in result.checks if not c.ok]
     assert result.passed, failures[:5]
@@ -62,7 +62,7 @@ def test_criterion_01_cardinalities_up_to_seven():
 
 
 def test_criterion_02_family_dual_route_equality():
-    run_and_announce(2, "scenario and permutation routes agree", "thm49", max_n=6)
+    run_and_announce(2, "scenario and permutation routes agree", "thm49")
 
 
 def test_criterion_03_worked_examples_bit_exact():
@@ -83,16 +83,16 @@ def test_criterion_03_worked_examples_bit_exact():
 
 
 def test_criterion_04_scenario_partition_properties():
-    run_and_announce(4, "combined standings non-crossing and consistent", "prop46", max_n=6)
-    run_and_announce(4, "permutation carries standings onto outputs", "lemma48", max_n=6)
+    run_and_announce(4, "combined standings non-crossing and consistent", "prop46")
+    run_and_announce(4, "permutation carries standings onto outputs", "lemma48")
 
 
 def test_criterion_05_reversal_relations():
-    run_and_announce(5, "reversed words mirror families", "prop413", max_n=6)
+    run_and_announce(5, "reversed words mirror families", "prop413")
 
 
 def test_criterion_06_lattice_structure():
-    run_and_announce(6, "membership, order isomorphism, meet closure", "cor410", max_n=5)
+    run_and_announce(6, "membership, order isomorphism, meet closure", "cor410")
 
 
 def test_criterion_07_fourteen_term_moment():
@@ -104,12 +104,12 @@ def test_criterion_08_three_term_free_cumulant():
 
 
 def test_criterion_09_cumulants_collapse_to_mixtures():
-    run_and_announce(9, "cumulants of operator words are single mixtures", "thm65", max_n=6, d=3, seed=0)
+    run_and_announce(9, "cumulants of operator words are single mixtures", "thm65")
 
 
 def test_criterion_10_moment_sums_and_products():
-    run_and_announce(10, "sequential moments equal family sums", "prop610", max_n=6, d=3, seed=0)
-    run_and_announce(10, "products collapse to reverse-mixture multiples", "lemma67", max_n=6, d=3, seed=0)
+    run_and_announce(10, "sequential moments equal family sums", "prop610")
+    run_and_announce(10, "products collapse to reverse-mixture multiples", "lemma67")
 
 
 def test_criterion_11_moment_cumulant_round_trip():
@@ -133,4 +133,4 @@ def test_criterion_11_moment_cumulant_round_trip():
 
 
 def test_criterion_12_combinatorial_bifreeness():
-    run_and_announce(12, "separated symbols are bi-free, mixed injection is caught", "bifree", max_n=4, d=2, seed=0)
+    run_and_announce(12, "separated symbols are bi-free, mixed injection is caught", "bifree")

@@ -375,53 +375,60 @@ GRID_TABLES = [CoefficientTable.symbolic(2, 4)] + [
 def test_grid_matches_the_single_word_routes(table):
     vm = VacuumMoments(table)
     engine = CumulantEngine(vm)
-    columns = {}  # shared by the grids of every length, as in the sweeps
+    grid = OmegaGrid(vm)  # one grid for every length, as in the sweeps
     for n in range(1, 5):
-        grid = OmegaGrid(table, n)
-        assert grid.omegas == list(itertools.product(range(1, table.d + 1), repeat=n))
+        omegas = grid.omegas(n)
+        assert omegas == list(itertools.product(range(1, table.d + 1), repeat=n))
         for chi in map("".join, itertools.product("lr", repeat=n)):
+            assert grid.moments(chi) == [vm(tuple(zip(omega, chi))) for omega in omegas]
             sums = grid.family_sums(chi)
-            assert sums == [moment_via_pchi(omega, chi, table) for omega in grid.omegas]
-            assert grid.cumulants(chi, vm, columns) == [
-                engine.cumulant(chi, tuple(zip(omega, chi))) for omega in grid.omegas
+            assert sums == [moment_via_pchi(omega, chi, table) for omega in omegas]
+            assert grid.cumulants(chi) == [
+                engine.cumulant(chi, tuple(zip(omega, chi))) for omega in omegas
             ]
             for path in enumerate_luk(n):
                 terms, vacuum_only = verify._strip_terms(path, ChiWord(chi))
                 assert vacuum_only
-                assert grid.total(terms) == [
+                assert grid.total(terms, n) == [
                     lemma67_vector(path, ChiWord(chi), omega, table).get((), 0)
-                    for omega in grid.omegas
+                    for omega in omegas
                 ]
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.text("lr", min_size=7, max_size=7), st.integers(0, 10**6))
 def test_family_sums_match_the_engine_at_length_seven(chi, seed):
-    table = CoefficientTable.random(2, 7, seed)
-    vm = VacuumMoments(table)
-    grid = OmegaGrid(table, 7)
-    assert grid.family_sums(chi) == [vm(tuple(zip(omega, chi))) for omega in grid.omegas]
+    vm = VacuumMoments(CoefficientTable.random(2, 7, seed))
+    grid = OmegaGrid(vm)
+    assert grid.family_sums(chi) == [vm(tuple(zip(omega, chi))) for omega in grid.omegas(7)]
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.text("lr", min_size=7, max_size=7), st.integers(0, 10**6))
 def test_cumulant_columns_match_the_engine_at_length_seven(chi, seed):
-    table = CoefficientTable.random(2, 7, seed)
-    vm = VacuumMoments(table)
+    vm = VacuumMoments(CoefficientTable.random(2, 7, seed))
     engine = CumulantEngine(vm)
-    grid = OmegaGrid(table, 7)
-    assert grid.cumulants(chi, vm, {}) == [
-        engine.cumulant(chi, tuple(zip(omega, chi))) for omega in grid.omegas
+    assert OmegaGrid(vm).cumulants(chi) == [
+        engine.cumulant(chi, tuple(zip(omega, chi)))
+        for omega in itertools.product((1, 2), repeat=7)
     ]
 
 
-def test_cumulant_columns_reject_a_chi_of_another_length():
-    table = CoefficientTable.random(2, 3, seed=0)
-    vm = VacuumMoments(table)
-    grid = OmegaGrid(table, 2)
-    for chi in ("", "l", "lrl"):
+def test_cumulant_columns_reject_a_chi_that_is_not_a_word_over_l_and_r():
+    grid = OmegaGrid(VacuumMoments(CoefficientTable.random(2, 3, seed=0)))
+    for chi in ("", "x", "lx", "rlL"):
         with pytest.raises(ValueError):
-            grid.cumulants(chi, vm, {})
+            grid.cumulants(chi)
+
+
+def test_each_shared_table_grid_keeps_its_own_cumulant_columns():
+    cells = [verify.shared("random", 2, 2, seed) for seed in (0, 1)]
+    first, second = (grid.cumulants("lr") for *_, grid in cells)
+    assert first != second
+    for (_, _, engine, grid), column in zip(cells, (first, second)):
+        assert column == [
+            engine.cumulant("lr", tuple(zip(omega, "lr"))) for omega in grid.omegas(2)
+        ]
 
 
 def test_moments_reject_operators_outside_the_table():

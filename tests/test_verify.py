@@ -27,14 +27,16 @@ def doubled_family_sums(grid_type):
 
 def last_partition_unsubtracted(grid_type):
     """Cumulant columns that leave the term of the family's last
-    partition in; the shared columns of shorter words stay correct."""
+    partition in."""
     class Perturbed(grid_type):
-        def cumulants(self, chi_str, moments, memo):
-            column = super().cumulants(chi_str, moments, memo)
+        def cumulants(self, chi_str):
+            column = super().cumulants(chi_str)
             *_, last = restriction_data(chi_str)
             if len(last) == 1:
                 return column
-            term = self._product([(memo[sub], positions) for positions, sub in last], len(chi_str))
+            term = self._product(
+                [(self._cumulants[sub], positions) for positions, sub in last], len(chi_str)
+            )
             return [v + t for v, t in zip(column, term)]
 
     return Perturbed
@@ -138,6 +140,32 @@ def test_thm49_fails_when_simulate_emits_a_non_partition(monkeypatch):
     assert result.passed is False
     assert result.instances == 30
     assert sum(not c.ok for c in result.checks) == 28
+
+
+def test_prop46_records_an_output_partition_without_a_path_as_a_failure(monkeypatch):
+    monkeypatch.setattr(verify, "simulate", overlapping_batches)
+    result = verify.run_suite("prop46", max_n=4)
+    assert result.passed is False
+    assert result.instances == 274
+    failed = [c for c in result.checks if not c.ok]
+    assert len(failed) == 28
+    assert all(any("has no path" in message for message in c.actual) for c in failed)
+
+
+def test_fock_suites_build_one_grid_per_table(monkeypatch):
+    built = []
+
+    class Counted(verify.OmegaGrid):
+        def __init__(self, vm):
+            super().__init__(vm)
+            built.append(vm.table)
+
+    monkeypatch.setattr(verify, "_SHARED", {})
+    monkeypatch.setattr(verify, "OmegaGrid", Counted)
+    for suite in ("lemma67", "prop610", "thm65"):
+        assert verify.run_suite(suite, max_n=4, d=2).passed
+    # symbolic d=2 with n_o = 1..4, random d = 1 and 2 with n_o = 4
+    assert len(built) == len(verify._SHARED) == 6
 
 
 def test_run_suite_rejects_max_n_beyond_the_ground_set_limit(monkeypatch):
