@@ -211,11 +211,24 @@ _RATIONAL = r"[+-]?[0-9]+(/0*[1-9][0-9]*)?"
 # the one spelling of an index word as a table-file key: "1", "2,1,3"
 _WORD_KEY = r"[1-9][0-9]*(,[1-9][0-9]*)*"
 
-#: A symbolic table holds 2 * (d + d**2 + ... + d**n_o) symbols, whose
-#: words hold 2 * (d + 2 d**2 + ... + n_o d**n_o) letters; it is rejected
-#: before it is built when either count exceeds its bound.
+#: A symbolic or drawn table holds 2 * (d + d**2 + ... + d**n_o) entries,
+#: whose words hold 2 * (d + 2 d**2 + ... + n_o d**n_o) letters; it is
+#: rejected before it is built when either count exceeds its bound.
 MAX_SYMBOLS = 100_000
 MAX_LETTERS = 1_000_000
+
+
+def _check_dense_size(d: int, n_o: int, kind: str) -> None:
+    """Refuse a table holding every word of length 1..n_o over d letters
+    on both sides when it exceeds ``MAX_SYMBOLS`` or ``MAX_LETTERS``."""
+    # summed lazily, so a huge n_o stops at the bound
+    sizes = zip(accumulate(2 * d**p for p in range(1, n_o + 1)),
+                accumulate(2 * p * d**p for p in range(1, n_o + 1)))
+    if any(s > MAX_SYMBOLS or l > MAX_LETTERS for s, l in sizes):
+        raise ValueError(
+            f"a {kind} table with d={d}, n_o={n_o} exceeds {MAX_SYMBOLS} symbols "
+            f"or {MAX_LETTERS} stored letters"
+        )
 
 
 def _exact(value, where: str) -> Fraction:
@@ -278,14 +291,7 @@ class CoefficientTable:
         if mode == "symbolic":
             if alpha is not None or beta is not None:
                 raise ValueError("symbolic tables carry no stored values")
-            # summed lazily, so a huge n_o stops at the bound
-            sizes = zip(accumulate(2 * d**p for p in range(1, n_o + 1)),
-                        accumulate(2 * p * d**p for p in range(1, n_o + 1)))
-            if any(s > MAX_SYMBOLS or l > MAX_LETTERS for s, l in sizes):
-                raise ValueError(
-                    f"a symbolic table with d={d}, n_o={n_o} exceeds {MAX_SYMBOLS} symbols "
-                    f"or {MAX_LETTERS} stored letters"
-                )
+            _check_dense_size(d, n_o, mode)
             scale = 1
             stored = [
                 {
@@ -327,6 +333,7 @@ class CoefficientTable:
     @classmethod
     def random(cls, d: int, n_o: int, seed: int) -> "CoefficientTable":
         """Every coefficient of length <= n_o drawn from small rationals."""
+        _check_dense_size(d, n_o, "random")
         rng = random.Random(seed)
 
         def draw() -> Fraction:
@@ -729,9 +736,10 @@ CWord = Tuple[Tuple[int, str], ...]  # ((index, side), ...)
 
 
 class VacuumMoments:
-    """Memoized vacuum moments of products of canonical operators.
+    """Vacuum moments of products of canonical operators.
 
-    Callable on a word of (index, side) pairs.  Moments are evaluated by
+    Callable on a word of (index, side) pairs, memoized; :meth:`column`
+    sweeps every index word for one chi word.  Moments are evaluated by
     applying the operators to the vacuum right-to-left; since every
     canonical operator lowers word length by at most one, intermediate
     words longer than the number of operators still to come are dropped.
@@ -740,7 +748,6 @@ class VacuumMoments:
     def __init__(self, table: CoefficientTable):
         self.table = table
         self._memo: Dict[CWord, object] = {}
-        self._precomputed = 0
         # (side, i) -> per prefix length: the non-zero coefficients of the
         # words ending in i, as (prefix, reversed prefix, value)
         self._creators: Dict[Tuple[str, int], List[List[Tuple[Word, Word, object]]]] = {}
@@ -755,9 +762,15 @@ class VacuumMoments:
         value = self._memo.get(cword)
         if value is None:
             self._check(cword)
-            self._sweep(tuple(h for _, h in cword), tuple((i,) for i, _ in cword))
-            value = self._memo[cword]
+            chi = tuple(h for _, h in cword)
+            value = self._memo[cword] = self._sweep(chi, tuple((i,) for i, _ in cword))[0]
         return value
+
+    def column(self, chi_str: str) -> list:
+        """The vacuum moment of the bi-word (omega, chi) at every omega in
+        [d]^len(chi), in ``itertools.product`` order."""
+        chi_str = _chi_str(chi_str)  # ValueError unless chi is a word over {l, r}
+        return self._sweep(chi_str, (range(1, self.table.d + 1),) * len(chi_str))
 
     def _check(self, cword: CWord) -> None:
         d = self.table.d
@@ -793,34 +806,22 @@ class VacuumMoments:
                     out[key] = scaled if prev is None else prev + scaled
         return out
 
-    def precompute(self, n: int) -> None:
-        """Fill the memo with every moment of length <= n over all sides
-        and indices."""
-        indices = range(1, self.table.d + 1)
-        for k in range(self._precomputed + 1, n + 1):
-            for chi in product("lr", repeat=k):
-                self._sweep(chi, (indices,) * k)
-        self._precomputed = max(self._precomputed, n)
-
-    def _sweep(self, chi: Sequence[str], letters: Sequence[Iterable[int]]) -> None:
-        """Memoize the moment of every word with sides chi and an index
-        from letters[m] at each position m.
+    def _sweep(self, chi: Sequence[str], letters: Sequence[Sequence[int]]) -> list:
+        """The moment of every word with sides chi and an index from
+        letters[m] at each position m, in product order over letters.
 
         A depth-first sweep from the right end: the state after the
         operators at positions m.. is computed once and shared by every
         word with that tail.
         """
-        memo = self._memo
-
-        def descend(m: int, vec: FockVector, tail: CWord) -> None:
+        def descend(m: int, vec: FockVector) -> list:
             if m < 0:
-                memo[tail] = vec.get(VACUUM, 0)
-                return
+                return [vec.get(VACUUM, 0)]
             h = chi[m]
-            for i in letters[m]:
-                descend(m - 1, self._apply(vec, i, h, m), ((i, h),) + tail)
+            columns = [descend(m - 1, self._apply(vec, i, h, m)) for i in letters[m]]
+            return [v for values in zip(*columns) for v in values]  # position m varies fastest
 
-        descend(len(chi) - 1, vacuum_vector(), ())
+        return descend(len(chi) - 1, vacuum_vector())
 
 
 def operator_word_functional(operators: Mapping[object, OperatorExpr]):
@@ -903,7 +904,7 @@ def reverse_mixture_plan_for_blocks(blocks_and_sub: Tuple[Tuple[Word, str], ...]
 
 class OmegaGrid:
     """Evaluates position plans at every index word omega in [d]^n, for
-    every length n, over one table and its moment memo.
+    every length n, over one table and its moment engine.
 
     A plan is a tuple of (kind, 0-based position order) blocks, as built
     by :func:`mixture_plan`; at omega it stands for the product over its
@@ -917,7 +918,7 @@ class OmegaGrid:
     :meth:`cumulants` runs the moment-cumulant recursion the same way,
     with one column over [d]^k per chi word of length k.  The grid keeps
     what it builds for as long as it lives: the coefficient columns, the
-    gather indices and the cumulant columns.
+    gather indices, the moment columns and the cumulant columns.
     """
 
     def __init__(self, vm: VacuumMoments):
@@ -928,7 +929,9 @@ class OmegaGrid:
         # (length k, position order) -> per omega in [d]^k, the index of
         # omega at those positions in the column of that length
         self._gathers: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-        # chi letters -> the chi-cumulant at every omega in [d]^len(chi)
+        # chi letters -> the vacuum moment, and the chi-cumulant, at every
+        # omega in [d]^len(chi)
+        self._moments: Dict[str, list] = {}
         self._cumulants: Dict[str, list] = {}
 
     def omegas(self, n: int) -> List[Word]:
@@ -987,8 +990,10 @@ class OmegaGrid:
 
     def moments(self, chi_str: str) -> list:
         """The vacuum moment of the bi-word (omega, chi) at every omega."""
-        vm = self.vm
-        return [vm(tuple(zip(omega, chi_str))) for omega in self.omegas(len(chi_str))]
+        column = self._moments.get(chi_str)
+        if column is None:
+            column = self._moments[chi_str] = self.vm.column(chi_str)
+        return column
 
     def family_sums(self, chi_str: str) -> list:
         """The partition-family sum of :func:`moment_via_pchi` at every

@@ -98,21 +98,21 @@ def all_chi(n: int) -> List[ChiWord]:
 
 
 # ---------------------------------------------------------------------------
-# shared tables and memos (a table is a pure function of (kind, d, n_o,
-# seed), so cells and suites share its memoized moments and cumulants)
+# shared tables (a table is a pure function of (kind, d, n_o, seed), so
+# cells and suites share its grid and what the grid keeps)
 # ---------------------------------------------------------------------------
 
 
-_SHARED: Dict[tuple, tuple] = {}
+_SHARED: Dict[tuple, OmegaGrid] = {}
+SYMBOLIC_N_O = 5  # the longest symbolic cell: one symbolic table per d covers them all
 
 
-def shared(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> tuple:
-    """``(table, vm, engine, grid)``: the table (kind, d, n_o, seed) with
-    its process-wide moment memo, scalar cumulant engine and
-    :class:`OmegaGrid`, which keeps the table's cumulant columns."""
+def shared(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> OmegaGrid:
+    """The process-wide :class:`OmegaGrid` of the table (kind, d, n_o,
+    seed); ``grid.table`` is the table and ``grid.vm`` its moment engine."""
     key = (kind, d, n_o, seed)
-    entry = _SHARED.get(key)
-    if entry is None:
+    grid = _SHARED.get(key)
+    if grid is None:
         if kind == "symbolic":
             table = CoefficientTable.symbolic(d, n_o)
         elif kind == "random":
@@ -121,33 +121,27 @@ def shared(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> tuple:
             table = CoefficientTable.separated_random(d, n_o, seed)
         else:
             raise ValueError(f"unknown table kind {kind!r}")
-        vm = VacuumMoments(table)
-        entry = _SHARED[key] = (table, vm, CumulantEngine(vm), OmegaGrid(vm))
-    return entry
+        grid = _SHARED[key] = OmegaGrid(VacuumMoments(table))
+    return grid
 
 
-def _fock_cells(max_n: int, d: int) -> List[Tuple[str, int, int]]:
-    """(mode, n, d) cells every operator-model suite sweeps.
+def _fock_cells(max_n: int, d: int, seed: int) -> List[Tuple[str, int, OmegaGrid]]:
+    """(label, n, grid) cells every operator-model suite sweeps, with
+    every grid built before the sweep starts.
 
     Symbolic cells stay small (full formal expansion); concrete cells with
-    seeded random rationals cover the full requested range.
+    seeded random rationals cover the full requested range.  Each d has
+    one table of each kind, covering every length of its cells.
     """
-    cells: List[Tuple[str, int, int]] = []
-    for n in range(1, min(max_n, 4) + 1):
-        cells.append(("symbolic", n, min(d, 2)))
+    cells = [("symbolic", n, min(d, 2)) for n in range(1, min(max_n, 4) + 1)]
     if max_n >= 5:
         cells.append(("symbolic", 5, 1))
-    for dd in range(1, d + 1):
-        for n in range(1, max_n + 1):
-            cells.append(("random", n, dd))
-    return cells
-
-
-def _cell(mode: str, n: int, d: int, max_n: int, seed: int) -> tuple:
-    if mode == "symbolic":
-        return shared("symbolic", d, n)
-    # one table per d covering every length keeps the memos shared
-    return shared("random", d, max_n, seed)
+    cells += [("random", n, dd) for dd in range(1, d + 1) for n in range(1, max_n + 1)]
+    return [
+        (f"{mode} n={n} d={dd}", n,
+         shared(mode, dd, SYMBOLIC_N_O) if mode == "symbolic" else shared(mode, dd, max_n, seed))
+        for mode, n, dd in cells
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +354,15 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     vacuum give the product of reverse-mixtures over the scenario's
     output-time partition."""
     result = SuiteResult("lemma67", {"max_n": max_n, "d": d, "seed": seed})
-    cells = _fock_cells(max_n, d)
-    if max_n >= 5 and d >= 2:
-        cells.insert(0, ("symbolic", 5, 2))  # single-track products stay cheap
+    cells = _fock_cells(max_n, d, seed)
+    if max_n >= 5 and d >= 2:  # single-track products stay cheap
+        cells.insert(0, ("symbolic n=5 d=2", 5, shared("symbolic", 2, SYMBOLIC_N_O)))
     # per n: every (chi, path) with its strip terms and the reverse-mixture
     # plan of its output partition, recorded once and shared by the cells
     # of that n
     scenarios: Dict[int, List[tuple]] = {}
-    for mode, n, dd in cells:
-        table, *_, grid = _cell(mode, n, dd, max_n, seed)
+    for label, n, grid in cells:
+        table = grid.table
         omegas = grid.omegas(n)
         if n not in scenarios:
             scenarios[n] = [
@@ -393,7 +387,7 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
                         f"expected {table.rational(want, n)}, got {shown}"
                     )
         summary = f"{cell_count} products collapse to the vacuum multiple"
-        result.add_sweep(f"{mode} n={n} d={dd}", summary, cell_count, cell_fail)
+        result.add_sweep(label, summary, cell_count, cell_fail)
     return result
 
 
@@ -424,9 +418,8 @@ def _route_sweep(
     length len(chi), and ``labels`` name the routes in failure
     messages."""
     result = SuiteResult(suite, {"max_n": max_n, "d": d, "seed": seed})
-    for mode, n, dd in _fock_cells(max_n, d):
-        table, vm, _, grid = _cell(mode, n, dd, max_n, seed)
-        vm.precompute(n)
+    for label, n, grid in _fock_cells(max_n, d, seed):
+        table = grid.table
         omegas = grid.omegas(n)
         cell_fail = []
         cell_count = 0
@@ -439,7 +432,7 @@ def _route_sweep(
                 for omega, left, right in zip(omegas, lhs, rhs)
                 if left != right
             ]
-        result.add_sweep(f"{mode} n={n} d={dd}", f"{cell_count} {summary}", cell_count, cell_fail)
+        result.add_sweep(label, f"{cell_count} {summary}", cell_count, cell_fail)
     return result
 
 
@@ -509,7 +502,7 @@ def suite_eq12x(**_) -> SuiteResult:
     """The symbolic vacuum moment of (left)(right)(left)(right) words at
     two indices matches the golden 14-term sum, by both routes."""
     result = SuiteResult("eq12x", {})
-    vm = shared("symbolic", 2, 4)[1]
+    vm = shared("symbolic", 2, SYMBOLIC_N_O).vm
     for omega in product((1, 2), repeat=4):
         expected = interleaved_moment_terms(*omega)
         engine_value, family_value = moment_routes(vm, "lrlr", omega)
@@ -529,7 +522,7 @@ def suite_eq12y(**_) -> SuiteResult:
     """The length-4 free cumulant of the interleaved word matches the
     golden 3-term sum."""
     result = SuiteResult("eq12y", {})
-    engine = shared("symbolic", 2, 4)[2]
+    engine = CumulantEngine(shared("symbolic", 2, SYMBOLIC_N_O).vm)
     for omega in product((1, 2), repeat=4):
         expected = interleaved_free_cumulant_terms(*omega)
         actual = engine.cumulant("rrrr", tuple(zip(omega, "lrlr")))
@@ -542,7 +535,8 @@ def suite_bifree(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """With per-index separated symbols every mixed cumulant vanishes;
     injecting one mixed coefficient produces a pinpointed violation."""
     result = SuiteResult("bifree", {"max_n": max_n, "d": d, "seed": seed})
-    table, vm, *_ = shared("separated", d, max_n, seed)
+    vm = shared("separated", d, max_n, seed).vm
+    table = vm.table
     pairs = [((i, "l"), (i, "r")) for i in range(1, d + 1)]
     ok, violations = is_combinatorially_bifree_upto(pairs, vm, max_n)
     checked = sum(2 ** n * (d ** n - d) for n in range(2, max_n + 1))

@@ -400,7 +400,9 @@ def test_grid_matches_the_single_word_routes(table):
 def test_family_sums_match_the_engine_at_length_seven(chi, seed):
     vm = VacuumMoments(CoefficientTable.random(2, 7, seed))
     grid = OmegaGrid(vm)
-    assert grid.family_sums(chi) == [vm(tuple(zip(omega, chi))) for omega in grid.omegas(7)]
+    single = [vm(tuple(zip(omega, chi))) for omega in grid.omegas(7)]
+    assert grid.family_sums(chi) == single
+    assert vm.column(chi) == single
 
 
 @settings(max_examples=20, deadline=None)
@@ -422,10 +424,11 @@ def test_cumulant_columns_reject_a_chi_that_is_not_a_word_over_l_and_r():
 
 
 def test_each_shared_table_grid_keeps_its_own_cumulant_columns():
-    cells = [verify.shared("random", 2, 2, seed) for seed in (0, 1)]
-    first, second = (grid.cumulants("lr") for *_, grid in cells)
+    grids = [verify.shared("random", 2, 2, seed) for seed in (0, 1)]
+    first, second = (grid.cumulants("lr") for grid in grids)
     assert first != second
-    for (_, _, engine, grid), column in zip(cells, (first, second)):
+    for grid, column in zip(grids, (first, second)):
+        engine = CumulantEngine(grid.vm)
         assert column == [
             engine.cumulant("lr", tuple(zip(omega, "lr"))) for omega in grid.omegas(2)
         ]
@@ -437,6 +440,9 @@ def test_moments_reject_operators_outside_the_table():
         vm(((5, "l"), (5, "l")))
     with pytest.raises(ValueError):
         vm(((1, "x"),))
+    for chi in ("", "lx"):
+        with pytest.raises(ValueError):
+            vm.column(chi)
     assert vm(((1, "l"),)) == sym("a", 1)
 
 
@@ -449,14 +455,19 @@ def test_family_sum_rejects_indices_outside_the_table():
     assert moment_via_pchi((2,), "l", table) == sym("a", 2)
 
 
-def test_precompute_fills_the_same_values():
+def test_moment_columns_equal_the_single_word_values():
     for table in (CoefficientTable.random(2, 3, seed=1), CoefficientTable.symbolic(2, 3)):
         vm = VacuumMoments(table)
-        vm.precompute(3)
-        assert len(vm._memo) == sum(4 ** k for k in range(1, 4))
+        grid = OmegaGrid(vm)
         fresh = VacuumMoments(table)
-        for cword, value in vm._memo.items():
-            assert fresh(cword) == value
+        for k in range(1, 4):
+            for chi in map("".join, itertools.product("lr", repeat=k)):
+                column = grid.moments(chi)
+                assert column == vm.column(chi) == [
+                    fresh(tuple(zip(omega, chi))) for omega in grid.omegas(k)
+                ]
+                assert grid.moments(chi) is column  # the grid keeps it
+        assert not vm._memo  # columns bypass the per-word memo
 
 
 # -- coefficient tables ---------------------------------------------------------------
@@ -517,6 +528,24 @@ def test_symbolic_table_size_is_capped(monkeypatch):
         CoefficientTable.symbolic(1, 50_000)
     for d, n_o in ((9, 4), (5, 6)):  # 57,204 and 224,610 letters
         assert len(CoefficientTable.symbolic(d, n_o).alpha) == sum(d**p for p in range(1, n_o + 1))
+
+
+def test_drawn_table_size_is_capped_before_drawing(monkeypatch):
+    monkeypatch.setattr(fock, "random", None)  # a draw would raise AttributeError
+    with pytest.raises(ValueError, match="exceeds 100000 symbols"):
+        CoefficientTable.random(20, 6, seed=0)  # about 1.3e8 coefficients
+    with pytest.raises(ValueError, match="1000000 stored letters"):
+        CoefficientTable.random(1, 50_000, seed=0)
+    monkeypatch.setattr(fock, "MAX_SYMBOLS", 27)  # d=2, n_o=3 holds 28 coefficients
+    with pytest.raises(ValueError, match="exceeds 27 symbols"):
+        CoefficientTable.random(2, 3, seed=0)
+    monkeypatch.undo()
+    monkeypatch.setattr(fock, "MAX_SYMBOLS", 28)
+    assert len(CoefficientTable.random(2, 3, seed=0).alpha) == 14
+    # separated tables hold d * n_o values per side, file tables only their entries
+    assert len(CoefficientTable.separated_random(20, 6, seed=0).alpha) == 120
+    sparse = CoefficientTable.from_json_obj({"d": 10**6, "n_o": 6, "alpha": {"1,2": 1}})
+    assert sparse.alpha == {(1, 2): 1}
 
 
 def test_separated_table_vanishes_off_diagonal():

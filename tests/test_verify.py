@@ -42,6 +42,14 @@ def last_partition_unsubtracted(grid_type):
     return Perturbed
 
 
+def reversed_columns(vm_type):
+    class Reversed(vm_type):
+        def column(self, chi_str):
+            return super().column(chi_str)[::-1]
+
+    return Reversed
+
+
 def first_long_block_reversed(plan_for_blocks):
     def perturbed(blocks):
         plan = list(plan_for_blocks(blocks))
@@ -88,10 +96,12 @@ def without_one_block(family):
         ("lemma67", "lemma67_vector", doubled_vector),
         ("lemma67", "reverse_mixture_plan_for_blocks", first_long_block_reversed),
         ("prop610", "OmegaGrid", doubled_family_sums),
+        ("prop610", "VacuumMoments", reversed_columns),
         ("eq12x", "moment_via_pchi", doubled),
         ("eq12y", "CumulantEngine", doubled_cumulants),
         ("thm65", "bimixture_template", lambda _: reverse_bimixture_template),
         ("thm65", "OmegaGrid", last_partition_unsubtracted),
+        ("thm65", "VacuumMoments", reversed_columns),
         ("thm49", "pchi_by_sigma", without_last),
         ("prop46", "psi", one_block_path),
         ("lemma48", "sigma_chi", identity_permutation),
@@ -164,8 +174,16 @@ def test_fock_suites_build_one_grid_per_table(monkeypatch):
     monkeypatch.setattr(verify, "OmegaGrid", Counted)
     for suite in ("lemma67", "prop610", "thm65"):
         assert verify.run_suite(suite, max_n=4, d=2).passed
-    # symbolic d=2 with n_o = 1..4, random d = 1 and 2 with n_o = 4
-    assert len(built) == len(verify._SHARED) == 6
+    # symbolic d=2 covering every symbolic cell, random d = 1 and 2 with n_o = 4
+    assert len(built) == len(verify._SHARED) == 3
+
+
+def test_verify_refuses_an_oversized_drawn_table_before_any_sweep(monkeypatch):
+    swept = []
+    monkeypatch.setattr(verify, "_SHARED", {})
+    monkeypatch.setattr(verify.VacuumMoments, "_sweep", lambda self, *args: swept.append(args))
+    assert main(["verify", "prop610", "--d", "20", "--max-n", "6"]) == 2
+    assert swept == []
 
 
 def test_run_suite_rejects_max_n_beyond_the_ground_set_limit(monkeypatch):
