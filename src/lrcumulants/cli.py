@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .cumulants import CumulantEngine
 from .deque import (
     ChiWord,
     DequeScenario,
@@ -204,8 +203,10 @@ def cmd_simulate(args) -> RunReport:
 
 
 def _operator_query(args) -> RunReport:
-    """``moment`` or ``cumulant``: the value of one bi-word by the route
-    pair of its suite (prop610 or thm65), checked against the other route."""
+    """``moment`` or ``cumulant``: the value of one bi-word by a first
+    route, checked against a second.  A moment compares prop610's routes;
+    a cumulant compares the Moebius sum with thm65's mixture
+    coefficient."""
     chi = _parse_chi(args.chi)
     omega = _parse_ints(args.omega, "--omega")
     if len(omega) != chi.n:
@@ -220,8 +221,8 @@ def _operator_query(args) -> RunReport:
         check = "operator route equals partition-family route"
         pair = moment_routes(vm, chi.letters, omega)
     else:
-        check = "cumulant recursion equals mixture coefficient"
-        pair = cumulant_routes(table, CumulantEngine(vm), chi.letters, omega)
+        check = "mobius sum equals mixture coefficient"
+        pair = cumulant_routes(vm, chi.letters, omega)
     value, other = (table.rational(v, chi.n) for v in pair)
     report.results["value"] = value
     report.checks.append(Check(check, other, value, value == other))
@@ -299,10 +300,16 @@ _COMMANDS = {
 }
 
 
+#: The parser of :func:`main`, built on its first call and reused.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
     start = time.perf_counter()

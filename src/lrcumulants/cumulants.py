@@ -10,13 +10,19 @@ full family recovers the moment.
 
 When chi is constant the family is the non-crossing lattice and the
 chi-cumulants reduce to the free cumulants.
+
+Two routes evaluate a chi-cumulant: :class:`CumulantEngine` runs the
+recursion, and :func:`mobius_cumulant` sums the Moebius inversion of the
+moment-cumulant formula over NC(n), carried to the family of chi by
+``sigma_chi``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .deque import ChiWord, _chi_str, restriction_data
+from .deque import ChiWord, _chi_str, restriction_data, sigma_chi
+from .partitions import Partition, noncrossing_mobius
 
 MomentFunctional = Callable[[tuple], object]
 CumulantFunctional = Callable[[str, tuple], object]
@@ -83,6 +89,59 @@ def lr_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional) -> 
     :class:`CumulantEngine` and reuse it.
     """
     return CumulantEngine(phi).cumulant(chi, word)
+
+
+#: n -> the Moebius plan of NC(n), filled on first use; at most
+#: MAX_GROUND_SET entries, since NC(n) is refused beyond it.
+_MOBIUS_PLANS: Dict[int, tuple] = {}
+
+
+def _mobius_plan(n: int) -> tuple:
+    """(blocks, terms) for NC(n): ``blocks`` lists every distinct block of
+    a non-crossing partition as a tuple of 0-based slots, and ``terms``
+    holds, per p in NC(n), (mu(p, 1_n), the indices of p's blocks in
+    ``blocks``).  The plan does not depend on chi or on the word."""
+    plan = _MOBIUS_PLANS.get(n)
+    if plan is None:
+        blocks: Dict[Tuple[int, ...], int] = {}
+        terms = []
+        # sigma_chi is the identity for the constant word, so its family,
+        # built in Catalan time, is NC(n)
+        for pblocks in restriction_data("l" * n):
+            slots = [positions for positions, _ in pblocks]
+            p = Partition._unchecked(n, tuple(tuple(m + 1 for m in b) for b in slots))
+            ids = tuple(blocks.setdefault(b, len(blocks)) for b in slots)
+            terms.append((noncrossing_mobius(p), ids))
+        plan = _MOBIUS_PLANS[n] = (tuple(blocks), tuple(terms))
+    return plan
+
+
+def mobius_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional) -> object:
+    """The chi-cumulant of the word under phi, by Moebius inversion.
+
+    sigma_chi is an order isomorphism from NC(n) onto the family of chi
+    (Cor 4.10), so inverting the moment-cumulant formula gives
+    kappa_chi(w) = sum over p in NC(n) of mu(p, 1_n) times the product of
+    phi(w restricted to V) over the blocks V of sigma_chi . p.  Each
+    distinct block's moment is read once; nothing is shared with
+    :class:`CumulantEngine`.
+    """
+    chi = chi if isinstance(chi, ChiWord) else ChiWord(chi)
+    word = tuple(word)
+    if chi.n != len(word):
+        raise ValueError(f"chi has {chi.n} letters but the word has {len(word)} entries")
+    blocks, terms = _mobius_plan(chi.n)
+    image = [m - 1 for m in sigma_chi(chi).images]
+    moments = [
+        phi(tuple([word[q] for q in sorted([image[s] for s in block])])) for block in blocks
+    ]
+    total = 0
+    for mu, ids in terms:
+        prod = mu
+        for j in ids:
+            prod = moments[j] * prod
+        total = total + prod
+    return total
 
 
 def moment_from_cumulants(

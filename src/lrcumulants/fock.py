@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .deque import LEFT, ChiWord, _chi_str, restriction_data
@@ -205,9 +205,10 @@ class PolyScalar:
 # ---------------------------------------------------------------------------
 
 
-# "p" or "p/q" with q > 0: the exact rationals a table file may hold as
-# strings (matched with re.fullmatch, compiled on first use, not at import)
-_RATIONAL = r"[+-]?[0-9]+(/0*[1-9][0-9]*)?"
+# "p" or "p/q" with q > 0 in ASCII digits: the exact rationals a table file
+# may hold as strings (matched with re.fullmatch, compiled on first use, not
+# at import)
+_RATIONAL = r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?"
 # the one spelling of an index word as a table-file key: "1", "2,1,3"
 _WORD_KEY = r"[1-9][0-9]*(,[1-9][0-9]*)*"
 
@@ -231,28 +232,33 @@ def _check_dense_size(d: int, n_o: int, kind: str) -> None:
         )
 
 
-def _exact(value, where: str) -> Fraction:
-    """A table value as a Fraction: an int, a Fraction, or a "p/q" string.
-    Floats, bools and anything else are not exact and are rejected."""
-    if isinstance(value, str) and re.fullmatch(_RATIONAL, value):
-        return Fraction(value)
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValueError(f"{where} must be an integer or a 'p/q' string, got {value!r}")
-
-
-def _checked(name: str, table: Mapping, d: int, n_o: int) -> Dict[Word, Fraction]:
-    """The non-zero entries of one concrete coefficient map, validated."""
+def _checked(name: str, table: Mapping, d: int, n_o: int) -> Dict[Word, Tuple[int, int]]:
+    """The non-zero entries of one concrete coefficient map, validated, as
+    (numerator, denominator) pairs in lowest terms.  A value is an int, a
+    Fraction, or a "p/q" string, which is split and reduced without
+    building a Fraction; floats, bools and anything else are not exact and
+    are rejected."""
+    rational = re.compile(_RATIONAL).fullmatch
     cleaned = {}
     for word, value in table.items():
         word = tuple(word)
         if not word or len(word) > n_o:
             raise ValueError(f"{name} entry {word} outside word lengths 1..{n_o}")
-        if any(not 1 <= i <= d for i in word):
+        if min(word) < 1 or max(word) > d:
             raise ValueError(f"{name} entry {word} has letters outside 1..{d}")
-        value = _exact(value, f"{name} entry {word}")
-        if value:
-            cleaned[word] = value
+        if isinstance(value, str) and rational(value):
+            num, _, den = value.partition("/")
+            num, den = int(num), int(den or 1)
+            g = gcd(num, den)
+            num, den = num // g, den // g
+        elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            num, den = value.numerator, value.denominator
+        else:
+            raise ValueError(
+                f"{name} entry {word} must be an integer or a 'p/q' string, got {value!r}"
+            )
+        if num:
+            cleaned[word] = num, den
     return cleaned
 
 
@@ -306,11 +312,11 @@ class CoefficientTable:
                 _checked(name, table or {}, d, n_o)
                 for name, table in (("alpha", alpha), ("beta", beta))
             ]
-            scale = lcm(*(v.denominator for table in rationals for v in table.values()))
+            scale = lcm(*{den for table in rationals for _, den in table.values()})
             stored = [
                 {
-                    word: v.numerator * (scale // v.denominator) * scale ** (len(word) - 1)
-                    for word, v in table.items()
+                    word: num * (scale // den) * scale ** (len(word) - 1)
+                    for word, (num, den) in table.items()
                 }
                 for table in rationals
             ]

@@ -8,6 +8,7 @@ as dictionary keys.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 #: Enumeration functions reject n above this bound (Bell(11) = 678570
@@ -225,6 +226,37 @@ def enumerate_noncrossing(n: int) -> List[Partition]:
             p for p in enumerate_partitions(n) if is_noncrossing(p)
         )
     return list(family)
+
+
+def noncrossing_mobius(p: Partition) -> int:
+    """mu(p, 1_n) in the lattice NC(n), for a non-crossing partition p.
+
+    The interval [p, 1_n] is isomorphic to the product of NC(|C|) over the
+    cycles C of the Kreweras complement p^-1 gamma, gamma = (1 2 ... n),
+    reading each block of p as one cycle in increasing order; so mu(p, 1_n)
+    is the product of (-1)**(|C| - 1) Catalan(|C| - 1) over those cycles
+    (Nica and Speicher, Lectures on the Combinatorics of Free Probability,
+    Lectures 9-11).
+    """
+    n = p.n
+    # pred[m] = p^-1(m), the previous element of m's block, cyclically
+    pred = [0] * (n + 1)
+    for block in p.blocks:
+        for prev, m in zip(block[-1:] + block[:-1], block):
+            pred[m] = prev
+    mu = 1
+    seen = [False] * (n + 1)
+    for start in range(1, n + 1):
+        length = 0
+        m = start
+        while not seen[m]:
+            seen[m] = True
+            length += 1
+            m = pred[m % n + 1]  # p^-1(gamma(m))
+        if length:
+            k = length - 1
+            mu *= (-1) ** k * (comb(2 * k, k) // (k + 1))
+    return mu
 
 
 def leq(p: Partition, q: Partition) -> bool:

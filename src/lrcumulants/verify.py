@@ -17,7 +17,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .cumulants import CumulantEngine, is_combinatorially_bifree_upto
+from .cumulants import CumulantEngine, is_combinatorially_bifree_upto, mobius_cumulant
 from .deque import (
     ChiWord,
     DequeScenario,
@@ -397,15 +397,14 @@ def moment_routes(vm: VacuumMoments, chi_str: str, omega: Tuple[int, ...]) -> tu
     return vm(tuple(zip(omega, chi_str))), moment_via_pchi(omega, chi_str, vm.table)
 
 
-def cumulant_routes(
-    table: CoefficientTable, engine: CumulantEngine, chi_str: str, omega: Tuple[int, ...]
-) -> tuple:
-    """Thm 6.5's two routes to the chi-cumulant of the bi-word
-    (omega, chi): the cumulant recursion, the mixture coefficient."""
+def cumulant_routes(vm: VacuumMoments, chi_str: str, omega: Tuple[int, ...]) -> tuple:
+    """Two routes to the chi-cumulant of the bi-word (omega, chi): the
+    Moebius sum over NC(n) of the moments in ``vm``, and Thm 6.5's mixture
+    coefficient in ``vm.table``."""
     kind, order = bimixture_template(chi_str)
     return (
-        engine.cumulant(chi_str, tuple(zip(omega, chi_str))),
-        table.coeff(kind, tuple(omega[p] for p in order)),
+        mobius_cumulant(chi_str, tuple(zip(omega, chi_str)), vm),
+        vm.table.coeff(kind, tuple(omega[p] for p in order)),
     )
 
 

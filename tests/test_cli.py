@@ -2,6 +2,7 @@
 
 import json
 
+import lrcumulants.cli as cli
 from lrcumulants.cli import main
 from lrcumulants.fock import CoefficientTable
 
@@ -91,6 +92,7 @@ def test_cumulant_symbolic_is_single_symbol(capsys):
     code, out, _ = run(capsys, "cumulant", "--chi", "lrlr", "--omega", "1,2,1,2", "--symbolic")
     assert code == 0
     assert "value: b[1,1,2,2]" in out
+    assert "ok   mobius sum equals mixture coefficient: b[1,1,2,2]" in out
     assert "status: pass" in out
 
 
@@ -133,6 +135,11 @@ def test_moment_invalid_table_is_io_error(tmp_path, capsys):
         '{"d": 2, "n_o": 2, "alpha": {" 2": "1/2"}}',
         '{"d": 2, "n_o": 2, "alpha": {"+1": "1/2"}}',
         '{"d": 2, "n_o": 2, "alpha": {"1_1": "1/2"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1": "1/-2"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1": "1/2 "}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1": "1//2"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1": "\\u0663"}}',  # a digit int() would accept
+        '{"d": 2, "n_o": 2, "alpha": {"1": "1/\\u0663"}}',
     ):
         path.write_text(text)
         code, _, err = run(capsys, "moment", "--chi", "lr", "--omega", "1,2", "--table", str(path))
@@ -234,3 +241,33 @@ def test_output_is_deterministic(capsys):
     _, t1, _ = run(capsys, "enumerate", "pchi", "--n", "5", "--chi", "rllrl")
     _, t2, _ = run(capsys, "enumerate", "pchi", "--n", "5", "--chi", "rllrl")
     assert t1 == t2
+
+
+def test_each_call_parses_as_in_a_fresh_process(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(CoefficientTable.random(2, 3, seed=1).to_json()))
+    calls = [
+        ["cumulant", "--chi", "lrl", "--omega", "1,2,2", "--symbolic", "--d", "2"],
+        ["cumulant", "--chi", "lrl", "--omega", "1,2,2", "--table", str(path)],
+        ["moment", "--chi", "lr", "--omega", "1,2", "--table", str(path), "--symbolic"],
+        ["moment", "--chi", "lr"],  # --omega is required
+        ["moment", "--chi", "rl", "--omega", "2,1", "--table", str(path)],
+        ["enumerate", "noncrossing", "--n", "3"],
+    ]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)  # as in a new process
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0]
+
+    build_parser = cli.build_parser
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert len(built) == 1  # one parser, reused by every call

@@ -4,16 +4,32 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
+import json
+from math import comb
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lrcumulants.cumulants as cumulants
+from lrcumulants.cli import main
 from lrcumulants.cumulants import (
     CumulantEngine,
     free_cumulant,
     is_combinatorially_bifree_upto,
     lr_cumulant,
+    mobius_cumulant,
     moment_from_cumulants,
 )
 from lrcumulants.fock import CoefficientTable, PolyScalar, VacuumMoments
+from lrcumulants.partitions import (
+    Permutation,
+    enumerate_noncrossing,
+    leq,
+    noncrossing_mobius,
+    one_block,
+    singletons,
+)
 from lrcumulants.verify import shared
 
 
@@ -190,3 +206,102 @@ def test_bifree_detects_injected_mixed_coefficient():
         table.rational(v, 2) for chi, idx, v in violations if (chi, idx) == ("ll", (1, 2))
     ]
     assert witness == [Fraction(1)]
+
+
+# -- the Moebius route ----------------------------------------------------------------
+
+
+def catalan(k):
+    return comb(2 * k, k) // (k + 1)
+
+
+def test_noncrossing_mobius_sums_to_zero_below_the_top():
+    for n in range(1, 9):
+        family = enumerate_noncrossing(n)
+        assert sum(noncrossing_mobius(p) for p in family) == (1 if n == 1 else 0)
+        assert noncrossing_mobius(singletons(n)) == (-1) ** (n - 1) * catalan(n - 1)
+        assert noncrossing_mobius(one_block(n)) == 1
+
+
+def test_kreweras_mobius_equals_the_recursion_down_from_the_top():
+    # mu(1_n, 1_n) = 1 and mu(p, 1_n) = -sum of mu(q, 1_n) over q > p
+    for n in range(1, 7):
+        family = enumerate_noncrossing(n)
+        mu = {}
+        for p in sorted(family, key=lambda p: p.block_count()):
+            above = [q for q in family if q != p and leq(p, q)]
+            mu[p] = 1 if not above else -sum(mu[q] for q in above)
+        assert all(noncrossing_mobius(p) == mu[p] for p in family), n
+
+
+def mobius_mismatches(phi, cases):
+    """The (chi, word) cases on which the Moebius sum and the recursion
+    disagree."""
+    engine = CumulantEngine(phi)
+    return [
+        (chi, word) for chi, word in cases
+        if mobius_cumulant(chi, word, phi) != engine.cumulant(chi, word)
+    ]
+
+
+def formal_cases(max_n):
+    return [(chi, tuple(range(1, n + 1))) for n in range(1, max_n + 1) for chi in all_chi(n)]
+
+
+def test_mobius_sum_equals_the_recursion_on_formal_moments():
+    assert mobius_mismatches(formal_functional, formal_cases(6)) == []
+
+
+def test_mobius_sum_rejects_a_length_mismatch():
+    with pytest.raises(ValueError):
+        mobius_cumulant("lr", (1, 2, 3), formal_functional)
+    with pytest.raises(ValueError):
+        mobius_cumulant("lx", (1, 2), formal_functional)
+
+
+@st.composite
+def operator_cases(draw, n_values):
+    n = draw(st.sampled_from(n_values))
+    chi = draw(st.text("lr", min_size=n, max_size=n))
+    omega = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    return chi, tuple(zip(omega, chi))
+
+
+@settings(max_examples=12, deadline=None)
+@given(operator_cases((7, 8)), st.integers(0, 10**6))
+def test_mobius_sum_equals_the_recursion_on_a_random_table(case, seed):
+    vm = VacuumMoments(CoefficientTable.random(2, 8, seed))
+    assert mobius_mismatches(vm, [case]) == []
+
+
+@settings(max_examples=4, deadline=None)
+@given(operator_cases((7, 8)))
+def test_mobius_sum_equals_the_recursion_on_the_symbolic_table(case):
+    vm = VacuumMoments(CoefficientTable.symbolic(2, 8))
+    assert mobius_mismatches(vm, [case]) == []
+
+
+def unsigned_mobius(p):
+    return abs(noncrossing_mobius(p))
+
+
+def identity_sigma(chi):
+    return Permutation.identity(chi.n)
+
+
+@pytest.mark.parametrize(
+    "name, defect",
+    [("noncrossing_mobius", unsigned_mobius), ("sigma_chi", identity_sigma)],
+)
+def test_mobius_route_fails_under_an_injected_defect(name, defect, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cumulants, name, defect)
+    monkeypatch.setattr(cumulants, "_MOBIUS_PLANS", {})  # plans built under the defect
+    # for n <= 3 every family is NC(n), so sigma_chi matters from n = 4 on
+    assert mobius_mismatches(formal_functional, formal_cases(4))
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(CoefficientTable.random(2, 4, 0).to_json()))
+    for source in (["--symbolic"], ["--table", str(path)]):
+        code = main(["cumulant", "--chi", "lrlr", "--omega", "1,2,1,2", *source])
+        out = capsys.readouterr().out
+        assert code == 1, source
+        assert "FAIL mobius sum equals mixture coefficient" in out

@@ -489,6 +489,26 @@ def test_table_json_round_trip(tmp_path):
     assert sym_table.to_json() == sym_obj
 
 
+def test_table_files_reproduce_drawn_tables(tmp_path):
+    path = tmp_path / "table.json"
+    for d, n_o, seed in ((1, 4, 0), (2, 3, 1), (2, 7, 2), (3, 3, 3), (2, 5, 4)):
+        table = CoefficientTable.random(d, n_o, seed)
+        path.write_text(json.dumps(table.to_json()))
+        loaded = CoefficientTable.from_file(str(path))
+        assert (loaded.alpha, loaded.beta, loaded.scale) == (table.alpha, table.beta, table.scale)
+
+
+def test_unreduced_fraction_strings_load_reduced(tmp_path):
+    path = tmp_path / "table.json"
+    loaded = []
+    for half, value in (("1/2", "-3/4"), ("2/4", "-6/8"), ("+0002/004", "-003/4")):
+        path.write_text(json.dumps({"d": 1, "n_o": 2, "alpha": {"1": half}, "beta": {"1,1": value}}))
+        table = CoefficientTable.from_file(str(path))
+        loaded.append((table.alpha, table.beta, table.scale))
+    # graded: 1/2 * 4 and -3/4 * 4**2
+    assert loaded[0] == loaded[1] == loaded[2] == ({(1,): 2}, {(1, 1): -12}, 4)
+
+
 def test_symbolic_table_stores_one_symbol_per_word():
     table = CoefficientTable.symbolic(3, 2)
     assert table.coeff("a", (1, 2)) == PolyScalar.symbol("a", (1, 2))
