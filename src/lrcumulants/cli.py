@@ -24,9 +24,9 @@ from .deque import (
     simulate,
     standings_partitions,
 )
-from .fock import CoefficientTable, PolyScalar, VacuumMoments
+from .fock import CoefficientTable, PolyScalar, VacuumMoments, _check_dense_size
 from .lukasiewicz import LukPath, enumerate_luk
-from .partitions import enumerate_noncrossing, enumerate_partitions
+from .partitions import _check_ground_set, enumerate_noncrossing, enumerate_partitions
 from .verify import SUITES, Check, cumulant_routes, moment_routes, run_suite
 
 
@@ -137,15 +137,20 @@ def _parse_ints(text: str, what: str) -> tuple:
 
 
 def _load_table(args, n: int, omega: tuple) -> CoefficientTable:
+    """The query's table.  A word longer than ``MAX_GROUND_SET`` is refused
+    before a table is built, after a symbolic table too large to build."""
     if args.table and (args.symbolic or args.d is not None):
         raise UsageError("--table excludes --symbolic and --d: a table file sets its own d")
     if args.table:
+        _check_ground_set(n)
         try:
             table = CoefficientTable.from_file(args.table)
         except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as err:
             raise TableError(f"cannot load table {args.table}: {err}") from err
     else:  # default to the symbolic model
         d = args.d if args.d is not None else max(omega)
+        _check_dense_size(d, n, "symbolic")
+        _check_ground_set(n)
         table = CoefficientTable.symbolic(d, n)
     if any(not 1 <= i <= table.d for i in omega):
         raise UsageError(f"omega letters must lie in 1..{table.d}")

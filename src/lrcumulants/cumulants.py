@@ -116,6 +116,18 @@ def _mobius_plan(n: int) -> tuple:
     return plan
 
 
+def sigma_nc_plan(chi: ChiWord) -> Tuple[List[List[int]], tuple]:
+    """The plan of :func:`_mobius_plan` carried to the family of chi: each
+    distinct block of NC(n) mapped through sigma_chi, as ascending 0-based
+    positions, and the plan's terms unchanged.  As p runs over NC(n),
+    sigma_chi . p runs over the family of chi (Thm 4.9), so a sum over the
+    family is the sum over the terms of the products of these blocks'
+    values."""
+    blocks, terms = _mobius_plan(chi.n)
+    image = [m - 1 for m in sigma_chi(chi).images]
+    return [sorted([image[s] for s in block]) for block in blocks], terms
+
+
 def mobius_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional) -> object:
     """The chi-cumulant of the word under phi, by Moebius inversion.
 
@@ -130,11 +142,8 @@ def mobius_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional)
     word = tuple(word)
     if chi.n != len(word):
         raise ValueError(f"chi has {chi.n} letters but the word has {len(word)} entries")
-    blocks, terms = _mobius_plan(chi.n)
-    image = [m - 1 for m in sigma_chi(chi).images]
-    moments = [
-        phi(tuple([word[q] for q in sorted([image[s] for s in block])])) for block in blocks
-    ]
+    blocks, terms = sigma_nc_plan(chi)
+    moments = [phi(tuple([word[q] for q in positions])) for positions in blocks]
     total = 0
     for mu, ids in terms:
         prod = mu

@@ -26,7 +26,9 @@ from itertools import accumulate, product
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .cumulants import sigma_nc_plan
 from .deque import LEFT, ChiWord, _chi_str, restriction_data
+from .partitions import _check_ground_set
 
 Word = Tuple[int, ...]
 Symbol = Tuple[str, Word]  # ("a" | "b", index word)
@@ -744,11 +746,13 @@ CWord = Tuple[Tuple[int, str], ...]  # ((index, side), ...)
 class VacuumMoments:
     """Vacuum moments of products of canonical operators.
 
-    Callable on a word of (index, side) pairs, memoized; :meth:`column`
-    sweeps every index word for one chi word.  Moments are evaluated by
-    applying the operators to the vacuum right-to-left; since every
-    canonical operator lowers word length by at most one, intermediate
-    words longer than the number of operators still to come are dropped.
+    Callable on a word of (index, side) pairs, memoized;
+    :meth:`sweep_subwords` memoizes every sub-word of one word, and
+    :meth:`column` sweeps every index word for one chi word.  Moments are
+    evaluated by applying the operators to the vacuum right-to-left; since
+    every canonical operator lowers word length by at most one,
+    intermediate words longer than the number of operators still to come
+    are dropped.
     """
 
     def __init__(self, table: CoefficientTable):
@@ -772,6 +776,29 @@ class VacuumMoments:
             value = self._memo[cword] = self._sweep(chi, tuple((i,) for i, _ in cword))[0]
         return value
 
+    def sweep_subwords(self, cword: CWord) -> None:
+        """Put the moment of every non-empty sub-word of cword in the memo,
+        from one depth-first sweep from the right end.
+
+        The state of a set S of positions is the state of S without its
+        leftmost position j with the operator at j applied, keeping the
+        words of length <= j, the bound the sweep of the whole word uses
+        at j; so each of the 2**n - 1 sub-words costs one operator
+        application.
+        """
+        _check_ground_set(len(cword))
+        self._check(cword)
+        memo = self._memo
+
+        def descend(top: int, key: CWord, vec: FockVector) -> None:
+            for j in range(top):
+                sub = (cword[j],) + key
+                state = self._apply(vec, *cword[j], j)
+                memo[sub] = state.get(VACUUM, 0)
+                descend(j, sub, state)
+
+        descend(len(cword), (), vacuum_vector())
+
     def column(self, chi_str: str) -> list:
         """The vacuum moment of the bi-word (omega, chi) at every omega in
         [d]^len(chi), in ``itertools.product`` order."""
@@ -793,6 +820,8 @@ class VacuumMoments:
         out: FockVector = {}
         for z, c in vec.items():
             length = len(z)
+            if length > max_len + 1:  # every word it is sent to is longer
+                continue
             if length:  # annihilation-only branch
                 if left:
                     if z[0] == i:
@@ -857,11 +886,7 @@ def moment_via_pchi(omega: Word, chi: "ChiWord | str", table: CoefficientTable):
     product of the mixtures of the restricted bi-words of its blocks.
     """
     chi_str = _chi_str(chi)
-    omega = tuple(omega)
-    if len(omega) != len(chi_str):
-        raise ValueError("index word and chi word lengths differ")
-    if any(not 1 <= i <= table.d for i in omega):
-        raise ValueError(f"index word {list(omega)} has letters outside 1..{table.d}")
+    omega = _index_word(omega, chi_str, table)
     coeff = table.coeff
     total = 0
     for pblocks in mixture_plan(chi_str):
@@ -875,6 +900,42 @@ def moment_via_pchi(omega: Word, chi: "ChiWord | str", table: CoefficientTable):
         if prod:
             total = total + prod
     return total
+
+
+def moment_via_sigma(omega: Word, chi: "ChiWord | str", table: CoefficientTable):
+    """The family sum of :func:`moment_via_pchi`, over the family of chi
+    read as sigma_chi . NC(n) (Thm 4.9) instead of built by simulation.
+
+    One mixture coefficient per distinct block of NC(n), carried by
+    sigma_chi, then the sum over NC(n) of the products of its blocks'
+    coefficients; the plan of NC(n) is built once per length.
+    """
+    chi = chi if isinstance(chi, ChiWord) else ChiWord(chi)
+    omega = _index_word(omega, chi.letters, table)
+    blocks, terms = sigma_nc_plan(chi)
+    coeff = table.coeff
+    values = []
+    for positions in blocks:
+        kind, order = bimixture_template("".join([chi.letters[q] for q in positions]))
+        values.append(coeff(kind, tuple([omega[positions[j]] for j in order])))
+    total = 0
+    for _, ids in terms:
+        prod = values[ids[0]]
+        for j in ids[1:]:
+            prod = prod * values[j]
+        total = total + prod
+    return total
+
+
+def _index_word(omega: Word, chi_str: str, table: CoefficientTable) -> Word:
+    """omega as a tuple; ValueError unless it has one letter in 1..d per
+    letter of chi."""
+    omega = tuple(omega)
+    if len(omega) != len(chi_str):
+        raise ValueError("index word and chi word lengths differ")
+    if any(not 1 <= i <= table.d for i in omega):
+        raise ValueError(f"index word {list(omega)} has letters outside 1..{table.d}")
+    return omega
 
 
 def _block_plan(template, blocks: Tuple[Tuple[Word, str], ...]):

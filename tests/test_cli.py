@@ -5,6 +5,7 @@ import json
 import lrcumulants.cli as cli
 from lrcumulants.cli import main
 from lrcumulants.fock import CoefficientTable
+from lrcumulants.partitions import MAX_GROUND_SET
 
 
 def run(capsys, *argv):
@@ -175,6 +176,24 @@ def test_symbolic_table_size_is_capped(capsys):
         code, out, err = run(capsys, "moment", *query, "--symbolic")
         assert code == 2
         assert out == "" and message in err
+
+
+def test_an_oversized_query_is_refused_before_any_table_or_sweep(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(CoefficientTable.random(2, 2, seed=0).to_json()))
+    done = []
+    for name in ("_sweep", "_apply", "sweep_subwords"):
+        monkeypatch.setattr(cli.VacuumMoments, name, lambda self, *args: done.append(args))
+    for name in ("symbolic", "from_file"):
+        monkeypatch.setattr(cli.CoefficientTable, name, lambda *args: done.append(args))
+    n = MAX_GROUND_SET + 1
+    query = ("--chi", "lr" * (n // 2), "--omega", ",".join(["1", "2"] * (n // 2)))
+    for command in ("moment", "cumulant"):
+        for source in (("--symbolic",), ("--table", str(path))):
+            code, out, err = run(capsys, command, *query, *source)
+            assert code == 2, (command, source)
+            assert out == "" and f"ground-set size {n} exceeds" in err
+    assert done == []
 
 
 def test_d_with_a_table_file_is_a_usage_error(tmp_path, capsys):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrcumulants import fock, verify
+from lrcumulants import cumulants, fock, verify
+from lrcumulants.cli import main
 from lrcumulants.cumulants import CumulantEngine
 from lrcumulants.deque import ChiWord, DequeScenario, block_data, restriction_data, simulate
 from lrcumulants.fock import (
@@ -25,6 +26,7 @@ from lrcumulants.fock import (
     inner_product,
     lemma67_vector,
     moment_via_pchi,
+    moment_via_sigma,
     reverse_bimixture_symbol,
     reverse_bimixture_template,
     reverse_mixture_plan_for_blocks,
@@ -34,7 +36,7 @@ from lrcumulants.fock import (
     x_op,
 )
 from lrcumulants.lukasiewicz import LukPath, enumerate_luk
-from lrcumulants.partitions import Partition
+from lrcumulants.partitions import Partition, Permutation
 
 
 def sym(kind, *word):
@@ -453,6 +455,161 @@ def test_family_sum_rejects_indices_outside_the_table():
     with pytest.raises(ValueError):
         moment_via_pchi((1, 0), "lr", table)
     assert moment_via_pchi((2,), "l", table) == sym("a", 2)
+    for route in (moment_via_pchi, moment_via_sigma):
+        with pytest.raises(ValueError):
+            route((5,), "l", table)
+        with pytest.raises(ValueError):
+            route((1, 0), "lr", table)
+        with pytest.raises(ValueError):
+            route((1, 2), "l", table)
+        assert route((2,), "l", table) == sym("a", 2)
+
+
+# -- sub-word moments from one sweep; family sums over sigma_chi . NC(n) -----------
+
+
+def bi_words(max_n, d=2):
+    """Every (chi, omega) with 1 <= len(chi) <= max_n and omega in [d]^len(chi)."""
+    return [
+        ("".join(chi), omega)
+        for n in range(1, max_n + 1)
+        for chi in itertools.product("lr", repeat=n)
+        for omega in itertools.product(range(1, d + 1), repeat=n)
+    ]
+
+
+def subword_mismatches(table, cases, defect=None):
+    """The bi-words among cases whose one-sweep memo is not exactly the
+    moment of each of their non-empty sub-words, each swept on its own;
+    ``defect`` wraps the sweeping engine's ``_apply`` only."""
+    reference = VacuumMoments(table)
+    vm = VacuumMoments(table)
+    if defect is not None:
+        vm._apply = defect(vm._apply)
+    bad = []
+    for chi, omega in cases:
+        cword = tuple(zip(omega, chi))
+        vm._memo.clear()
+        vm.sweep_subwords(cword)
+        subs = {
+            sub for k in range(1, len(cword) + 1) for sub in itertools.combinations(cword, k)
+        }
+        if vm._memo != {sub: reference(sub) for sub in subs}:
+            bad.append(cword)
+    return bad
+
+
+def sigma_sum_mismatches(table, cases):
+    """The (chi, omega) among cases where the family sum over
+    sigma_chi . NC(n) differs from the sum over the simulated family."""
+    return [
+        (chi, omega) for chi, omega in cases
+        if moment_via_sigma(omega, chi, table) != moment_via_pchi(omega, chi, table)
+    ]
+
+
+ROUTE_TABLES = [CoefficientTable.random(2, 6, 4), CoefficientTable.symbolic(2, 6)]
+
+
+@pytest.mark.parametrize("table", ROUTE_TABLES, ids=lambda t: t.mode)
+def test_one_sweep_gives_the_moment_of_every_sub_word(table):
+    assert subword_mismatches(table, bi_words(6)) == []
+
+
+@pytest.mark.parametrize("table", ROUTE_TABLES, ids=lambda t: t.mode)
+def test_sigma_family_sum_equals_the_simulated_family_sum(table):
+    assert sigma_sum_mismatches(table, bi_words(6)) == []
+
+
+def test_an_operator_keeps_no_word_longer_than_its_bound():
+    vm = VacuumMoments(CoefficientTable.symbolic(2, 3))
+    vec = {z: 1 for n in range(6) for z in itertools.product((1, 2), repeat=n)}
+    for i, h, max_len in itertools.product((1, 2), "lr", range(5)):
+        out = vm._apply(vec, i, h, max_len)
+        short = {z: c for z, c in vec.items() if len(z) <= max_len + 1}
+        assert out and out == vm._apply(short, i, h, max_len)
+        assert max(map(len, out)) <= max_len
+
+
+def test_sub_word_sweep_rejects_what_a_moment_rejects():
+    vm = VacuumMoments(CoefficientTable.symbolic(2, 2))
+    for cword in (((5, "l"),), ((1, "x"),), ((1, "l"),) * 12):
+        with pytest.raises(ValueError):
+            vm.sweep_subwords(cword)
+    assert vm._memo == {}
+
+
+@st.composite
+def long_bi_words(draw):
+    n = draw(st.integers(7, 9))
+    chi = draw(st.text("lr", min_size=n, max_size=n))
+    return chi, tuple(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(long_bi_words(), st.integers(0, 10**6))
+def test_moment_routes_agree_on_sampled_long_bi_words(case, seed):
+    chi, omega = case
+    table = CoefficientTable.random(2, 9, seed)
+    cword = tuple(zip(omega, chi))
+    value = VacuumMoments(table)(cword)
+    swept = VacuumMoments(table)
+    swept.sweep_subwords(cword)
+    assert swept._memo[cword] == value
+    assert moment_via_pchi(omega, chi, table) == value
+    assert moment_via_sigma(omega, chi, table) == value
+    if len(chi) == 7:
+        grid = OmegaGrid(swept)
+        assert grid.moments(chi)[grid.omegas(7).index(omega)] == value
+
+
+def identity_sigma(chi):
+    return Permutation.identity(chi.n)
+
+
+def lowered_bound(apply):
+    """_apply keeping words one letter shorter than asked."""
+    return lambda *args: apply(*args[:-1], args[-1] - 1)
+
+
+def second_application_skipped(apply):
+    """_apply returning its input unchanged on its second call: one
+    subset's operator is left out of that subset and of every subset built
+    on it."""
+    calls = itertools.count()
+    return lambda *args: dict(args[-4]) if next(calls) == 1 else apply(*args)
+
+
+def table_file(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(CoefficientTable.random(2, 4, 0).to_json()))
+    return str(path)
+
+
+def test_sigma_family_sum_fails_under_an_identity_sigma(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cumulants, "sigma_chi", identity_sigma)
+    # for n <= 3 every family is NC(n), so sigma_chi matters from n = 4 on
+    assert sigma_sum_mismatches(CoefficientTable.random(2, 4, 0), bi_words(4))
+    for source in (["--symbolic"], ["--table", table_file(tmp_path)]):
+        code = main(["moment", "--chi", "lrlr", "--omega", "1,2,1,2", *source])
+        out = capsys.readouterr().out
+        assert code == 1, source
+        assert "FAIL operator route equals partition-family route" in out
+
+
+@pytest.mark.parametrize("defect", [lowered_bound, second_application_skipped])
+def test_sub_word_sweep_fails_under_an_injected_defect(defect, monkeypatch, tmp_path, capsys):
+    for table in ROUTE_TABLES:
+        assert subword_mismatches(table, bi_words(3), defect)
+    apply = VacuumMoments._apply
+    for source in (["--symbolic"], ["--table", table_file(tmp_path)]):
+        # in a cumulant query the sub-word sweep makes every application;
+        # four distinct operators, so no later subset rewrites a wrong value
+        monkeypatch.setattr(VacuumMoments, "_apply", defect(apply))
+        code = main(["cumulant", "--chi", "lrlr", "--omega", "1,2,2,1", *source])
+        out = capsys.readouterr().out
+        assert code == 1, source
+        assert "FAIL mobius sum equals mixture coefficient" in out
 
 
 def test_moment_columns_equal_the_single_word_values():
