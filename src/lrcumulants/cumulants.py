@@ -19,6 +19,7 @@ moment-cumulant formula over NC(n), carried to the family of chi by
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .deque import ChiWord, _chi_str, restriction_data, sigma_chi
@@ -91,41 +92,110 @@ def lr_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional) -> 
     return CumulantEngine(phi).cumulant(chi, word)
 
 
-#: n -> the Moebius plan of NC(n), filled on first use; at most
-#: MAX_GROUND_SET entries, since NC(n) is refused beyond it.
-_MOBIUS_PLANS: Dict[int, tuple] = {}
+#: n -> the plan of NC(n), filled on first use; at most MAX_GROUND_SET
+#: entries, since NC(n) is refused beyond it.
+_MOBIUS_PLANS: Dict[int, "NCPlan"] = {}
+
+#: A sum over NC(n) as a DAG, children first: per node, its weight and its
+#: (block id, child node) edges; the root is the last node.
+Dag = Tuple[Tuple[object, Tuple[Tuple[int, int], ...]], ...]
 
 
-def _mobius_plan(n: int) -> tuple:
-    """(blocks, terms) for NC(n): ``blocks`` lists every distinct block of
-    a non-crossing partition as a tuple of 0-based slots, and ``terms``
-    holds, per p in NC(n), (mu(p, 1_n), the indices of p's blocks in
-    ``blocks``).  The plan does not depend on chi or on the word."""
+class NCPlan:
+    """The sums over NC(n) of a weight times a product over blocks.
+
+    ``blocks`` lists every distinct block of a non-crossing partition of n
+    as a tuple of 0-based slots.  A sum over p in NC(n) of w(p) times the
+    product of m[V] over the blocks V of p is a DAG over these blocks:
+    each p's block ids, ordered by block minimum, are a path in a prefix
+    trie with w(p) at its leaf, and identical sub-tries (the same leaf
+    weight and the same (block, child) edges) are one node, so equal
+    sub-sums are computed once.  ``mobius`` weights p by mu(p, 1_n) and
+    ``unit`` by 1; each is built on first use.  Nothing depends on chi or
+    on the word.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._ids: Dict[Tuple[int, ...], int] = {}
+        # sigma_chi is the identity for the constant word, so its family,
+        # built in Catalan time, is NC(n); blocks come sorted by minimum
+        for pblocks in restriction_data("l" * n):
+            for positions, _ in pblocks:
+                self._ids.setdefault(positions, len(self._ids))
+        self.blocks = tuple(self._ids)
+
+    @cached_property
+    def mobius(self) -> Dag:
+        one_based = {block: tuple([m + 1 for m in block]) for block in self.blocks}
+
+        def mu(slots):
+            p = Partition._unchecked(self.n, tuple([one_based[block] for block in slots]))
+            return noncrossing_mobius(p)
+
+        return self._dag(mu)
+
+    @cached_property
+    def unit(self) -> Dag:
+        return self._dag(lambda slots: 1)
+
+    def _dag(self, weigh: Callable[[list], object]) -> Dag:
+        trie: dict = {}  # block id -> sub-trie; None -> the leaf's weight
+        for pblocks in restriction_data("l" * self.n):
+            slots = [positions for positions, _ in pblocks]
+            node = trie
+            for block in slots:
+                node = node.setdefault(self._ids[block], {})
+            node[None] = weigh(slots)
+        nodes: list = []
+        index: Dict[tuple, int] = {}
+
+        def intern(node: dict) -> int:
+            weight = node.pop(None, 0)
+            key = (weight, tuple(sorted([(b, intern(child)) for b, child in node.items()])))
+            found = index.get(key)
+            if found is None:
+                found = index[key] = len(nodes)
+                nodes.append(key)
+            return found
+
+        intern(trie)
+        return tuple(nodes)
+
+
+def _mobius_plan(n: int) -> NCPlan:
+    """The :class:`NCPlan` of NC(n), built once per length."""
     plan = _MOBIUS_PLANS.get(n)
     if plan is None:
-        blocks: Dict[Tuple[int, ...], int] = {}
-        terms = []
-        # sigma_chi is the identity for the constant word, so its family,
-        # built in Catalan time, is NC(n)
-        for pblocks in restriction_data("l" * n):
-            slots = [positions for positions, _ in pblocks]
-            p = Partition._unchecked(n, tuple(tuple(m + 1 for m in b) for b in slots))
-            ids = tuple(blocks.setdefault(b, len(blocks)) for b in slots)
-            terms.append((noncrossing_mobius(p), ids))
-        plan = _MOBIUS_PLANS[n] = (tuple(blocks), tuple(terms))
+        plan = _MOBIUS_PLANS[n] = NCPlan(n)
     return plan
 
 
-def sigma_nc_plan(chi: ChiWord) -> Tuple[List[List[int]], tuple]:
-    """The plan of :func:`_mobius_plan` carried to the family of chi: each
-    distinct block of NC(n) mapped through sigma_chi, as ascending 0-based
-    positions, and the plan's terms unchanged.  As p runs over NC(n),
-    sigma_chi . p runs over the family of chi (Thm 4.9), so a sum over the
-    family is the sum over the terms of the products of these blocks'
+def dag_sum(dag: Dag, values: Sequence) -> object:
+    """The sum a DAG of :class:`NCPlan` stands for, with values[b] the
+    factor of block b: value[node] = weight + the sum over its edges of
+    values[block] * value[child], children first; the root's value."""
+    out: list = []
+    for weight, edges in dag:
+        total = weight
+        for b, child in edges:
+            term = values[b] * out[child]
+            # an inner node's weight is 0: start from its first term rather
+            # than add it to the int 0, which a PolyScalar would copy
+            total = total + term if total else term
+        out.append(total)
+    return out[-1]
+
+
+def sigma_nc_plan(chi: ChiWord) -> Tuple[List[List[int]], NCPlan]:
+    """The plan of NC(n) for chi: each distinct block of NC(n) mapped
+    through sigma_chi, as ascending 0-based positions, and the plan.  As p
+    runs over NC(n), sigma_chi . p runs over the family of chi (Thm 4.9),
+    so a sum over the family is a sum of the plan with these blocks'
     values."""
-    blocks, terms = _mobius_plan(chi.n)
+    plan = _mobius_plan(chi.n)
     image = [m - 1 for m in sigma_chi(chi).images]
-    return [sorted([image[s] for s in block]) for block in blocks], terms
+    return [sorted([image[s] for s in block]) for block in plan.blocks], plan
 
 
 def mobius_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional) -> object:
@@ -135,22 +205,16 @@ def mobius_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional)
     (Cor 4.10), so inverting the moment-cumulant formula gives
     kappa_chi(w) = sum over p in NC(n) of mu(p, 1_n) times the product of
     phi(w restricted to V) over the blocks V of sigma_chi . p.  Each
-    distinct block's moment is read once; nothing is shared with
-    :class:`CumulantEngine`.
+    distinct block's moment is read once, and the sum is the plan's
+    ``mobius`` DAG; nothing is shared with :class:`CumulantEngine`.
     """
     chi = chi if isinstance(chi, ChiWord) else ChiWord(chi)
     word = tuple(word)
     if chi.n != len(word):
         raise ValueError(f"chi has {chi.n} letters but the word has {len(word)} entries")
-    blocks, terms = sigma_nc_plan(chi)
+    blocks, plan = sigma_nc_plan(chi)
     moments = [phi(tuple([word[q] for q in positions])) for positions in blocks]
-    total = 0
-    for mu, ids in terms:
-        prod = mu
-        for j in ids:
-            prod = moments[j] * prod
-        total = total + prod
-    return total
+    return dag_sum(plan.mobius, moments)
 
 
 def moment_from_cumulants(

@@ -26,7 +26,7 @@ from itertools import accumulate, product
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .cumulants import sigma_nc_plan
+from .cumulants import dag_sum, sigma_nc_plan
 from .deque import LEFT, ChiWord, _chi_str, restriction_data
 from .partitions import _check_ground_set
 
@@ -107,8 +107,11 @@ class PolyScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
+        terms, small = self.terms, other.terms
+        if len(small) > len(terms):  # copy the larger (in C), walk the smaller
+            terms, small = small, terms
+        terms = dict(terms)
+        for mono, c in small.items():
             s = terms.get(mono, 0) + c
             if s:
                 terms[mono] = s
@@ -783,16 +786,26 @@ class VacuumMoments:
         The state of a set S of positions is the state of S without its
         leftmost position j with the operator at j applied, keeping the
         words of length <= j, the bound the sweep of the whole word uses
-        at j; so each of the 2**n - 1 sub-words costs one operator
-        application.
+        at j.  Later leftmost positions are visited first, so the first
+        set to spell a sub-word is its rightmost embedding, whose leftmost
+        position j' is the latest of any set spelling it.  A later set
+        spelling it, with leftmost position j <= j', is skipped with all
+        its extensions: the first set's state kept every word of length
+        <= j', and its extensions by positions left of j' spell every
+        sub-word that the later set's extensions by positions left of j
+        spell.  So each distinct sub-word costs one operator application.
         """
         _check_ground_set(len(cword))
         self._check(cword)
         memo = self._memo
+        swept = set()
 
         def descend(top: int, key: CWord, vec: FockVector) -> None:
-            for j in range(top):
+            for j in range(top - 1, -1, -1):
                 sub = (cword[j],) + key
+                if sub in swept:
+                    continue
+                swept.add(sub)
                 state = self._apply(vec, *cword[j], j)
                 memo[sub] = state.get(VACUUM, 0)
                 descend(j, sub, state)
@@ -908,23 +921,18 @@ def moment_via_sigma(omega: Word, chi: "ChiWord | str", table: CoefficientTable)
 
     One mixture coefficient per distinct block of NC(n), carried by
     sigma_chi, then the sum over NC(n) of the products of its blocks'
-    coefficients; the plan of NC(n) is built once per length.
+    coefficients, evaluated on the plan's ``unit`` DAG; the plan of NC(n)
+    is built once per length.
     """
     chi = chi if isinstance(chi, ChiWord) else ChiWord(chi)
     omega = _index_word(omega, chi.letters, table)
-    blocks, terms = sigma_nc_plan(chi)
+    blocks, plan = sigma_nc_plan(chi)
     coeff = table.coeff
     values = []
     for positions in blocks:
         kind, order = bimixture_template("".join([chi.letters[q] for q in positions]))
         values.append(coeff(kind, tuple([omega[positions[j]] for j in order])))
-    total = 0
-    for _, ids in terms:
-        prod = values[ids[0]]
-        for j in ids[1:]:
-            prod = prod * values[j]
-        total = total + prod
-    return total
+    return dag_sum(plan.unit, values)
 
 
 def _index_word(omega: Word, chi_str: str, table: CoefficientTable) -> Word:

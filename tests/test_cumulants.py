@@ -15,14 +15,18 @@ import lrcumulants.cumulants as cumulants
 from lrcumulants.cli import main
 from lrcumulants.cumulants import (
     CumulantEngine,
+    NCPlan,
+    dag_sum,
     free_cumulant,
     is_combinatorially_bifree_upto,
     lr_cumulant,
     mobius_cumulant,
     moment_from_cumulants,
 )
-from lrcumulants.fock import CoefficientTable, PolyScalar, VacuumMoments
+from lrcumulants.deque import restriction_data
+from lrcumulants.fock import CoefficientTable, PolyScalar, VacuumMoments, moment_via_sigma
 from lrcumulants.partitions import (
+    Partition,
     Permutation,
     enumerate_noncrossing,
     leq,
@@ -257,6 +261,59 @@ def test_mobius_sum_rejects_a_length_mismatch():
         mobius_cumulant("lr", (1, 2, 3), formal_functional)
     with pytest.raises(ValueError):
         mobius_cumulant("lx", (1, 2), formal_functional)
+
+
+def flat_nc_sums(n, values, index):
+    """The sums over NC(n) of mu(p, 1_n), and of 1, times the product of
+    values over p's blocks, one partition at a time."""
+    mobius_total = unit_total = 0
+    for pblocks in restriction_data("l" * n):
+        slots = [positions for positions, _ in pblocks]
+        prod = 1
+        for block in slots:
+            prod = prod * values[index[block]]
+        p = Partition(n, [[m + 1 for m in block] for block in slots])
+        mobius_total = mobius_total + noncrossing_mobius(p) * prod
+        unit_total = unit_total + prod
+    return mobius_total, unit_total
+
+
+def dag_edges(dag):
+    return sum(len(edges) for _, edges in dag)
+
+
+def test_nc_plan_dags_equal_the_flat_sums_over_nc():
+    # one formal symbol per block, so every partition is its own monomial
+    # and a DAG equals the flat sum only if it holds each p once, with its
+    # weight
+    for n in range(1, 9):
+        plan = NCPlan(n)
+        values = [PolyScalar.symbol("a", [m + 1 for m in block]) for block in plan.blocks]
+        index = {block: k for k, block in enumerate(plan.blocks)}
+        assert len(plan.blocks) == 2 ** n - 1
+        assert (dag_sum(plan.mobius, values), dag_sum(plan.unit, values)) == flat_nc_sums(
+            n, values, index
+        ), n
+
+
+def test_nc_plan_dag_edge_counts():
+    # a per-partition loop makes sum over p of |p| products: 1,716 at n = 7
+    plans = [NCPlan(n) for n in range(1, 9)]
+    assert [dag_edges(plan.mobius) for plan in plans] == [1, 3, 9, 27, 74, 201, 524, 1343]
+    assert [dag_edges(plan.unit) for plan in plans] == [1, 3, 8, 20, 48, 112, 256, 576]
+
+
+def test_a_moment_sum_computes_no_mobius_function(monkeypatch):
+    def refuse(p):
+        raise AssertionError("mu computed")
+
+    monkeypatch.setattr(cumulants, "noncrossing_mobius", refuse)
+    monkeypatch.setattr(cumulants, "_MOBIUS_PLANS", {})
+    table = CoefficientTable.random(2, 5, 0)
+    assert moment_via_sigma((1, 2, 2, 1, 2), "lrrlr", table) == VacuumMoments(table)(
+        tuple(zip((1, 2, 2, 1, 2), "lrrlr"))
+    )
+    assert "mobius" not in cumulants._MOBIUS_PLANS[5].__dict__
 
 
 @st.composite

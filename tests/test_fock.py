@@ -539,6 +539,40 @@ def test_sub_word_sweep_rejects_what_a_moment_rejects():
     assert vm._memo == {}
 
 
+def sweep_applications(table, cword):
+    """(operator applications, distinct non-empty sub-words) of one
+    sub-word sweep of cword, after checking that its memo is exactly the
+    moment of every sub-word."""
+    vm = VacuumMoments(table)
+    apply = vm._apply
+    calls = itertools.count()
+
+    def counted(*args):
+        next(calls)
+        return apply(*args)
+
+    vm._apply = counted
+    vm.sweep_subwords(cword)
+    reference = VacuumMoments(table)
+    subs = {sub for k in range(1, len(cword) + 1) for sub in itertools.combinations(cword, k)}
+    assert vm._memo == {sub: reference(sub) for sub in subs}
+    return next(calls), len(subs)
+
+
+def test_each_distinct_sub_word_costs_one_application():
+    table = CoefficientTable.random(2, 8, 0)
+    for chi, omega in bi_words(4):
+        applications, distinct = sweep_applications(table, tuple(zip(omega, chi)))
+        assert applications == distinct, (chi, omega)
+    for n in range(1, 9):
+        # a constant word: the sub-words are the n powers
+        for op in ((1, "l"), (2, "r")):
+            assert sweep_applications(table, (op,) * n) == (n, n)
+        # n distinct operators: all 2**n - 1 sub-words differ
+        cword = tuple(zip(range(1, n + 1), itertools.cycle("lrr")))
+        assert sweep_applications(CoefficientTable.random(n, 2, n), cword) == (2**n - 1,) * 2
+
+
 @st.composite
 def long_bi_words(draw):
     n = draw(st.integers(7, 9))
