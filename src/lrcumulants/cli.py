@@ -53,29 +53,36 @@ class RunReport:
         self.status = "pass" if all(c.ok for c in self.checks) else "fail"
 
 
-def _jsonable(value):
+def _jsonable(value, docs: dict):
+    """``value`` as a JSON document.  ``docs`` maps each symbolic value
+    already turned into JSON for the same report to its document, so a
+    value shown several times is converted once."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, docs) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, PolyScalar):
-        return value.to_json()
+        return {str(k): _jsonable(v, docs) for k, v in value.items()}
+    if isinstance(value, PolyScalar):  # hashed and compared by its terms
+        doc = docs.get(value)
+        if doc is None:
+            doc = docs[value] = value.to_json()
+        return doc
     return str(value)
 
 
 def _render(report: RunReport, as_json: bool, stream) -> None:
     if as_json:
+        docs: dict = {}  # local to this report: nothing is kept across calls
         doc = {
             "command": report.command,
-            "parameters": _jsonable(report.parameters),
+            "parameters": _jsonable(report.parameters, docs),
             "status": report.status,
             "checks": [
                 {
                     "name": c.name,
-                    "expected": _jsonable(c.expected),
-                    "actual": _jsonable(c.actual),
+                    "expected": _jsonable(c.expected, docs),
+                    "actual": _jsonable(c.actual, docs),
                     "ok": c.ok,
                 }
                 for c in report.checks
@@ -83,12 +90,13 @@ def _render(report: RunReport, as_json: bool, stream) -> None:
             "elapsed": round(report.elapsed, 6),
         }
         if report.results:
-            doc["results"] = _jsonable(report.results)
+            doc["results"] = _jsonable(report.results, docs)
         if report.objects is not None:
             doc["objects"] = report.objects
         if report.instances is not None:
             doc["instances"] = report.instances
-        print(json.dumps(doc, indent=2), file=stream)
+        # one line; without indent json uses its C encoder
+        print(json.dumps(doc), file=stream)
         return
     print(f"command: {report.command}", file=stream)
     for key, value in report.parameters.items():
@@ -113,7 +121,7 @@ def _render(report: RunReport, as_json: bool, stream) -> None:
 
 def _text(value) -> str:
     if isinstance(value, (list, tuple, dict)):
-        return json.dumps(_jsonable(value), separators=(",", ":"))
+        return json.dumps(_jsonable(value, {}), separators=(",", ":"))
     return str(value)  # PolyScalar and Fraction render as readable terms
 
 

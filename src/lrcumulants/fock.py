@@ -22,8 +22,9 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, product, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cumulants import dag_sum, sigma_nc_plan
@@ -215,7 +216,7 @@ class PolyScalar:
 # at import)
 _RATIONAL = r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?"
 # the one spelling of an index word as a table-file key: "1", "2,1,3"
-_WORD_KEY = r"[1-9][0-9]*(,[1-9][0-9]*)*"
+_WORD_KEY = r"[1-9][0-9]*(?:,[1-9][0-9]*)*"
 
 #: A symbolic or drawn table holds 2 * (d + d**2 + ... + d**n_o) entries,
 #: whose words hold 2 * (d + 2 d**2 + ... + n_o d**n_o) letters; it is
@@ -237,12 +238,15 @@ def _check_dense_size(d: int, n_o: int, kind: str) -> None:
         )
 
 
-def _checked(name: str, table: Mapping, d: int, n_o: int) -> Dict[Word, Tuple[int, int]]:
+def _checked(
+    name: str, table: Mapping, d: int, n_o: int, reduced: Dict[str, Tuple[int, int]]
+) -> Dict[Word, Tuple[int, int]]:
     """The non-zero entries of one concrete coefficient map, validated, as
     (numerator, denominator) pairs in lowest terms.  A value is an int, a
     Fraction, or a "p/q" string, which is split and reduced without
     building a Fraction; floats, bools and anything else are not exact and
-    are rejected."""
+    are rejected.  ``reduced`` holds the pair of every string reduced
+    earlier in the same load, so each distinct string is reduced once."""
     rational = re.compile(_RATIONAL).fullmatch
     cleaned = {}
     for word, value in table.items():
@@ -251,19 +255,22 @@ def _checked(name: str, table: Mapping, d: int, n_o: int) -> Dict[Word, Tuple[in
             raise ValueError(f"{name} entry {word} outside word lengths 1..{n_o}")
         if min(word) < 1 or max(word) > d:
             raise ValueError(f"{name} entry {word} has letters outside 1..{d}")
-        if isinstance(value, str) and rational(value):
-            num, _, den = value.partition("/")
-            num, den = int(num), int(den or 1)
-            g = gcd(num, den)
-            num, den = num // g, den // g
-        elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            num, den = value.numerator, value.denominator
-        else:
-            raise ValueError(
-                f"{name} entry {word} must be an integer or a 'p/q' string, got {value!r}"
-            )
-        if num:
-            cleaned[word] = num, den
+        # only a str is looked up: a list or a dict read from a file is unhashable
+        pair = reduced.get(value) if isinstance(value, str) else None
+        if pair is None:
+            if isinstance(value, str) and rational(value):
+                num, _, den = value.partition("/")
+                num, den = int(num), int(den or 1)
+                g = gcd(num, den)
+                pair = reduced[value] = num // g, den // g
+            elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+                pair = value.numerator, value.denominator
+            else:
+                raise ValueError(
+                    f"{name} entry {word} must be an integer or a 'p/q' string, got {value!r}"
+                )
+        if pair[0]:
+            cleaned[word] = pair
     return cleaned
 
 
@@ -313,14 +320,19 @@ class CoefficientTable:
                 for kind in (ALPHA, BETA)
             ]
         else:
+            reduced: Dict[str, Tuple[int, int]] = {}
             rationals = [
-                _checked(name, table or {}, d, n_o)
+                _checked(name, table or {}, d, n_o, reduced)
                 for name, table in (("alpha", alpha), ("beta", beta))
             ]
             scale = lcm(*{den for table in rationals for _, den in table.values()})
+            # scale**(len(word) - 1) by length, up to the longest stored word:
+            # a sparse table may declare a huge n_o
+            longest = max(map(len, chain.from_iterable(rationals)), default=1)
+            powers = list(accumulate(repeat(scale, longest - 1), mul, initial=1))
             stored = [
                 {
-                    word: num * (scale // den) * scale ** (len(word) - 1)
+                    word: num * (scale // den) * powers[len(word) - 1]
                     for word, (num, den) in table.items()
                 }
                 for table in rationals
@@ -416,6 +428,7 @@ class CoefficientTable:
             mode = "concrete" if ("alpha" in obj or "beta" in obj) else "symbolic"
 
         word_key = re.compile(_WORD_KEY).fullmatch
+        words: Dict[str, Word] = {}  # every key parsed so far in this load
 
         def parse(name: str) -> Optional[Dict[Word, object]]:
             table = obj.get(name)
@@ -423,12 +436,21 @@ class CoefficientTable:
                 return None
             if not isinstance(table, Mapping):
                 raise ValueError(f"{name} must be a map from index words to rationals")
-            words = {}
+            parsed = {}
             for key, value in table.items():
                 if not word_key(key):
                     raise ValueError(f"{name} key {key!r} is not an index word like '1,2'")
-                words[tuple(map(int, key.split(",")))] = value
-            return words
+                word = words.get(key)
+                if word is None:
+                    head, _, last = key.rpartition(",")
+                    prefix = words.get(head)
+                    if prefix is None:
+                        word = tuple(map(int, key.split(",")))
+                    else:  # the key extends one parsed earlier by a letter
+                        word = prefix + (int(last),)
+                    words[key] = word
+                parsed[word] = value
+            return parsed
 
         return cls(obj["d"], obj["n_o"], mode, parse("alpha"), parse("beta"))
 

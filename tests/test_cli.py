@@ -3,9 +3,11 @@
 import json
 
 import lrcumulants.cli as cli
+from lrcumulants import cumulants
 from lrcumulants.cli import main
-from lrcumulants.fock import CoefficientTable
-from lrcumulants.partitions import MAX_GROUND_SET
+from lrcumulants.fock import CoefficientTable, VacuumMoments
+from lrcumulants.partitions import MAX_GROUND_SET, Permutation
+from lrcumulants.verify import moment_routes
 
 
 def run(capsys, *argv):
@@ -141,10 +143,28 @@ def test_moment_invalid_table_is_io_error(tmp_path, capsys):
         '{"d": 2, "n_o": 2, "alpha": {"1": "1//2"}}',
         '{"d": 2, "n_o": 2, "alpha": {"1": "\\u0663"}}',  # a digit int() would accept
         '{"d": 2, "n_o": 2, "alpha": {"1": "1/\\u0663"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"3": "1"}}',  # a letter above d
+        '{"d": 2, "n_o": 2, "alpha": {"1,2,1": "1"}}',  # a word longer than n_o
+        '{"d": 2, "n_o": 2, "alpha": {"0": "1"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1,,2": "1"}}',
+        '{"d": 2, "n_o": 2, "alpha": {"1,": "1"}}',
     ):
         path.write_text(text)
         code, _, err = run(capsys, "moment", "--chi", "lr", "--omega", "1,2", "--table", str(path))
         assert code == 3, text
+
+
+def test_each_query_reads_its_table_file_again(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    values = []
+    for value in ("1/2", "3/4"):  # same length, so the file's size does not change
+        path.write_text(json.dumps({"d": 1, "n_o": 1, "alpha": {"1": value}}))
+        code, out, _ = run(
+            capsys, "moment", "--chi", "l", "--omega", "1", "--table", str(path), "--json"
+        )
+        assert code == 0
+        values.append(json.loads(out)["results"]["value"])
+    assert values == ["1/2", "3/4"]
 
 
 def test_table_values_are_integers_or_fraction_strings(tmp_path, capsys):
@@ -249,6 +269,37 @@ def test_json_report_schema(capsys):
     assert doc["instances"] == 16
     assert {"name", "expected", "actual", "ok"} <= set(doc["checks"][0])
     assert isinstance(doc["elapsed"], float)
+
+
+def test_a_json_report_is_one_line(capsys):
+    chi, omega = "lrrlrll", (1, 2, 2, 1, 2, 1, 1)
+    code, out, _ = run(
+        capsys, "moment", "--chi", chi, "--omega", ",".join(map(str, omega)),
+        "--symbolic", "--d", "2", "--json",
+    )
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    doc = json.loads(out)
+    value = VacuumMoments(CoefficientTable.symbolic(2, 7))(tuple(zip(omega, chi)))
+    assert len(value.terms) > 1
+    check = doc["checks"][0]
+    assert doc["results"]["value"] == check["actual"] == check["expected"] == value.to_json()
+
+
+def test_a_failing_json_report_shows_both_routes(monkeypatch, capsys):
+    # the injected defect of the sigma_chi rows: the family sum runs over NC(n)
+    monkeypatch.setattr(cumulants, "sigma_chi", lambda chi: Permutation.identity(chi.n))
+    code, out, _ = run(
+        capsys, "moment", "--chi", "lrlr", "--omega", "1,2,1,2", "--symbolic", "--json"
+    )
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    operator, family = moment_routes(
+        VacuumMoments(CoefficientTable.symbolic(2, 4)), "lrlr", (1, 2, 1, 2)
+    )
+    assert check["actual"] == operator.to_json()
+    assert check["expected"] == family.to_json()
+    assert check["expected"] != check["actual"]
 
 
 def test_output_is_deterministic(capsys):

@@ -2,7 +2,12 @@
 
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -797,7 +802,7 @@ def test_concrete_table_stores_graded_ints():
 
 
 def test_table_rejects_inexact_values():
-    for value in (0.5, True, None, "0.5", "1/0", "1 /2", "x"):
+    for value in (0.5, True, None, "0.5", "1/0", "1 /2", "x", [1], {"p": 1}):
         with pytest.raises(ValueError):
             CoefficientTable(1, 1, "concrete", {(1,): value}, {})
         with pytest.raises(ValueError):
@@ -806,6 +811,76 @@ def test_table_rejects_inexact_values():
         {"d": 1, "n_o": 1, "alpha": {"1": "-6/4"}, "beta": {"1": 3}}
     )
     assert table.to_json()["alpha"] == {"1": "-3/2"} and table.to_json()["beta"] == {"1": "3"}
+
+
+def test_a_sparse_file_table_sizes_its_powers_by_its_longest_word(tmp_path):
+    # Powers of the scale up to n_o = 10**6 would take gigabytes, so the
+    # load runs in a child process whose address space is capped.
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"d": 2, "n_o": 10**6, "alpha": {"1,2": "1/3"}}))
+    script = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from lrcumulants.fock import CoefficientTable\n"
+        "start = time.perf_counter()\n"
+        "table = CoefficientTable.from_file(sys.argv[1])\n"
+        "print(time.perf_counter() - start, table.alpha, table.scale)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fock.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    seconds, loaded = done.stdout.split(" ", 1)
+    assert loaded.strip() == "{(1, 2): 3} 3"  # 1/3 graded by 3**2
+    assert float(seconds) < 1.0
+
+
+# spellings of a few rationals, so that drawn maps repeat value strings
+VALUE_SPELLINGS = (
+    "0", "0/5", "-0", "1", "+1", "01", "2/2", "-1", "1/2", "2/4", "-3/4", "-003/4", "6/8",
+    "5", "-7/3", "14/6", "1/12", "-5/6",
+)
+
+
+@st.composite
+def file_objects(draw):
+    """A concrete table's JSON object with keys in any order and values
+    that are ints, Fractions or "p/q" strings, many of them repeated."""
+    d = draw(st.integers(1, 3))
+    n_o = draw(st.integers(1, 4))
+    words = [w for p in range(1, n_o + 1) for w in itertools.product(range(1, d + 1), repeat=p)]
+    values = st.one_of(
+        st.sampled_from(VALUE_SPELLINGS),
+        st.integers(-4, 4),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    )
+    obj = {"d": d, "n_o": n_o}
+    for name in ("alpha", "beta"):
+        entries = draw(st.dictionaries(st.sampled_from(words), values, max_size=30))
+        obj[name] = {",".join(map(str, w)): v for w, v in entries.items()}
+    return obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(file_objects())
+def test_file_values_load_as_the_fractions_they_spell(obj):
+    d, n_o = obj["d"], obj["n_o"]
+    maps = [
+        {tuple(map(int, key.split(","))): Fraction(v) for key, v in obj[name].items()}
+        for name in ("alpha", "beta")
+    ]
+    loaded = CoefficientTable.from_json_obj(obj)
+    reference = CoefficientTable(d, n_o, "concrete", *maps)
+    assert (loaded.alpha, loaded.beta, loaded.scale) == (
+        reference.alpha, reference.beta, reference.scale
+    )
+    scale = math.lcm(*(v.denominator for m in maps for v in m.values() if v))
+    assert loaded.scale == scale
+    assert [loaded.alpha, loaded.beta] == [
+        {w: int(v * scale ** len(w)) for w, v in m.items() if v} for m in maps
+    ]
 
 
 PRIME_DENOMINATORS = (
