@@ -2,11 +2,12 @@
 """Run every verification suite and print a one-line summary per suite.
 
 Default scales finish in seconds; --full runs the acceptance scales.
-On a 2-vCPU Xeon host with Python 3.11 --full took 12.6-13.2 s over two
-runs: lemma67 and prop610 about 4-5 s each, thm65 about 2 s, the five
-combinatorial suites about 1.5 s together (cor410 about 0.5-0.6 s).
-Before thm65's cumulant recursion ran over all of [d]^n at once, the same
-host took 37-40 s, 28-29 s of it in thm65.
+On a 2-vCPU Xeon host with Python 3.11 --full took 9.7-10.1 s over two
+runs: lemma67 about 4.5 s, prop610 about 2.6-2.9 s, thm65 about 0.9 s,
+the five combinatorial suites about 1.5 s together (cor410 about
+0.6 s).  Before prop610's family sums and thm65's cumulant recursion ran
+on the NC(n) DAG it took 12.2-13.1 s (prop610 3.8-4.2 s, thm65 about
+2 s), and before thm65's recursion ran over all of [d]^n at once, 37-40 s.
 """
 
 import argparse

@@ -20,6 +20,7 @@ moment-cumulant formula over NC(n), carried to the family of chi by
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add, mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .deque import ChiWord, _chi_str, restriction_data, sigma_chi
@@ -171,23 +172,46 @@ def _mobius_plan(n: int) -> NCPlan:
     return plan
 
 
+class Column(list):
+    """A value at every index word of one length, for :func:`dag_sum` to
+    evaluate a sum at every index word at once: ``*`` and ``+`` act
+    elementwise, and ``*`` by a non-Column scales every value."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if isinstance(other, Column):
+            return Column(map(mul, self, other))
+        return Column([v * other for v in self])
+
+    __rmul__ = __mul__  # or an int on the left would repeat the list
+
+    def __add__(self, other):
+        return Column(map(add, self, other))
+
+
 def dag_sum(dag: Dag, values: Sequence) -> object:
     """The sum a DAG of :class:`NCPlan` stands for, with values[b] the
-    factor of block b: value[node] = weight + the sum over its edges of
-    values[block] * value[child], children first; the root's value."""
+    factor of block b, a scalar or a :class:`Column`: value[node] =
+    weight + the sum over its edges of values[block] * value[child],
+    children first; the root's value."""
     out: list = []
     for weight, edges in dag:
-        total = weight
+        total = None
         for b, child in edges:
-            term = values[b] * out[child]
-            # an inner node's weight is 0: start from its first term rather
-            # than add it to the int 0, which a PolyScalar would copy
-            total = total + term if total else term
-        out.append(total)
+            sub = out[child]
+            # a child worth the int 1 (every leaf of ``unit``) multiplies
+            # nothing; tested by type, as == on a PolyScalar builds a Fraction
+            term = values[b] if type(sub) is int and sub == 1 else values[b] * sub
+            total = term if total is None else total + term
+        # a leaf has no edges, and an inner node's weight is 0: every
+        # partition's blocks cover all n slots, so no path in the trie is
+        # a proper prefix of another
+        out.append(weight if total is None else total)
     return out[-1]
 
 
-def sigma_nc_plan(chi: ChiWord) -> Tuple[List[List[int]], NCPlan]:
+def sigma_nc_plan(chi: ChiWord) -> Tuple[List[Tuple[int, ...]], NCPlan]:
     """The plan of NC(n) for chi: each distinct block of NC(n) mapped
     through sigma_chi, as ascending 0-based positions, and the plan.  As p
     runs over NC(n), sigma_chi . p runs over the family of chi (Thm 4.9),
@@ -195,7 +219,7 @@ def sigma_nc_plan(chi: ChiWord) -> Tuple[List[List[int]], NCPlan]:
     values."""
     plan = _mobius_plan(chi.n)
     image = [m - 1 for m in sigma_chi(chi).images]
-    return [sorted([image[s] for s in block]) for block in plan.blocks], plan
+    return [tuple(sorted([image[s] for s in block])) for block in plan.blocks], plan
 
 
 def mobius_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional) -> object:

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .cumulants import dag_sum, sigma_nc_plan
+from .cumulants import Column, NCPlan, dag_sum, sigma_nc_plan
 from .deque import LEFT, ChiWord, _chi_str, restriction_data
 from .partitions import _check_ground_set
 
@@ -423,6 +423,9 @@ class CoefficientTable:
         index-word keys and JSON integers or "p/q" strings as values."""
         if not isinstance(obj, Mapping):
             raise ValueError("a table must be a JSON object")
+        missing = [name for name in ("d", "n_o") if name not in obj]
+        if missing:
+            raise ValueError(f"a table must give {' and '.join(missing)}")
         mode = obj.get("mode")
         if mode is None:
             mode = "concrete" if ("alpha" in obj or "beta" in obj) else "symbolic"
@@ -784,13 +787,15 @@ class VacuumMoments:
         self.table = table
         self._memo: Dict[CWord, object] = {}
         # (side, i) -> per prefix length: the non-zero coefficients of the
-        # words ending in i, as (prefix, reversed prefix, value)
+        # words ending in i, as (prefix, reversed prefix, value); sized by
+        # the longest stored word, since a sparse table may declare a huge n_o
         self._creators: Dict[Tuple[str, int], List[List[Tuple[Word, Word, object]]]] = {}
+        longest = max(map(len, chain(table.alpha, table.beta)), default=0)
         for h, stored in (("l", table.alpha), ("r", table.beta)):
             for word, value in stored.items():
                 m = word[:-1]
                 if (h, word[-1]) not in self._creators:
-                    self._creators[h, word[-1]] = [[] for _ in range(table.n_o)]
+                    self._creators[h, word[-1]] = [[] for _ in range(longest)]
                 self._creators[h, word[-1]][len(m)].append((m, m[::-1], value))
 
     def __call__(self, cword: CWord):
@@ -942,19 +947,16 @@ def moment_via_sigma(omega: Word, chi: "ChiWord | str", table: CoefficientTable)
     read as sigma_chi . NC(n) (Thm 4.9) instead of built by simulation.
 
     One mixture coefficient per distinct block of NC(n), carried by
-    sigma_chi, then the sum over NC(n) of the products of its blocks'
-    coefficients, evaluated on the plan's ``unit`` DAG; the plan of NC(n)
-    is built once per length.
+    sigma_chi (:func:`sigma_mixture_plan`), then the sum over NC(n) of the
+    products of its blocks' coefficients, evaluated on the plan's ``unit``
+    DAG; the plan of NC(n) is built once per length.
     """
     chi = chi if isinstance(chi, ChiWord) else ChiWord(chi)
     omega = _index_word(omega, chi.letters, table)
-    blocks, plan = sigma_nc_plan(chi)
+    mixtures, plan = sigma_mixture_plan(chi)
     coeff = table.coeff
-    values = []
-    for positions in blocks:
-        kind, order = bimixture_template("".join([chi.letters[q] for q in positions]))
-        values.append(coeff(kind, tuple([omega[positions[j]] for j in order])))
-    return dag_sum(plan.unit, values)
+    return dag_sum(plan.unit, [coeff(kind, tuple([omega[p] for p in order]))
+                               for kind, order in mixtures])
 
 
 def _index_word(omega: Word, chi_str: str, table: CoefficientTable) -> Word:
@@ -988,6 +990,15 @@ def mixture_plan(chi_str: str):
     )
 
 
+def sigma_mixture_plan(chi: ChiWord) -> Tuple[tuple, NCPlan]:
+    """Per block of :func:`~.cumulants.sigma_nc_plan`, its mixture as
+    (kind, absolute 0-based position order); and the plan of NC(n)."""
+    blocks, plan = sigma_nc_plan(chi)
+    letters = chi.letters
+    subs = [(positions, "".join([letters[q] for q in positions])) for positions in blocks]
+    return _block_plan(bimixture_template, subs), plan
+
+
 def reverse_mixture_plan_for_blocks(blocks_and_sub: Tuple[Tuple[Word, str], ...]):
     """Reverse-mixture lookup plan for a fixed block decomposition
     ((absolute 0-based positions, restricted chi), ...)."""
@@ -1012,10 +1023,11 @@ class OmegaGrid:
     all d**n words.  Values are whatever the table stores, so graded ints
     and :class:`PolyScalar` go through the same code.
 
-    :meth:`cumulants` runs the moment-cumulant recursion the same way,
-    with one column over [d]^k per chi word of length k.  The grid keeps
-    what it builds for as long as it lives: the coefficient columns, the
-    gather indices, the moment columns and the cumulant columns.
+    :meth:`family_sums` and :meth:`cumulants` gather one column per block
+    of sigma_chi . NC(n) and sum them with :func:`~.cumulants.dag_sum`, as
+    the CLI does one bi-word at a time.  The grid keeps what it builds
+    for as long as it lives: the coefficient columns, the gather indices,
+    the moment columns and the cumulant columns.
     """
 
     def __init__(self, vm: VacuumMoments):
@@ -1055,35 +1067,22 @@ class OmegaGrid:
             self._gathers[k, order] = index
         return index
 
-    def _product(self, factors, k: int) -> Optional[list]:
-        """Per omega in [d]^k, the product over (column, order) factors of
-        the column's value at omega read at those positions in that
-        order; None for no factors."""
+    def _gathered(self, column: list, order: Tuple[int, ...], k: int) -> Column:
+        """Per omega in [d]^k, the column's value at omega read at those
+        positions in that order."""
+        return Column([column[i] for i in self._gather(order, k)])
+
+    def values(self, plan, n: int) -> list:
+        """The product of the plan's blocks at every omega of length n."""
         out = None
-        for column, order in factors:
-            index = self._gather(order, k)
+        for kind, order in plan:
+            column = self._column(kind, len(order))
+            index = self._gather(order, n)
             if out is None:
                 out = [column[i] for i in index]
             else:
                 out = [v * column[i] for v, i in zip(out, index)]
-        return out
-
-    def values(self, plan, n: int, factor=1) -> list:
-        """factor times the product of the plan's blocks, at every omega
-        of length n."""
-        out = self._product(((self._column(kind, len(order)), order) for kind, order in plan), n)
-        if out is None:
-            return [factor] * self.table.d ** n
-        return out if factor == 1 else [factor * v for v in out]
-
-    def total(self, terms, n: int) -> list:
-        """The sum of ``values(plan, n, factor)`` over (plan, factor)
-        terms, at every omega of length n."""
-        out = None
-        for plan, factor in terms:
-            values = self.values(plan, n, factor)
-            out = values if out is None else [t + v for t, v in zip(out, values)]
-        return [0] * self.table.d ** n if out is None else out
+        return [1] * self.table.d ** n if out is None else out
 
     def moments(self, chi_str: str) -> list:
         """The vacuum moment of the bi-word (omega, chi) at every omega."""
@@ -1093,31 +1092,36 @@ class OmegaGrid:
         return column
 
     def family_sums(self, chi_str: str) -> list:
-        """The partition-family sum of :func:`moment_via_pchi` at every
-        omega."""
-        return self.total(((plan, 1) for plan in mixture_plan(chi_str)), len(chi_str))
+        """The family sum of :func:`moment_via_sigma` at every omega: one
+        gathered mixture column per block of :func:`sigma_mixture_plan`,
+        summed on the plan's ``unit`` DAG."""
+        mixtures, plan = sigma_mixture_plan(ChiWord(chi_str))
+        n = len(chi_str)
+        return dag_sum(plan.unit, [self._gathered(self._column(kind, len(order)), order, n)
+                                   for kind, order in mixtures])
 
     def cumulants(self, chi_str: str) -> list:
         """The chi-cumulant of the bi-word (omega, chi) at every omega.
 
         The moment-cumulant recursion of :class:`~.cumulants.CumulantEngine`,
         one column over [d]^k per chi word of length k: K_chi is the
-        column of :meth:`moments` minus, for each partition of the family
-        of chi other than the one-block partition, the product of its
-        blocks' sub-word columns gathered at the blocks' positions.  Every
-        column reached is read from the grid's memo or computed and kept
-        there.
+        column of :meth:`moments` minus the ``unit`` sum over
+        sigma_chi . NC(k) of the blocks' sub-word cumulant columns,
+        gathered at the blocks' positions, with the one-block partition's
+        factor set to 0, since that term is K_chi itself.  Every column
+        reached is read from the grid's memo or computed and kept there.
         """
         column = self._cumulants.get(chi_str)
         if column is None:
-            family = restriction_data(chi_str)  # ValueError unless chi is a word over {l, r}
+            blocks, plan = sigma_nc_plan(ChiWord(chi_str))
             k = len(chi_str)
-            column = self.moments(chi_str)
-            for blocks in family:
-                if len(blocks) == 1:  # the one-block partition is the cumulant itself
-                    continue
-                factors = [(self.cumulants(sub), positions) for positions, sub in blocks]
-                term = self._product(factors, k)
-                column = [m - t for m, t in zip(column, term)]
+            zero = Column([0] * self.table.d ** k)
+            factors = [
+                zero if len(positions) == k else self._gathered(
+                    self.cumulants("".join([chi_str[q] for q in positions])), positions, k)
+                for positions in blocks
+            ]
+            rest = dag_sum(plan.unit, factors)
+            column = [m - t for m, t in zip(self.moments(chi_str), rest)]
             self._cumulants[chi_str] = column
         return column

@@ -330,24 +330,25 @@ def suite_cor410(max_n: int = 5, **_) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _strip_terms(path, chi: ChiWord) -> Tuple[tuple, bool]:
-    """The operator side of Lemma 6.7 for (chi, path) as omega-independent
-    (plan, factor) terms, and whether it ends at a multiple of the vacuum.
+def _strip_plan(path, chi: ChiWord) -> Optional[tuple]:
+    """The operator side of Lemma 6.7 for (chi, path) as an
+    omega-independent plan; None unless it is one term of factor 1 times
+    the vacuum.
 
-    One run of ``lemma67_vector`` on omega = (1, ..., n) records them,
+    One run of ``lemma67_vector`` on omega = (1, ..., n) records it,
     against a stand-in table over d = n letters whose every coefficient
     is its own formal symbol: each symbol of the result names the
-    positions (plus one) that one strip read, in order.
+    positions (plus one) that one strip read, in order; the term's
+    monomial is the plan.
     """
     n = chi.n
     stand_in = SimpleNamespace(d=n, coeff=PolyScalar.symbol)
     vec = lemma67_vector(path, chi, tuple(range(1, n + 1)), stand_in)
-    value = PolyScalar.zero() + vec.get((), 0)  # an int if nothing was stripped
-    terms = tuple(
-        (tuple((kind, tuple(m - 1 for m in word)) for kind, word in mono), factor)
-        for mono, factor in value.terms.items()
-    )
-    return terms, not set(vec) - {()}
+    terms = (PolyScalar.zero() + vec.get((), 0)).terms
+    if set(vec) - {()} or list(terms.values()) != [1]:
+        return None
+    (mono,) = terms
+    return tuple((kind, tuple([m - 1 for m in word])) for kind, word in mono)
 
 
 def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
@@ -358,7 +359,7 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     cells = _fock_cells(max_n, d, seed)
     if max_n >= 5 and d >= 2:  # single-track products stay cheap
         cells.insert(0, ("symbolic n=5 d=2", 5, shared("symbolic", 2, SYMBOLIC_N_O)))
-    # per n: every (chi, path) with its strip terms and the reverse-mixture
+    # per n: every (chi, path) with its strip plan and the reverse-mixture
     # plan of its output partition, recorded once and shared by the cells
     # of that n
     scenarios: Dict[int, List[tuple]] = {}
@@ -367,26 +368,29 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
         omegas = grid.omegas(n)
         if n not in scenarios:
             scenarios[n] = [
-                (chi, path, *_strip_terms(path, chi), reverse_mixture_plan_for_blocks(block_data(
+                (chi, path, _strip_plan(path, chi), reverse_mixture_plan_for_blocks(block_data(
                     simulate(DequeScenario(path, chi)).output_partition, chi.letters)))
                 for chi in all_chi(n)
                 for path in enumerate_luk(n)
             ]
         cell_fail = []
         cell_count = 0
-        for chi, path, terms, vacuum_only, plan in scenarios[n]:
-            expected = grid.values(plan, n)
-            actual = grid.total(terms, n)
+        for chi, path, strip_plan, plan in scenarios[n]:
             cell_count += len(omegas)
-            if actual == expected and vacuum_only:
+            if strip_plan is None:
+                cell_fail.append(f"chi={chi.letters} rise={list(path.rise)}: "
+                                 "the product is not one vacuum term of factor 1")
                 continue
-            for omega, want, got in zip(omegas, expected, actual):
-                if got != want or not vacuum_only:
-                    shown = table.rational(got, n) if vacuum_only else "not a vacuum multiple"
-                    cell_fail.append(
-                        f"chi={chi.letters} rise={list(path.rise)} omega={list(omega)}: "
-                        f"expected {table.rational(want, n)}, got {shown}"
-                    )
+            expected = grid.values(plan, n)
+            actual = grid.values(strip_plan, n)
+            if actual == expected:
+                continue
+            cell_fail += [
+                f"chi={chi.letters} rise={list(path.rise)} omega={list(omega)}: "
+                f"expected {table.rational(want, n)}, got {table.rational(got, n)}"
+                for omega, want, got in zip(omegas, expected, actual)
+                if got != want
+            ]
         summary = f"{cell_count} products collapse to the vacuum multiple"
         result.add_sweep(label, summary, cell_count, cell_fail)
     return result

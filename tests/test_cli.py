@@ -152,6 +152,15 @@ def test_moment_invalid_table_is_io_error(tmp_path, capsys):
         path.write_text(text)
         code, _, err = run(capsys, "moment", "--chi", "lr", "--omega", "1,2", "--table", str(path))
         assert code == 3, text
+    for text, missing in (
+        ('{"n_o": 2, "alpha": {"1": "1/2"}}', "d"),
+        ('{"d": 2, "alpha": {"1": "1/2"}}', "n_o"),
+        ('{"mode": "symbolic"}', "d and n_o"),
+    ):
+        path.write_text(text)
+        code, _, err = run(capsys, "moment", "--chi", "lr", "--omega", "1,2", "--table", str(path))
+        assert code == 3, text
+        assert f"a table must give {missing}" in err, err
 
 
 def test_each_query_reads_its_table_file_again(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import lrcumulants.cumulants as cumulants
 from lrcumulants.cli import main
 from lrcumulants.cumulants import (
+    Column,
     CumulantEngine,
     NCPlan,
     dag_sum,
@@ -294,6 +295,40 @@ def test_nc_plan_dags_equal_the_flat_sums_over_nc():
         assert (dag_sum(plan.mobius, values), dag_sum(plan.unit, values)) == flat_nc_sums(
             n, values, index
         ), n
+
+
+def test_dag_sum_on_columns_is_the_scalar_sum_at_every_entry(monkeypatch):
+    def compared(self, other):
+        raise AssertionError("a PolyScalar was compared")
+
+    for n in range(1, 7):
+        plan = NCPlan(n)
+        values = [PolyScalar.symbol("a", [m + 1 for m in block]) for block in plan.blocks]
+        doubled = [v * 2 for v in values]
+        graded = [len(block) + 1 for block in plan.blocks]
+        columns = [Column(entry) for entry in zip(values, doubled, graded)]
+        for dag in (plan.unit, plan.mobius):
+            monkeypatch.setattr(PolyScalar, "__eq__", compared)
+            got = dag_sum(dag, columns)
+            want = [dag_sum(dag, entry) for entry in (values, doubled, graded)]
+            monkeypatch.undo()
+            assert type(got) is Column and got == want, n
+
+
+def test_dag_sum_multiplies_by_no_unit_leaf(monkeypatch):
+    products = []
+    times = PolyScalar.__mul__
+    monkeypatch.setattr(PolyScalar, "__mul__", lambda a, b: products.append(b) or times(a, b))
+    for n in range(1, 7):
+        plan = NCPlan(n)
+        values = [PolyScalar.symbol("a", [m + 1 for m in block]) for block in plan.blocks]
+        products.clear()
+        dag_sum(plan.unit, values)
+        # each edge into a node other than the unit leaf is one product
+        assert len(products) == sum(
+            plan.unit[child] != (1, ()) for _, edges in plan.unit for _, child in edges
+        ), n
+        assert all(isinstance(factor, PolyScalar) for factor in products)
 
 
 def test_nc_plan_dag_edge_counts():

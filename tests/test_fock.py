@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from lrcumulants import cumulants, fock, verify
 from lrcumulants.cli import main
-from lrcumulants.cumulants import CumulantEngine
+from lrcumulants.cumulants import CumulantEngine, dag_sum
 from lrcumulants.deque import ChiWord, DequeScenario, block_data, restriction_data, simulate
 from lrcumulants.fock import (
     CoefficientTable,
@@ -394,9 +395,9 @@ def test_grid_matches_the_single_word_routes(table):
                 engine.cumulant(chi, tuple(zip(omega, chi))) for omega in omegas
             ]
             for path in enumerate_luk(n):
-                terms, vacuum_only = verify._strip_terms(path, ChiWord(chi))
-                assert vacuum_only
-                assert grid.total(terms, n) == [
+                plan = verify._strip_plan(path, ChiWord(chi))
+                assert plan is not None
+                assert grid.values(plan, n) == [
                     lemma67_vector(path, ChiWord(chi), omega, table).get((), 0)
                     for omega in omegas
                 ]
@@ -421,6 +422,34 @@ def test_cumulant_columns_match_the_engine_at_length_seven(chi, seed):
         engine.cumulant(chi, tuple(zip(omega, chi)))
         for omega in itertools.product((1, 2), repeat=7)
     ]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_grid_sums_match_the_per_partition_references(n):
+    table = CoefficientTable.random(2, 6, seed=8)
+    vm = VacuumMoments(table)
+    engine = CumulantEngine(vm)
+    grid = OmegaGrid(vm)
+    omegas = grid.omegas(n)
+    for chi in map("".join, itertools.product("lr", repeat=n)):
+        assert grid.family_sums(chi) == [moment_via_pchi(omega, chi, table) for omega in omegas]
+        assert grid.cumulants(chi) == [
+            engine.cumulant(chi, tuple(zip(omega, chi))) for omega in omegas
+        ]
+
+
+def test_dag_sum_takes_the_mobius_sum_of_moment_columns():
+    # the Moebius route of the CLI, evaluated on columns: every sub-word's
+    # moment column gathered at its block, summed on the plan's mobius DAG
+    grid = OmegaGrid(VacuumMoments(CoefficientTable.random(2, 5, seed=9)))
+    for n in range(1, 6):
+        for chi in map("".join, itertools.product("lr", repeat=n)):
+            blocks, plan = cumulants.sigma_nc_plan(ChiWord(chi))
+            columns = [
+                grid._gathered(grid.moments("".join([chi[q] for q in block])), block, n)
+                for block in blocks
+            ]
+            assert dag_sum(plan.mobius, columns) == grid.cumulants(chi)
 
 
 def test_cumulant_columns_reject_a_chi_that_is_not_a_word_over_l_and_r():
@@ -835,6 +864,29 @@ def test_a_sparse_file_table_sizes_its_powers_by_its_longest_word(tmp_path):
     seconds, loaded = done.stdout.split(" ", 1)
     assert loaded.strip() == "{(1, 2): 3} 3"  # 1/3 graded by 3**2
     assert float(seconds) < 1.0
+
+
+def test_a_sparse_table_sizes_its_creator_lists_by_its_longest_word(tmp_path, capsys):
+    # creator lists sized by n_o = 10**6 would take about 150 MB per engine
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(
+        {"d": 2, "n_o": 10**6, "alpha": {"1,2": "1/3"}, "beta": {"2": "1", "2,1": "1/2"}}
+    ))
+    table = CoefficientTable.from_file(str(path))
+    tracemalloc.start()
+    try:
+        vm = VacuumMoments(table)
+        value = vm(((1, "l"), (2, "r")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert {len(lists) for lists in vm._creators.values()} == {2}
+    assert value == 0
+    # both routes of the query read beta at 2,1 and at 2: 1/2 * 1
+    code = main(["moment", "--chi", "rrr", "--omega", "2,1,2", "--table", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0 and "value: 1/2" in out and "status: pass" in out
 
 
 # spellings of a few rationals, so that drawn maps repeat value strings

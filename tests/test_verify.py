@@ -2,8 +2,9 @@
 
 import pytest
 
-from lrcumulants import deque, verify
+from lrcumulants import cumulants, deque, verify
 from lrcumulants.cli import main
+from lrcumulants.cumulants import Column
 from lrcumulants.deque import ScenarioTrace, restriction_data
 from lrcumulants.fock import reverse_bimixture_template
 from lrcumulants.partitions import MAX_GROUND_SET, Partition, Permutation, one_block
@@ -34,9 +35,10 @@ def last_partition_unsubtracted(grid_type):
             *_, last = restriction_data(chi_str)
             if len(last) == 1:
                 return column
-            term = self._product(
-                [(self._cumulants[sub], positions) for positions, sub in last], len(chi_str)
-            )
+            k = len(chi_str)
+            term = Column([1] * len(column))
+            for positions, sub in last:
+                term = term * self._gathered(self._cumulants[sub], positions, k)
             return [v + t for v, t in zip(column, term)]
 
     return Perturbed
@@ -119,6 +121,19 @@ def test_operator_suite_fails_when_one_route_is_perturbed(monkeypatch, suite, at
     result = verify.run_suite(suite, max_n=4, d=2)
     assert result.passed is False
     assert result.instances > 0 and any(not c.ok for c in result.checks)
+
+
+@pytest.mark.parametrize("suite", ["prop610", "thm65"])
+def test_grid_suites_fail_when_sigma_chi_is_the_identity(monkeypatch, suite):
+    # the grid sums over sigma_chi . NC(n); for n <= 3 every family is
+    # NC(n), so the defect shows from n = 4 on
+    assert verify.run_suite(suite, max_n=4, d=2).passed
+    monkeypatch.setattr(verify, "_SHARED", {})
+    monkeypatch.setattr(cumulants, "sigma_chi", lambda chi: Permutation.identity(chi.n))
+    result = verify.run_suite(suite, max_n=4, d=2)
+    assert result.passed is False
+    failed = [c for c in result.checks if not c.ok]
+    assert failed and all("n=4" in c.name for c in failed)
 
 
 def overlapping_batches(scenario, simulate=deque.simulate):
