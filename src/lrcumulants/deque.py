@@ -7,16 +7,20 @@ times by insertion batch yields the output-time partition of the scenario;
 collecting these over all paths for a fixed chi yields a family of
 partitions that is also the orbit of the non-crossing partitions under an
 explicit permutation ``sigma_chi``.
+
+``_step`` is the one replay step.  ``simulate`` applies it along one path;
+``replays`` walks all 2^n words and all Catalan(n) paths of a length at
+once, and ``pchi_by_enumeration`` all paths of one word, so a shared
+(chi, path) prefix is replayed once.
 """
 
 from __future__ import annotations
 
-import collections
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .lukasiewicz import LukPath, enumerate_luk
+from .lukasiewicz import LukPath, _rises
 from .partitions import (
     Partition,
     Permutation,
@@ -130,49 +134,118 @@ class ScenarioTrace:
         raise AttributeError("ScenarioTrace is immutable")
 
 
+#: A replay after t steps: (queue, batch of each ball inserted so far,
+#: exit order, blocks).  Balls are labelled 1, 2, ... in insertion order
+#: and batches 0, 1, ... likewise; block k lists the exit times of batch
+#: k's balls so far.  The queue holds as many balls as the path's height.
+#: States are tuples and never change, so every scenario that extends a
+#: prefix shares the prefix's state.
+ReplayState = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+_START: ReplayState = ((), (), (), ())
+
+
+def _step(state: ReplayState, t: int, q: int, h: str) -> ReplayState:
+    """Step t of a replay: the next q + 1 balls (in label order) are
+    inserted one by one at end h, then one ball is emitted from end h."""
+    pipe, batch_of, exit_order, blocks = state
+    if q >= 0:
+        first = len(batch_of) + 1
+        end = first + q + 1
+        # the ball inserted last sits at end h and leaves at once, opening
+        # its batch's block; inserting one ball at a time at the left
+        # reverses the rest of the batch
+        if h == LEFT:
+            pipe = tuple(range(end - 2, first - 1, -1)) + pipe
+        else:
+            pipe += tuple(range(first, end - 1))
+        return (
+            pipe,
+            batch_of + (len(blocks),) * (q + 1),
+            exit_order + (end - 1,),
+            blocks + ((t,),),
+        )
+    if not pipe:
+        raise RuntimeError(f"step {t} would emit from an empty queue")
+    if h == LEFT:
+        ball = pipe[0]
+        pipe = pipe[1:]
+    else:
+        ball = pipe[-1]
+        pipe = pipe[:-1]
+    k = batch_of[ball - 1]
+    return pipe, batch_of, exit_order + (ball,), blocks[:k] + (blocks[k] + (t,),) + blocks[k + 1:]
+
+
+def _output_partition(n: int, state: ReplayState) -> Partition:
+    """Emission times grouped by insertion batch, once all n steps ran."""
+    pipe, batch_of, _, blocks = state
+    # no emission from an empty queue and every ball emitted: together they
+    # make the exit times a bijection from the balls 1..n onto the times
+    # 1..n, so the blocks are a partition of {1..n} by construction.  They
+    # are canonical too: a batch's last ball leaves at the batch's
+    # insertion time, so block k starts at the k-th insertion time, and
+    # each block lists its times as they came.
+    if pipe or len(batch_of) != n:
+        raise RuntimeError("scenario did not move every ball to the output")
+    return Partition._unchecked(n, blocks)
+
+
+def _trace(chi: ChiWord, state: ReplayState) -> ScenarioTrace:
+    partition = _output_partition(chi.n, state)
+    # block k starts at the k-th insertion time
+    return ScenarioTrace(chi, partition, state[2], tuple([b[0] for b in partition.blocks]))
+
+
+def _extend(level: Iterable[ReplayState], n: int, t: int, h: str) -> Iterator[ReplayState]:
+    """Step t at end h applied to every state of a level, one child per
+    rise the path may take next.  Children follow their parents' order,
+    rises increasing, so a level lists its path prefixes in
+    ``enumerate_luk`` order.  Lazy: a chain of these holds one state per
+    step, not whole levels."""
+    return (_step(state, t, q, h) for state in level for q in _rises(n, t, len(state[0])))
+
+
 def simulate(s: DequeScenario) -> ScenarioTrace:
     """Replay the scenario on an explicit queue of labelled balls.
 
     Step m with insertion count p and side h: the next p balls (in label
     order) are inserted one by one at side h, then one ball is emitted from
     side h.  Emission times grouped by insertion batch give the
-    output-time partition.  This is the one scenario replay in the
-    package; everything derived from a scenario reads its trace.
+    output-time partition.  ``_step`` is the one replay step in the
+    package: this applies it along one path, :func:`replays` and
+    :func:`pchi_by_enumeration` along every path at once, and everything
+    derived from a scenario reads its trace.
     """
-    n = s.path.n
-    pipe: collections.deque[int] = collections.deque()
-    next_ball = 1
-    exit_order: List[int] = []
-    exit_time = [0] * (n + 1)
-    batches: List[Tuple[int, int, int]] = []  # (step, first ball, last ball + 1)
+    state = _START
     for t, (q, h) in enumerate(zip(s.path.rise, s.chi.letters), start=1):
-        if q >= 0:
-            end = next_ball + q + 1
-            batches.append((t, next_ball, end))
-            # extendleft inserts one ball at a time, reversing the batch
-            if h == LEFT:
-                pipe.extendleft(range(next_ball, end))
-            else:
-                pipe.extend(range(next_ball, end))
-            next_ball = end
-        elif not pipe:
-            raise RuntimeError(f"step {t} would emit from an empty queue")
-        ball = pipe.popleft() if h == LEFT else pipe.pop()
-        exit_order.append(ball)
-        exit_time[ball] = t
-    # no emission from an empty queue and every ball emitted: together they
-    # make exit_time a bijection from the balls 1..n onto the times 1..n, so
-    # the batches' exit times are a partition of {1..n} by construction
-    if pipe or next_ball != n + 1:
-        raise RuntimeError("scenario did not move every ball to the output")
-    return ScenarioTrace(
-        s.chi,
-        Partition._unchecked(
-            n, tuple(sorted([tuple(sorted(exit_time[lo:end])) for _, lo, end in batches]))
-        ),
-        tuple(exit_order),
-        tuple(t for t, _, _ in batches),
-    )
+        state = _step(state, t, q, h)
+    return _trace(s.chi, state)
+
+
+def replays(n: int) -> Iterator[Tuple[ChiWord, Iterator[ScenarioTrace]]]:
+    """(chi, traces) for every chi of length n, in the order of
+    ``product("lr", repeat=n)``; ``traces`` iterates once over the traces
+    of chi's Catalan(n) scenarios, in ``enumerate_luk(n)`` order.
+
+    A depth-first walk over the letters of chi: each chi-prefix holds the
+    states of every path prefix of its length and extends them one step,
+    so a shared (chi, path) prefix is replayed once.  The walk holds one
+    level per letter of the current chi-prefix but the last, whose states
+    are replayed one at a time as ``traces`` is read.
+    """
+    _check_ground_set(n)
+
+    def walk(word: str, level: Iterable[ReplayState]):
+        t = len(word) + 1
+        if t > n:
+            chi = ChiWord(word)
+            yield chi, (_trace(chi, state) for state in level)
+            return
+        level = list(level)  # both letters extend it
+        for h in (LEFT, RIGHT):
+            yield from walk(word + h, _extend(level, n, t, h))
+
+    return walk("", (_START,))
 
 
 def output_partition(path: LukPath, chi: ChiWord) -> Partition:
@@ -180,21 +253,34 @@ def output_partition(path: LukPath, chi: ChiWord) -> Partition:
     return simulate(DequeScenario(path, chi)).output_partition
 
 
-def pchi_by_enumeration(chi: ChiWord) -> List[Partition]:
-    """The family of output-time partitions over all paths, for fixed chi.
+def family(chi: ChiWord, partitions: List[Partition]) -> List[Partition]:
+    """The output partitions of chi's scenarios as its family, sorted.
 
     The scenario map is injective, so the family has Catalan(n) members;
-    a duplicate would mean the simulator is broken and raises.
+    a duplicate would mean the replay is broken and raises.
     """
-    _check_ground_set(chi.n)
-    family = [output_partition(path, chi) for path in enumerate_luk(chi.n)]
-    if len(set(family)) != len(family):
+    if len(set(partitions)) != len(partitions):
         raise RuntimeError(
-            f"duplicate output partition for chi={chi.letters!r}; simulator bug"
+            f"duplicate output partition for chi={chi.letters!r}; replay bug"
         )
     # keyed by the blocks: Partition.__lt__'s order, with no Python-level
     # comparison per pair
-    return sorted(family, key=attrgetter("blocks"))
+    return sorted(partitions, key=attrgetter("blocks"))
+
+
+def pchi_by_enumeration(chi: ChiWord) -> List[Partition]:
+    """The family of output-time partitions over all paths, for fixed chi.
+
+    A fold over the letters of chi that replays every path at once.  Its
+    levels are lazy, so a path prefix's state lives only while scenarios
+    that extend it are replayed.
+    """
+    n = chi.n
+    _check_ground_set(n)
+    level: Iterable[ReplayState] = (_START,)
+    for t, h in enumerate(chi.letters, start=1):
+        level = _extend(level, n, t, h)
+    return family(chi, [_output_partition(n, state) for state in level])
 
 
 def sigma_chi(chi: ChiWord) -> Permutation:

@@ -110,15 +110,23 @@ def _build_paths(n: int) -> List[LukPath]:
         if m > n:
             out.append(LukPath(rise))
             return
-        # From height h with n - m + 1 steps left, the next rise q must keep
-        # h + q >= 0 and leave h + q <= steps remaining afterwards.
-        for q in range(max(-1, -height), n - m - height + 1):
+        for q in _rises(n, m, height):
             rise.append(q)
             extend(m + 1, height + q)
             rise.pop()
 
     extend(1, 0)
     return out
+
+
+def _rises(n: int, m: int, height: int) -> range:
+    """The rises step m of an n-step path may take from ``height``, in
+    increasing order.
+
+    With n - m + 1 steps left, the rise q must keep height + q >= 0 and
+    leave height + q <= n - m, the steps remaining afterwards.
+    """
+    return range(max(-1, -height), n - m - height + 1)
 
 
 def psi(p: Partition) -> LukPath:

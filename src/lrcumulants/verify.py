@@ -20,16 +20,16 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .cumulants import CumulantEngine, is_combinatorially_bifree_upto, mobius_cumulant
 from .deque import (
     ChiWord,
-    DequeScenario,
     _merge_standings,
     block_data,
     chi_opposite,
     combined_standings,
+    family,
     insertion_standings,
     pchi_by_enumeration,
     pchi_by_sigma,
+    replays,
     sigma_chi,
-    simulate,
     tau_u,
 )
 from .fock import (
@@ -150,13 +150,19 @@ def _fock_cells(max_n: int, d: int, seed: int) -> List[Tuple[str, int, OmegaGrid
 # ---------------------------------------------------------------------------
 
 
+def _families(n: int):
+    """(chi, family) for every chi of length n, in ``all_chi`` order, each
+    family read off the scenarios of one all-chi replay."""
+    for chi, traces in replays(n):
+        yield chi, family(chi, [trace.output_partition for trace in traces])
+
+
 def suite_thm49(max_n: int = 6, **_) -> SuiteResult:
     """Scenario-enumeration route and permutation-action route build the
     same partition family, of Catalan size, for every chi."""
     result = SuiteResult("thm49", {"max_n": max_n})
     for n in range(1, max_n + 1):
-        for chi in all_chi(n):
-            by_enum = pchi_by_enumeration(chi)
+        for chi, by_enum in _families(n):
             by_sigma = pchi_by_sigma(chi)
             ok = by_enum == by_sigma and len(by_enum) == catalan(n)
             detail = f"{len(by_enum)} partitions via both routes"
@@ -181,10 +187,9 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
     result = SuiteResult("prop46", {"max_n": max_n})
     for n in range(1, max_n + 1):
         paths = enumerate_luk(n)
-        for chi in all_chi(n):
+        for chi, traces in replays(n):
             failures = []
-            for path in paths:
-                trace = simulate(DequeScenario(path, chi))
+            for path, trace in zip(paths, traces):
                 data = insertion_standings(trace)
                 rho = _merge_standings(n, data)
                 if not is_noncrossing(rho):
@@ -203,22 +208,43 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
     return result
 
 
+def _batched_exit_times(rise: Tuple[int, ...], exit_order: Tuple[int, ...]) -> tuple:
+    """The output-time partition's canonical blocks, read off the exit
+    order alone: the exit times of each batch of balls the rises insert."""
+    exit_time = [0] * (len(exit_order) + 1)
+    for t, ball in enumerate(exit_order, start=1):
+        exit_time[ball] = t
+    blocks = []
+    lo = 1
+    for q in rise:
+        if q >= 0:
+            blocks.append(tuple(sorted(exit_time[lo:lo + q + 1])))
+            lo += q + 1
+    return tuple(sorted(blocks))
+
+
 def suite_lemma48(max_n: int = 6, **_) -> SuiteResult:
     """The chi permutation carries the combined-standings partition onto
-    the output-time partition, for every scenario."""
+    the output-time partition, for every scenario.
+
+    The output-time partition is recomputed from the exit order and the
+    path's batches, not taken from the trace, whose blocks the standings
+    are read off.  An exit order that repeats a ball misses another, whose
+    exit time stays 0 in these blocks, and no image of a partition of
+    {1..n} contains 0.
+    """
     result = SuiteResult("lemma48", {"max_n": max_n})
     for n in range(1, max_n + 1):
         paths = enumerate_luk(n)
-        for chi in all_chi(n):
+        for chi, traces in replays(n):
             sigma = sigma_chi(chi)
             failures = []
-            for path in paths:
-                trace = simulate(DequeScenario(path, chi))
+            for path, trace in zip(paths, traces):
                 image = act(sigma, combined_standings(trace))
-                out = trace.output_partition
-                if image != out:
+                out = _batched_exit_times(path.rise, trace.exit_order)
+                if image.blocks != out:
                     failures.append(
-                        f"rise={list(path.rise)}: {image.to_json()} != {out.to_json()}"
+                        f"rise={list(path.rise)}: {image.to_json()} != {[list(b) for b in out]}"
                     )
             summary = f"{len(paths)} scenarios mapped onto their output partitions"
             result.add_sweep(f"n={n} chi={chi}", summary, len(paths), failures)
@@ -281,8 +307,8 @@ def suite_cor410(max_n: int = 5, **_) -> SuiteResult:
         almost_discrete = [
             p for p in enumerate_partitions(n) if p.block_count() == n - 1
         ]
-        for chi in all_chi(n):
-            fam = set(pchi_by_enumeration(chi))
+        for chi, fam in _families(n):
+            fam = set(fam)
             missing = [
                 p.to_json()
                 for p in [singletons(n), one_block(n), *almost_discrete]
@@ -360,18 +386,19 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     if max_n >= 5 and d >= 2:  # single-track products stay cheap
         cells.insert(0, ("symbolic n=5 d=2", 5, shared("symbolic", 2, SYMBOLIC_N_O)))
     # per n: every (chi, path) with its strip plan and the reverse-mixture
-    # plan of its output partition, recorded once and shared by the cells
-    # of that n
+    # plan of its output partition, recorded once from one all-chi replay
+    # and shared by the cells of that n
     scenarios: Dict[int, List[tuple]] = {}
     for label, n, grid in cells:
         table = grid.table
         omegas = grid.omegas(n)
         if n not in scenarios:
+            paths = enumerate_luk(n)
             scenarios[n] = [
-                (chi, path, _strip_plan(path, chi), reverse_mixture_plan_for_blocks(block_data(
-                    simulate(DequeScenario(path, chi)).output_partition, chi.letters)))
-                for chi in all_chi(n)
-                for path in enumerate_luk(n)
+                (chi, path, _strip_plan(path, chi), reverse_mixture_plan_for_blocks(
+                    block_data(trace.output_partition, chi.letters)))
+                for chi, traces in replays(n)
+                for path, trace in zip(paths, traces)
             ]
         cell_fail = []
         cell_count = 0

@@ -2,11 +2,14 @@
 
 import collections
 import itertools
+import tracemalloc
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrcumulants import deque
 from lrcumulants.deque import (
     ChiWord,
     DequeScenario,
@@ -16,6 +19,7 @@ from lrcumulants.deque import (
     output_partition,
     pchi_by_enumeration,
     pchi_by_sigma,
+    replays,
     sigma_chi,
     simulate,
     standings_partitions,
@@ -23,6 +27,7 @@ from lrcumulants.deque import (
 )
 from lrcumulants.lukasiewicz import LukPath, enumerate_luk, psi
 from lrcumulants.partitions import (
+    MAX_GROUND_SET,
     Partition,
     Permutation,
     act,
@@ -332,6 +337,64 @@ def test_simulate_and_standings_match_one_ball_reference_at_lengths_eight_and_ni
     paths = enumerate_luk(n)
     path = paths[data.draw(st.integers(0, len(paths) - 1))]
     assert_replay_matches_reference(path, chi)
+
+
+def test_replays_match_the_one_ball_reference():
+    for n in range(1, 8):
+        paths = enumerate_luk(n)
+        words = []
+        for chi, traces in replays(n):
+            words.append(chi)
+            traces = list(traces)
+            assert len(traces) == len(paths) == comb(2 * n, n) // (n + 1)
+            for path, trace in zip(paths, traces):
+                exit_order, partition, insertion_times = one_ball_replay(path, chi)
+                assert trace.chi == chi
+                assert trace.exit_order == exit_order
+                assert trace.output_partition == partition
+                assert trace.output_partition.blocks == partition.blocks
+                assert trace.insertion_times == insertion_times
+        assert words == all_chi(n)
+        assert len(words) == 2 ** n
+
+
+def test_replays_checks_the_ground_set_before_any_replay():
+    with pytest.raises(ValueError):
+        replays(MAX_GROUND_SET + 1)
+
+
+def test_the_replay_step_keeps_both_of_its_checks():
+    with pytest.raises(RuntimeError, match="empty queue"):
+        deque._step(deque._START, 1, -1, "l")
+    # two balls in, one out: the second never leaves
+    with pytest.raises(RuntimeError, match="every ball"):
+        deque._trace(ChiWord("r"), deque._step(deque._START, 1, 1, "r"))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_pchi_by_enumeration_matches_simulate_at_lengths_eight_and_nine(data):
+    n = data.draw(st.integers(8, 9))
+    chi = ChiWord(data.draw(st.text(alphabet="lr", min_size=n, max_size=n)))
+    by_simulate = sorted(simulate(DequeScenario(path, chi)).output_partition
+                         for path in enumerate_luk(n))
+    family = pchi_by_enumeration(chi)
+    assert family == by_simulate
+    assert [p.blocks for p in family] == [p.blocks for p in by_simulate]
+
+
+def test_pchi_by_enumeration_holds_no_whole_level_of_states():
+    # a fold that kept a level of the 4862 path-prefix states beside the
+    # family would at least double the peak; the lazy fold adds little
+    # to the family it returns
+    tracemalloc.start()
+    try:
+        family = pchi_by_enumeration(ChiWord("lrrlrllrl"))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 4862
+    assert peak < 1.5 * held
 
 
 def assert_trusted_partitions_are_canonical(path, chi):

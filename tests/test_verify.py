@@ -7,6 +7,7 @@ from lrcumulants.cli import main
 from lrcumulants.cumulants import Column
 from lrcumulants.deque import ScenarioTrace, restriction_data
 from lrcumulants.fock import reverse_bimixture_template
+from lrcumulants.lukasiewicz import enumerate_luk
 from lrcumulants.partitions import MAX_GROUND_SET, Partition, Permutation, one_block
 
 
@@ -89,7 +90,7 @@ def doubled_cumulants(engine_type):
 
 
 def without_one_block(family):
-    return lambda chi: [p for p in family(chi) if p != one_block(chi.n)]
+    return lambda chi, *rest: [p for p in family(chi, *rest) if p != one_block(chi.n)]
 
 
 @pytest.mark.parametrize(
@@ -108,7 +109,7 @@ def without_one_block(family):
         ("prop46", "psi", one_block_path),
         ("lemma48", "sigma_chi", identity_permutation),
         ("prop413", "chi_opposite", identity),
-        ("cor410", "pchi_by_enumeration", without_one_block),
+        ("cor410", "family", without_one_block),
         ("cor410", "sigma_chi", identity_permutation),
     ],
 )
@@ -136,31 +137,36 @@ def test_grid_suites_fail_when_sigma_chi_is_the_identity(monkeypatch, suite):
     assert failed and all("n=4" in c.name for c in failed)
 
 
-def overlapping_batches(scenario, simulate=deque.simulate):
-    """A replay whose output partition reads each batch one exit time too
-    far, exit_time[lo:end + 1]: neighbouring blocks overlap, so the blocks
-    are no partition, and the trusted constructor does not notice."""
-    trace = simulate(scenario)
-    exit_time = [0] * (scenario.path.n + 1)
-    for t, ball in enumerate(trace.exit_order, start=1):
-        exit_time[ball] = t
-    blocks = []
-    lo = 1
-    for q in scenario.path.rise:
-        if q >= 0:
-            end = lo + q + 1
-            blocks.append(tuple(sorted(exit_time[lo:end + 1])))
-            lo = end
-    return ScenarioTrace(
-        trace.chi,
-        Partition._unchecked(scenario.path.n, tuple(sorted(blocks))),
-        trace.exit_order,
-        trace.insertion_times,
-    )
+def overlapping_batches(n, replays=deque.replays):
+    """The all-chi replay, with each output partition reading each batch
+    one exit time too far, exit_time[lo:end + 1]: neighbouring blocks
+    overlap, so the blocks are no partition, and the trusted constructor
+    does not notice."""
+    paths = enumerate_luk(n)
+    for chi, traces in replays(n):
+        overlapped = []
+        for path, trace in zip(paths, traces):
+            exit_time = [0] * (n + 1)
+            for t, ball in enumerate(trace.exit_order, start=1):
+                exit_time[ball] = t
+            blocks = []
+            lo = 1
+            for q in path.rise:
+                if q >= 0:
+                    end = lo + q + 1
+                    blocks.append(tuple(sorted(exit_time[lo:end + 1])))
+                    lo = end
+            overlapped.append(ScenarioTrace(
+                trace.chi,
+                Partition._unchecked(n, tuple(sorted(blocks))),
+                trace.exit_order,
+                trace.insertion_times,
+            ))
+        yield chi, iter(overlapped)
 
 
 def test_thm49_fails_when_simulate_emits_a_non_partition(monkeypatch):
-    monkeypatch.setattr(deque, "simulate", overlapping_batches)
+    monkeypatch.setattr(verify, "replays", overlapping_batches)
     result = verify.run_suite("thm49", max_n=4)
     assert result.passed is False
     assert result.instances == 30
@@ -168,13 +174,41 @@ def test_thm49_fails_when_simulate_emits_a_non_partition(monkeypatch):
 
 
 def test_prop46_records_an_output_partition_without_a_path_as_a_failure(monkeypatch):
-    monkeypatch.setattr(verify, "simulate", overlapping_batches)
+    monkeypatch.setattr(verify, "replays", overlapping_batches)
     result = verify.run_suite("prop46", max_n=4)
     assert result.passed is False
     assert result.instances == 274
     failed = [c for c in result.checks if not c.ok]
     assert len(failed) == 28
     assert all(any("has no path" in message for message in c.actual) for c in failed)
+
+
+def test_lemma48_fails_when_the_replay_emits_overlapping_blocks(monkeypatch):
+    # the standings are read off the trace's blocks; the output partition
+    # lemma48 compares them with is regrouped from the exit order
+    monkeypatch.setattr(verify, "replays", overlapping_batches)
+    result = verify.run_suite("lemma48", max_n=4)
+    assert result.passed is False
+    assert result.instances == 274
+    failed = [c for c in result.checks if not c.ok]
+    assert len(failed) == 28
+    assert all(c.name.startswith(("n=2", "n=3", "n=4")) for c in failed)
+
+
+def test_lemma48_fails_when_the_exit_order_is_no_permutation(monkeypatch):
+    def repeated_first_ball(n):
+        for chi, traces in deque.replays(n):
+            yield chi, (
+                ScenarioTrace(trace.chi, trace.output_partition,
+                              trace.exit_order[:1] * n, trace.insertion_times)
+                for trace in traces
+            )
+
+    monkeypatch.setattr(verify, "replays", repeated_first_ball)
+    result = verify.run_suite("lemma48", max_n=3)
+    assert result.passed is False
+    # with one ball the exit order is a permutation all the same
+    assert [c.ok for c in result.checks] == [True] * 2 + [False] * 12
 
 
 def test_fock_suites_build_one_grid_per_table(monkeypatch):
