@@ -2,15 +2,10 @@
 """Run every verification suite and print a one-line summary per suite.
 
 Default scales finish in seconds; --full runs the acceptance scales.
-On a 2-vCPU Xeon host with Python 3.11 --full took 8.9-9.9 s over two
-runs: lemma67 4.2-5.0 s, prop610 about 2.6 s, thm65 about 0.8 s, the
-five combinatorial suites 1.2-1.5 s together (cor410 0.45-0.6 s, thm49,
-prop46, lemma48 and prop413 0.13-0.29 s each).  Before the deque
-scenarios were replayed over shared (chi, path) prefixes, the same two
-runs took 10.4 s, and the five combinatorial suites 1.6-1.7 s.  Before
-prop610's family sums and thm65's cumulant recursion ran on the NC(n)
-DAG it took 12.2-13.1 s (prop610 3.8-4.2 s, thm65 about 2 s), and before
-thm65's recursion ran over all of [d]^n at once, 37-40 s.
+On a 2-vCPU Xeon host with Python 3.11, --full took 7.2-10.1 s over five
+runs: lemma67 3.8-5.5 s, prop610 1.7-2.5 s, thm65 0.6-0.8 s, and the five
+combinatorial suites 1.0-1.4 s together (cor410 0.4-0.6 s; thm49, prop46,
+lemma48 and prop413 0.1-0.3 s each).
 """
 
 import argparse

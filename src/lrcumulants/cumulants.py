@@ -19,7 +19,7 @@ moment-cumulant formula over NC(n), carried to the family of chi by
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add, mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -93,10 +93,6 @@ def lr_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional) -> 
     return CumulantEngine(phi).cumulant(chi, word)
 
 
-#: n -> the plan of NC(n), filled on first use; at most MAX_GROUND_SET
-#: entries, since NC(n) is refused beyond it.
-_MOBIUS_PLANS: Dict[int, "NCPlan"] = {}
-
 #: A sum over NC(n) as a DAG, children first: per node, its weight and its
 #: (block id, child node) edges; the root is the last node.
 Dag = Tuple[Tuple[object, Tuple[Tuple[int, int], ...]], ...]
@@ -164,12 +160,8 @@ class NCPlan:
         return tuple(nodes)
 
 
-def _mobius_plan(n: int) -> NCPlan:
-    """The :class:`NCPlan` of NC(n), built once per length."""
-    plan = _MOBIUS_PLANS.get(n)
-    if plan is None:
-        plan = _MOBIUS_PLANS[n] = NCPlan(n)
-    return plan
+#: n -> the :class:`NCPlan` of NC(n), built once per length.
+_mobius_plan = cache(NCPlan)
 
 
 class Column(list):

@@ -21,10 +21,10 @@ import json
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, product, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cumulants import Column, NCPlan, dag_sum, sigma_nc_plan
@@ -1019,9 +1019,10 @@ class OmegaGrid:
     blocks of coeff(kind, omega at those positions in that order).  Only
     the coefficient lookups depend on omega, so the grid holds each
     length's coefficients as one dense column, in ``itertools.product``
-    order, and evaluates a plan by list gathers: one pass per block over
-    all d**n words.  Values are whatever the table stores, so graded ints
-    and :class:`PolyScalar` go through the same code.
+    order, and evaluates a plan by gathering one column per block over all
+    d**n words and multiplying them as :class:`~.cumulants.Column`.  Values
+    are whatever the table stores, so graded ints and :class:`PolyScalar`
+    go through the same code.
 
     :meth:`family_sums` and :meth:`cumulants` gather one column per block
     of sigma_chi . NC(n) and sum them with :func:`~.cumulants.dag_sum`, as
@@ -1035,9 +1036,9 @@ class OmegaGrid:
         self.table = vm.table
         # (kind, length p) -> the coefficients of the words of length p
         self._columns: Dict[Tuple[str, int], list] = {}
-        # (length k, position order) -> per omega in [d]^k, the index of
-        # omega at those positions in the column of that length
-        self._gathers: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+        # (length k, position order) -> the itemgetter that reads, per omega
+        # in [d]^k, omega at those positions from the column of that length
+        self._gathers: Dict[Tuple[int, Tuple[int, ...]], itemgetter] = {}
         # chi letters -> the vacuum moment, and the chi-cumulant, at every
         # omega in [d]^len(chi)
         self._moments: Dict[str, list] = {}
@@ -1054,9 +1055,11 @@ class OmegaGrid:
             column = self._columns[kind, p] = [coeff(kind, word) for word in self.omegas(p)]
         return column
 
-    def _gather(self, order: Tuple[int, ...], k: int) -> List[int]:
-        index = self._gathers.get((k, order))
-        if index is None:
+    def _gathered(self, column: list, order: Tuple[int, ...], k: int) -> Column:
+        """Per omega in [d]^k, the column's value at omega read at those
+        positions in that order."""
+        gather = self._gathers.get((k, order))
+        if gather is None:
             d = self.table.d
             weight = [0] * k
             for j, p in enumerate(order):
@@ -1064,25 +1067,14 @@ class OmegaGrid:
             index = [0]
             for w in weight:  # the last position varies fastest, as in product
                 index = [x + w * i for x in index for i in range(d)]
-            self._gathers[k, order] = index
-        return index
-
-    def _gathered(self, column: list, order: Tuple[int, ...], k: int) -> Column:
-        """Per omega in [d]^k, the column's value at omega read at those
-        positions in that order."""
-        return Column([column[i] for i in self._gather(order, k)])
+            # for d = 1, index is [0], and itemgetter(0) would not give a tuple
+            gather = self._gathers[k, order] = itemgetter(*index) if d > 1 else itemgetter(slice(1))
+        return Column(gather(column))
 
     def values(self, plan, n: int) -> list:
         """The product of the plan's blocks at every omega of length n."""
-        out = None
-        for kind, order in plan:
-            column = self._column(kind, len(order))
-            index = self._gather(order, n)
-            if out is None:
-                out = [column[i] for i in index]
-            else:
-                out = [v * column[i] for v, i in zip(out, index)]
-        return [1] * self.table.d ** n if out is None else out
+        factors = [self._gathered(self._column(kind, len(order)), order, n) for kind, order in plan]
+        return reduce(mul, factors) if factors else [1] * self.table.d ** n
 
     def moments(self, chi_str: str) -> list:
         """The vacuum moment of the bi-word (omega, chi) at every omega."""

@@ -6,7 +6,8 @@ q_m >= -1, every partial sum is >= 0, and the total sum is 0.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import cache
+from typing import Iterable, List, Sequence, Tuple
 
 from .partitions import Partition, _check_ground_set
 
@@ -85,24 +86,17 @@ def _validate(rise: tuple) -> None:
         raise InvalidRiseVector(f"entries sum to {total}, expected 0")
 
 
-#: n -> every path with n steps, filled on first use; at most
-#: MAX_GROUND_SET entries.
-_PATHS: Dict[int, Tuple[LukPath, ...]] = {}
-
-
 def enumerate_luk(n: int) -> List[LukPath]:
     """All paths with n steps, each exactly once; there are Catalan(n).
 
     The paths are built once per n; every call returns a fresh list.
     """
     _check_ground_set(n)
-    paths = _PATHS.get(n)
-    if paths is None:
-        paths = _PATHS[n] = tuple(_build_paths(n))
-    return list(paths)
+    return list(_paths(n))
 
 
-def _build_paths(n: int) -> List[LukPath]:
+@cache
+def _paths(n: int) -> Tuple[LukPath, ...]:
     out: List[LukPath] = []
     rise: List[int] = []
 
@@ -116,7 +110,7 @@ def _build_paths(n: int) -> List[LukPath]:
             rise.pop()
 
     extend(1, 0)
-    return out
+    return tuple(out)
 
 
 def _rises(n: int, m: int, height: int) -> range:

@@ -8,8 +8,9 @@ as dictionary keys.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 #: Enumeration functions reject n above this bound (Bell(11) = 678570
 #: objects is the largest batch we are willing to materialize).
@@ -196,22 +197,17 @@ def is_noncrossing(p: Partition) -> bool:
     this single scan with a stack of open blocks checks.
     """
     idx = p.block_index()
-    mins = {min(b): k for k, b in enumerate(p.blocks)}
-    maxs = {max(b): k for k, b in enumerate(p.blocks)}
     stack: List[int] = []
     for m in range(1, p.n + 1):
         k = idx[m]
-        if m in mins and mins[m] == k:
+        block = p.blocks[k]  # canonical: its minimum first, its maximum last
+        if block[0] == m:
             stack.append(k)
         elif stack[-1] != k:
             return False
-        if m in maxs and maxs[m] == k:
+        if block[-1] == m:
             stack.pop()
     return True
-
-
-#: n -> NC(n), filled on first use; at most MAX_GROUND_SET entries.
-_NONCROSSING: Dict[int, Tuple[Partition, ...]] = {}
 
 
 def enumerate_noncrossing(n: int) -> List[Partition]:
@@ -220,12 +216,12 @@ def enumerate_noncrossing(n: int) -> List[Partition]:
     The Bell filter runs once per n; every call returns a fresh list.
     """
     _check_ground_set(n)
-    family = _NONCROSSING.get(n)
-    if family is None:
-        family = _NONCROSSING[n] = tuple(
-            p for p in enumerate_partitions(n) if is_noncrossing(p)
-        )
-    return list(family)
+    return list(_noncrossing(n))
+
+
+@cache
+def _noncrossing(n: int) -> Tuple[Partition, ...]:
+    return tuple(p for p in enumerate_partitions(n) if is_noncrossing(p))
 
 
 def noncrossing_mobius(p: Partition) -> int:
@@ -236,7 +232,8 @@ def noncrossing_mobius(p: Partition) -> int:
     reading each block of p as one cycle in increasing order; so mu(p, 1_n)
     is the product of (-1)**(|C| - 1) Catalan(|C| - 1) over those cycles
     (Nica and Speicher, Lectures on the Combinatorics of Free Probability,
-    Lectures 9-11).
+    Lectures 9-11).  Blocks and cycles number n + 1 together exactly when
+    p is non-crossing; a crossing p raises ``ValueError``.
     """
     n = p.n
     # pred[m] = p^-1(m), the previous element of m's block, cyclically
@@ -245,6 +242,7 @@ def noncrossing_mobius(p: Partition) -> int:
         for prev, m in zip(block[-1:] + block[:-1], block):
             pred[m] = prev
     mu = 1
+    cycles = 0
     seen = [False] * (n + 1)
     for start in range(1, n + 1):
         length = 0
@@ -254,8 +252,11 @@ def noncrossing_mobius(p: Partition) -> int:
             length += 1
             m = pred[m % n + 1]  # p^-1(gamma(m))
         if length:
+            cycles += 1
             k = length - 1
             mu *= (-1) ** k * (comb(2 * k, k) // (k + 1))
+    if len(p.blocks) + cycles != n + 1:
+        raise ValueError(f"{p!r} is crossing; mu is defined on NC(n) only")
     return mu
 
 

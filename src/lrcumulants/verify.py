@@ -65,29 +65,36 @@ class Check:
     expected: object
     actual: object
     ok: bool
+    instances: int = 1
 
 
 @dataclass
 class SuiteResult:
+    """One suite's checks; each check carries the number of instances it
+    verified, and the suite's ``instances`` is their sum."""
+
     suite: str
     parameters: dict
     checks: List[Check] = field(default_factory=list)
-    instances: int = 0
     elapsed: float = 0.0
+
+    @property
+    def instances(self) -> int:
+        return sum(c.instances for c in self.checks)
 
     @property
     def passed(self) -> bool:
         # an empty sweep is a failure: it verified nothing
-        return self.instances > 0 and bool(self.checks) and all(c.ok for c in self.checks)
+        return self.instances > 0 and all(c.ok for c in self.checks)
 
-    def add(self, name: str, expected, actual, ok: Optional[bool] = None) -> None:
-        self.checks.append(Check(name, expected, actual, ok if ok is not None else expected == actual))
+    def add(self, name: str, expected, actual, ok: Optional[bool] = None, instances: int = 1) -> None:
+        ok = expected == actual if ok is None else ok
+        self.checks.append(Check(name, expected, actual, ok, instances))
 
     def add_sweep(self, name: str, summary: str, count: int, failures: List[str]) -> None:
         """One check over ``count`` instances: ``summary`` if none failed,
         else the first three failures."""
-        self.add(name, summary, failures[:3] or summary, not failures)
-        self.instances += count
+        self.add(name, summary, failures[:3] or summary, not failures, count)
 
 
 def catalan(n: int) -> int:
@@ -150,6 +157,18 @@ def _fock_cells(max_n: int, d: int, seed: int) -> List[Tuple[str, int, OmegaGrid
 # ---------------------------------------------------------------------------
 
 
+def _scenarios(chi: ChiWord, paths: list, traces, failures: List[str]):
+    """chi's paths paired in order with its replay's traces, the scenarios
+    checked; a replay with more or fewer traces than paths adds a failure."""
+    traces = iter(traces)
+    count = 0
+    for count, pair in enumerate(zip(paths, traces), 1):  # zip reads paths first
+        yield pair
+    count += sum(1 for _ in traces)
+    if count != len(paths):
+        failures.append(f"chi={chi}: {count} traces for {len(paths)} paths")
+
+
 def _families(n: int):
     """(chi, family) for every chi of length n, in ``all_chi`` order, each
     family read off the scenarios of one all-chi replay."""
@@ -176,7 +195,6 @@ def suite_thm49(max_n: int = 6, **_) -> SuiteResult:
                 detail,
                 ok,
             )
-            result.instances += 1
     return result
 
 
@@ -189,7 +207,8 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
         paths = enumerate_luk(n)
         for chi, traces in replays(n):
             failures = []
-            for path, trace in zip(paths, traces):
+            checked = 0
+            for checked, (path, trace) in enumerate(_scenarios(chi, paths, traces, failures), 1):
                 data = insertion_standings(trace)
                 rho = _merge_standings(n, data)
                 if not is_noncrossing(rho):
@@ -203,8 +222,8 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
                         failures.append(f"rise={list(path.rise)}: wrong canonical path")
                 except InvalidRiseVector as err:
                     failures.append(f"rise={list(path.rise)}: output partition has no path: {err}")
-            summary = f"{len(paths)} scenarios, all non-crossing/interval/path-consistent"
-            result.add_sweep(f"n={n} chi={chi}", summary, len(paths), failures)
+            summary = f"{checked} scenarios, all non-crossing/interval/path-consistent"
+            result.add_sweep(f"n={n} chi={chi}", summary, checked, failures)
     return result
 
 
@@ -239,15 +258,16 @@ def suite_lemma48(max_n: int = 6, **_) -> SuiteResult:
         for chi, traces in replays(n):
             sigma = sigma_chi(chi)
             failures = []
-            for path, trace in zip(paths, traces):
+            checked = 0
+            for checked, (path, trace) in enumerate(_scenarios(chi, paths, traces, failures), 1):
                 image = act(sigma, combined_standings(trace))
                 out = _batched_exit_times(path.rise, trace.exit_order)
                 if image.blocks != out:
                     failures.append(
                         f"rise={list(path.rise)}: {image.to_json()} != {[list(b) for b in out]}"
                     )
-            summary = f"{len(paths)} scenarios mapped onto their output partitions"
-            result.add_sweep(f"n={n} chi={chi}", summary, len(paths), failures)
+            summary = f"{checked} scenarios mapped onto their output partitions"
+            result.add_sweep(f"n={n} chi={chi}", summary, checked, failures)
     return result
 
 
@@ -266,7 +286,6 @@ def suite_prop413(max_n: int = 6, **_) -> SuiteResult:
                 "stable" if image == nc else sorted(p.to_json() for p in image - nc),
                 image == nc,
             )
-            result.instances += 1
         rev = Permutation.reversal(n)
         for first in all_chi(n):
             opp = chi_opposite(first)
@@ -292,7 +311,6 @@ def suite_prop413(max_n: int = 6, **_) -> SuiteResult:
                     list(lhs.images),
                     list(rhs.images),
                 )
-                result.instances += 2
     return result
 
 
@@ -333,6 +351,7 @@ def suite_cor410(max_n: int = 5, **_) -> SuiteResult:
                 f"{len(nc) ** 2} comparisons preserved",
                 f"{len(nc) ** 2 - order_bad} comparisons preserved",
                 order_bad == 0,
+                len(nc) ** 2,
             )
             fam_sorted = sorted(fam)
             meet_bad = [
@@ -346,8 +365,8 @@ def suite_cor410(max_n: int = 5, **_) -> SuiteResult:
                 "closed under block-intersection meets",
                 meet_bad[:3] or "closed under block-intersection meets",
                 not meet_bad,
+                len(fam) ** 2,
             )
-            result.instances += 1 + len(nc) ** 2 + len(fam) ** 2
     return result
 
 
@@ -394,16 +413,17 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
         omegas = grid.omegas(n)
         if n not in scenarios:
             paths = enumerate_luk(n)
+            walk_fail: List[str] = []
             scenarios[n] = [
                 (chi, path, _strip_plan(path, chi), reverse_mixture_plan_for_blocks(
                     block_data(trace.output_partition, chi.letters)))
                 for chi, traces in replays(n)
-                for path, trace in zip(paths, traces)
+                for path, trace in _scenarios(chi, paths, traces, walk_fail)
             ]
+            if walk_fail:
+                result.add_sweep(f"n={n} replay", "one trace per path", 0, walk_fail)
         cell_fail = []
-        cell_count = 0
         for chi, path, strip_plan, plan in scenarios[n]:
-            cell_count += len(omegas)
             if strip_plan is None:
                 cell_fail.append(f"chi={chi.letters} rise={list(path.rise)}: "
                                  "the product is not one vacuum term of factor 1")
@@ -418,6 +438,7 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
                 for omega, want, got in zip(omegas, expected, actual)
                 if got != want
             ]
+        cell_count = len(omegas) * len(scenarios[n])
         summary = f"{cell_count} products collapse to the vacuum multiple"
         result.add_sweep(label, summary, cell_count, cell_fail)
     return result
@@ -456,10 +477,9 @@ def _route_sweep(
         table = grid.table
         omegas = grid.omegas(n)
         cell_fail = []
-        cell_count = 0
+        cell_count = len(omegas) * 2 ** n
         for chi in all_chi(n):
             lhs, rhs = routes(grid, chi.letters)
-            cell_count += len(omegas)
             cell_fail += [
                 f"chi={chi.letters} omega={list(omega)}: {labels[0]} "
                 f"{table.rational(left, n)} != {labels[1]} {table.rational(right, n)}"
@@ -550,7 +570,6 @@ def suite_eq12x(**_) -> SuiteResult:
             f"engine={engine_value} family={family_value}",
             ok,
         )
-        result.instances += 1
     return result
 
 
@@ -563,7 +582,6 @@ def suite_eq12y(**_) -> SuiteResult:
         expected = interleaved_free_cumulant_terms(*omega)
         actual = engine.cumulant("rrrr", tuple(zip(omega, "lrlr")))
         result.add(f"omega={list(omega)}", str(expected), str(actual))
-        result.instances += 1
     return result
 
 
@@ -584,8 +602,8 @@ def suite_bifree(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
             for chi, idx, value in violations[:3]
         ],
         ok,
+        checked,
     )
-    result.instances += checked
 
     patched = table.with_entry("a", (1, 2), 1)
     ok2, violations2 = is_combinatorially_bifree_upto(pairs, VacuumMoments(patched), 2)
@@ -596,8 +614,8 @@ def suite_bifree(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
         "violation at chi=ll omega=[1, 2] value=1",
         f"violation at chi=ll omega=[1, 2] value={witness}" if not ok2 else "no violation",
         (not ok2) and witness == 1,
+        4 * (d ** 2 - d),
     )
-    result.instances += 4 * (d ** 2 - d)
     return result
 
 

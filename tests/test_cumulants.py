@@ -30,6 +30,7 @@ from lrcumulants.partitions import (
     Partition,
     Permutation,
     enumerate_noncrossing,
+    enumerate_partitions,
     leq,
     noncrossing_mobius,
     one_block,
@@ -239,6 +240,18 @@ def test_kreweras_mobius_equals_the_recursion_down_from_the_top():
         assert all(noncrossing_mobius(p) == mu[p] for p in family), n
 
 
+def test_noncrossing_mobius_refuses_a_crossing_partition():
+    for blocks in ([[1, 3], [2, 4]], [[1, 4], [2, 5], [3]]):
+        with pytest.raises(ValueError, match="crossing"):
+            noncrossing_mobius(Partition.from_json(blocks))
+    for n in range(4, 7):
+        nc = set(enumerate_noncrossing(n))
+        for p in enumerate_partitions(n):
+            if p not in nc:
+                with pytest.raises(ValueError):
+                    noncrossing_mobius(p)
+
+
 def mobius_mismatches(phi, cases):
     """The (chi, word) cases on which the Moebius sum and the recursion
     disagree."""
@@ -338,17 +351,16 @@ def test_nc_plan_dag_edge_counts():
     assert [dag_edges(plan.unit) for plan in plans] == [1, 3, 8, 20, 48, 112, 256, 576]
 
 
-def test_a_moment_sum_computes_no_mobius_function(monkeypatch):
+def test_a_moment_sum_computes_no_mobius_function(monkeypatch, fresh_mobius_plans):
     def refuse(p):
         raise AssertionError("mu computed")
 
     monkeypatch.setattr(cumulants, "noncrossing_mobius", refuse)
-    monkeypatch.setattr(cumulants, "_MOBIUS_PLANS", {})
     table = CoefficientTable.random(2, 5, 0)
     assert moment_via_sigma((1, 2, 2, 1, 2), "lrrlr", table) == VacuumMoments(table)(
         tuple(zip((1, 2, 2, 1, 2), "lrrlr"))
     )
-    assert "mobius" not in cumulants._MOBIUS_PLANS[5].__dict__
+    assert "mobius" not in cumulants._mobius_plan(5).__dict__
 
 
 @st.composite
@@ -385,9 +397,10 @@ def identity_sigma(chi):
     "name, defect",
     [("noncrossing_mobius", unsigned_mobius), ("sigma_chi", identity_sigma)],
 )
-def test_mobius_route_fails_under_an_injected_defect(name, defect, monkeypatch, tmp_path, capsys):
+def test_mobius_route_fails_under_an_injected_defect(
+    name, defect, monkeypatch, tmp_path, capsys, fresh_mobius_plans
+):
     monkeypatch.setattr(cumulants, name, defect)
-    monkeypatch.setattr(cumulants, "_MOBIUS_PLANS", {})  # plans built under the defect
     # for n <= 3 every family is NC(n), so sigma_chi matters from n = 4 on
     assert mobius_mismatches(formal_functional, formal_cases(4))
     path = tmp_path / "table.json"

@@ -113,7 +113,9 @@ def without_one_block(family):
         ("cor410", "sigma_chi", identity_permutation),
     ],
 )
-def test_operator_suite_fails_when_one_route_is_perturbed(monkeypatch, suite, attr, perturb):
+def test_operator_suite_fails_when_one_route_is_perturbed(
+    monkeypatch, fresh_mobius_plans, suite, attr, perturb
+):
     assert verify.run_suite(suite, max_n=4, d=2).passed
     # fresh shared cells: a defect in what they are built from takes effect
     # here and leaves no wrong memo behind for later tests
@@ -125,7 +127,7 @@ def test_operator_suite_fails_when_one_route_is_perturbed(monkeypatch, suite, at
 
 
 @pytest.mark.parametrize("suite", ["prop610", "thm65"])
-def test_grid_suites_fail_when_sigma_chi_is_the_identity(monkeypatch, suite):
+def test_grid_suites_fail_when_sigma_chi_is_the_identity(monkeypatch, fresh_mobius_plans, suite):
     # the grid sums over sigma_chi . NC(n); for n <= 3 every family is
     # NC(n), so the defect shows from n = 4 on
     assert verify.run_suite(suite, max_n=4, d=2).passed
@@ -209,6 +211,81 @@ def test_lemma48_fails_when_the_exit_order_is_no_permutation(monkeypatch):
     assert result.passed is False
     # with one ball the exit order is a permutation all the same
     assert [c.ok for c in result.checks] == [True] * 2 + [False] * 12
+
+
+def without_last_trace(n):
+    """The all-chi replay with the last trace of every chi dropped."""
+    for chi, traces in deque.replays(n):
+        yield chi, iter(list(traces)[:-1])
+
+
+def with_last_trace_twice(n):
+    """The all-chi replay with the last trace of every chi repeated."""
+    for chi, traces in deque.replays(n):
+        traces = list(traces)
+        yield chi, iter(traces + traces[-1:])
+
+
+@pytest.mark.parametrize(
+    "suite, instances",
+    # the scenarios the replay gave: one fewer for each of the 30 chi of
+    # length 1..4, each checked at every omega of each lemma67 cell
+    [("prop46", 274 - 30), ("lemma48", 274 - 30), ("lemma67", 7_444)],
+)
+@pytest.mark.parametrize("replay, extra", [(without_last_trace, -1), (with_last_trace_twice, 1)])
+def test_scenario_suites_fail_when_the_replay_miscounts_traces(
+    monkeypatch, fresh_mobius_plans, suite, instances, replay, extra
+):
+    monkeypatch.setattr(verify, "replays", replay)
+    result = verify.run_suite(suite, max_n=4, d=2)
+    assert result.passed is False
+    # only the scenarios checked count: a trace without a path is not one
+    assert result.instances == (instances if extra < 0 else PINNED_INSTANCES[suite])
+    failed = [c for c in result.checks if not c.ok]
+    if suite == "lemma67":  # one check per length, naming up to three chi
+        assert [c.name for c in failed] == [f"n={n} replay" for n in range(1, 5)]
+    else:  # every chi's own check, naming that chi
+        assert [c.name for c in failed] == [
+            f"n={n} chi={chi}" for n in range(1, 5) for chi in verify.all_chi(n)
+        ]
+    for c in failed:
+        m = verify.catalan(int(c.name[2]))
+        chis = [message.split(":")[0] for message in c.actual]
+        assert c.actual == [f"{chi}: {m + extra} traces for {m} paths" for chi in chis]
+        if suite != "lemma67":
+            assert chis == [c.name.split()[1]]
+
+
+#: Instances each suite verifies at max_n=4, d=2.
+PINNED_INSTANCES = {
+    "thm49": 30,
+    "prop46": 274,
+    "lemma48": 274,
+    "prop413": 74,
+    "cor410": 6_738,
+    "lemma67": 8_154,
+    "prop610": 710,
+    "thm65": 710,
+    "eq12x": 16,
+    "eq12y": 16,
+    "bifree": 288,
+}
+
+
+@pytest.mark.parametrize("suite, instances", PINNED_INSTANCES.items())
+def test_each_suite_verifies_its_pinned_instance_count(suite, instances):
+    result = verify.run_suite(suite, max_n=4, d=2)
+    assert result.passed
+    assert result.instances == instances
+
+
+def test_cor410_counts_each_check_apart():
+    result = verify.run_suite("cor410", max_n=4)
+    for chi in verify.all_chi(4):
+        checks = [c for c in result.checks if c.name.startswith(f"n=4 chi={chi} ")]
+        # membership, then one comparison per pair of NC(4) partitions and
+        # one meet per pair of family members, Catalan(4) = 14 of each
+        assert [c.instances for c in checks] == [1, 196, 196]
 
 
 def test_fock_suites_build_one_grid_per_table(monkeypatch):
