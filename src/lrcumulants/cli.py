@@ -191,7 +191,7 @@ def cmd_enumerate(args) -> RunReport:
         objects = [p.to_json() for p in sorted(enumerate_luk(n), key=lambda x: x.rise)]
     report.objects = objects
     report.instances = len(objects)
-    report.checks.append(Check("count", len(objects), len(objects), True))
+    report.checks.append(Check("count", len(objects), len(objects), True, 0))
     return report
 
 
@@ -249,13 +249,13 @@ def cmd_verify(args) -> RunReport:
         )
     result = run_suite(args.suite, max_n=args.max_n, d=args.d, seed=args.seed)
     report = RunReport(
-        "verify", {"suite": args.suite, **result.parameters}, checks=result.checks
+        "verify", {"suite": args.suite, **result.parameters}, checks=list(result.checks)
     )
     report.instances = result.instances
     report.elapsed = result.elapsed
     if result.instances == 0:
         report.checks.append(
-            Check("non-empty sweep", "at least one instance", "zero instances", False)
+            Check("non-empty sweep", "at least one instance", "zero instances", False, 0)
         )
     return report
 

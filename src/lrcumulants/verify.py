@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, zip_longest
 from math import factorial
 from operator import attrgetter
 from types import SimpleNamespace
@@ -70,8 +70,7 @@ class Check:
 
 @dataclass
 class SuiteResult:
-    """One suite's checks; each check carries the number of instances it
-    verified, and the suite's ``instances`` is their sum."""
+    """One suite's checks; ``instances`` sums the instances each check verified."""
 
     suite: str
     parameters: dict
@@ -159,14 +158,14 @@ def _fock_cells(max_n: int, d: int, seed: int) -> List[Tuple[str, int, OmegaGrid
 
 def _scenarios(chi: ChiWord, paths: list, traces, failures: List[str]):
     """chi's paths paired in order with its replay's traces, the scenarios
-    checked; a replay with more or fewer traces than paths adds a failure."""
-    traces = iter(traces)
-    count = 0
-    for count, pair in enumerate(zip(paths, traces), 1):  # zip reads paths first
-        yield pair
-    count += sum(1 for _ in traces)
-    if count != len(paths):
-        failures.append(f"chi={chi}: {count} traces for {len(paths)} paths")
+    to check; a replay with more or fewer traces than paths adds a failure
+    naming chi."""
+    for path, trace in zip_longest(paths, traces):
+        if path is None or trace is None:
+            more = "more" if path is None else "fewer"
+            failures.append(f"chi={chi}: the replay yields {more} traces than its {len(paths)} paths")
+            return
+        yield path, trace
 
 
 def _families(n: int):
@@ -404,26 +403,25 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     cells = _fock_cells(max_n, d, seed)
     if max_n >= 5 and d >= 2:  # single-track products stay cheap
         cells.insert(0, ("symbolic n=5 d=2", 5, shared("symbolic", 2, SYMBOLIC_N_O)))
-    # per n: every (chi, path) with its strip plan and the reverse-mixture
-    # plan of its output partition, recorded once from one all-chi replay
-    # and shared by the cells of that n
-    scenarios: Dict[int, List[tuple]] = {}
+    # per n: the replay's trace-count failures and every (chi, path) with its
+    # strip plan and the reverse-mixture plan of its output partition,
+    # recorded once from one all-chi replay and shared by the cells of that n
+    scenarios: Dict[int, Tuple[List[str], List[tuple]]] = {}
     for label, n, grid in cells:
         table = grid.table
         omegas = grid.omegas(n)
         if n not in scenarios:
             paths = enumerate_luk(n)
             walk_fail: List[str] = []
-            scenarios[n] = [
+            scenarios[n] = walk_fail, [
                 (chi, path, _strip_plan(path, chi), reverse_mixture_plan_for_blocks(
                     block_data(trace.output_partition, chi.letters)))
                 for chi, traces in replays(n)
                 for path, trace in _scenarios(chi, paths, traces, walk_fail)
             ]
-            if walk_fail:
-                result.add_sweep(f"n={n} replay", "one trace per path", 0, walk_fail)
-        cell_fail = []
-        for chi, path, strip_plan, plan in scenarios[n]:
+        walk_fail, cell_scenarios = scenarios[n]
+        cell_fail = list(walk_fail)
+        for chi, path, strip_plan, plan in cell_scenarios:
             if strip_plan is None:
                 cell_fail.append(f"chi={chi.letters} rise={list(path.rise)}: "
                                  "the product is not one vacuum term of factor 1")
@@ -438,7 +436,7 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
                 for omega, want, got in zip(omegas, expected, actual)
                 if got != want
             ]
-        cell_count = len(omegas) * len(scenarios[n])
+        cell_count = len(omegas) * len(cell_scenarios)
         summary = f"{cell_count} products collapse to the vacuum multiple"
         result.add_sweep(label, summary, cell_count, cell_fail)
     return result
@@ -477,9 +475,13 @@ def _route_sweep(
         table = grid.table
         omegas = grid.omegas(n)
         cell_fail = []
-        cell_count = len(omegas) * 2 ** n
+        cell_count = 0
         for chi in all_chi(n):
             lhs, rhs = routes(grid, chi.letters)
+            if not len(lhs) == len(rhs) == len(omegas):  # compared as far as all three go
+                cell_fail.append(f"chi={chi.letters}: {len(lhs)} and {len(rhs)} values "
+                                 f"for {len(omegas)} words")
+            cell_count += min(len(omegas), len(lhs), len(rhs))
             cell_fail += [
                 f"chi={chi.letters} omega={list(omega)}: {labels[0]} "
                 f"{table.rational(left, n)} != {labels[1]} {table.rational(right, n)}"

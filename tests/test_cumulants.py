@@ -360,7 +360,12 @@ def test_a_moment_sum_computes_no_mobius_function(monkeypatch, fresh_mobius_plan
     assert moment_via_sigma((1, 2, 2, 1, 2), "lrrlr", table) == VacuumMoments(table)(
         tuple(zip((1, 2, 2, 1, 2), "lrrlr"))
     )
-    assert "mobius" not in cumulants._mobius_plan(5).__dict__
+    # the moment sum built the NC(5) plan through the memo, and reading it
+    # back is a hit, not a second build
+    assert cumulants._mobius_plan.cache_info().currsize == 1
+    plan = cumulants._mobius_plan(5)
+    assert cumulants._mobius_plan.cache_info().misses == 1
+    assert "mobius" not in plan.__dict__
 
 
 @st.composite

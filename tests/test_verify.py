@@ -1,5 +1,7 @@
 """A suite fails when one of its routes or constructions is wrong."""
 
+import re
+
 import pytest
 
 from lrcumulants import cumulants, deque, verify
@@ -232,28 +234,47 @@ def with_last_trace_twice(n):
     # length 1..4, each checked at every omega of each lemma67 cell
     [("prop46", 274 - 30), ("lemma48", 274 - 30), ("lemma67", 7_444)],
 )
-@pytest.mark.parametrize("replay, extra", [(without_last_trace, -1), (with_last_trace_twice, 1)])
+@pytest.mark.parametrize("replay, side", [(without_last_trace, "fewer"), (with_last_trace_twice, "more")])
 def test_scenario_suites_fail_when_the_replay_miscounts_traces(
-    monkeypatch, fresh_mobius_plans, suite, instances, replay, extra
+    monkeypatch, fresh_mobius_plans, suite, instances, replay, side
 ):
     monkeypatch.setattr(verify, "replays", replay)
     result = verify.run_suite(suite, max_n=4, d=2)
     assert result.passed is False
     # only the scenarios checked count: a trace without a path is not one
-    assert result.instances == (instances if extra < 0 else PINNED_INSTANCES[suite])
+    assert result.instances == (instances if side == "fewer" else PINNED_INSTANCES[suite])
     failed = [c for c in result.checks if not c.ok]
-    if suite == "lemma67":  # one check per length, naming up to three chi
-        assert [c.name for c in failed] == [f"n={n} replay" for n in range(1, 5)]
+    if suite == "lemma67":  # every cell, naming the first three chi of its length
+        assert failed == result.checks
     else:  # every chi's own check, naming that chi
         assert [c.name for c in failed] == [
             f"n={n} chi={chi}" for n in range(1, 5) for chi in verify.all_chi(n)
         ]
     for c in failed:
-        m = verify.catalan(int(c.name[2]))
-        chis = [message.split(":")[0] for message in c.actual]
-        assert c.actual == [f"{chi}: {m + extra} traces for {m} paths" for chi in chis]
+        n = int(re.search(r"n=(\d)", c.name)[1])
+        chis = [f"chi={chi}" for chi in verify.all_chi(n)]
         if suite != "lemma67":
-            assert chis == [c.name.split()[1]]
+            chis = [c.name.split()[1]]
+        assert c.actual == [
+            f"{chi}: the replay yields {side} traces than its {verify.catalan(n)} paths"
+            for chi in chis[:3]
+        ]
+
+
+def test_route_suites_fail_when_a_route_gives_too_few_values(monkeypatch):
+    moments = verify.OmegaGrid.moments
+    monkeypatch.setattr(verify.OmegaGrid, "moments", lambda grid, chi: moments(grid, chi)[:-1])
+    result = verify.run_suite("prop610", max_n=3, d=2)
+    assert result.passed is False
+    # one word fewer compared for each chi of each cell: 182 at full length
+    assert result.instances == 182 - sum(2 ** n for _, n, _ in verify._fock_cells(3, 2, 0))
+    for c in result.checks:
+        n = int(re.search(r"n=(\d)", c.name)[1])
+        d = int(re.search(r"d=(\d)", c.name)[1])
+        assert c.actual == [
+            f"chi={chi}: {d ** n - 1} and {d ** n} values for {d ** n} words"
+            for chi in verify.all_chi(n)
+        ][:3]
 
 
 #: Instances each suite verifies at max_n=4, d=2.
