@@ -33,7 +33,10 @@ from .partitions import _check_ground_set
 
 Word = Tuple[int, ...]
 Symbol = Tuple[str, Word]  # ("a" | "b", index word)
-Monomial = Tuple[Symbol, ...]  # sorted multiset of symbols
+# a symbol as a monomial's factor: (kind, len(word), word), so that native
+# tuple order is the monomial order (kind, word length, word)
+Factor = Tuple[str, int, Word]
+Monomial = Tuple[Factor, ...]  # sorted multiset of factors
 
 ALPHA = "a"
 BETA = "b"
@@ -41,27 +44,20 @@ BETA = "b"
 VACUUM: Word = ()
 
 
-def _symbol_key(sym: Symbol):
-    kind, word = sym
-    return (kind, len(word), word)
-
-
-def symbol_str(sym: Symbol) -> str:
-    kind, word = sym
-    return f"{kind}[{','.join(map(str, word))}]"
-
-
-def _monomial_key(mono: Monomial):
-    return (len(mono), tuple(_symbol_key(s) for s in mono))
+def symbol_str(sym: "Symbol | Factor") -> str:
+    """A symbol (kind, word), or a monomial factor (kind, len(word), word),
+    as "kind[w1,...,wk]"."""
+    return f"{sym[0]}[{','.join(map(str, sym[-1]))}]"
 
 
 class PolyScalar:
     """Sparse exact polynomial in coefficient symbols, over the rationals.
 
-    Monomials are multisets of symbols, stored as tuples sorted by
-    (kind, word length, word); zero coefficients are never stored.
-    Symbols and whole constants carry int coefficients, so sums and
-    products of them stay in int arithmetic.
+    Monomials are multisets of symbols, stored as tuples of factors
+    (kind, len(word), word) in their native order, which is the order by
+    kind, word length, word; zero coefficients are never stored.  Symbols
+    and whole constants carry int coefficients, so sums and products of
+    them stay in int arithmetic.
     Supports +, -, * with other PolyScalar values, ints and Fractions,
     and equality against the same.
     """
@@ -75,6 +71,14 @@ class PolyScalar:
         raise AttributeError("PolyScalar is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, terms: Dict[Monomial, Fraction]) -> "PolyScalar":
+        """The polynomial with these terms, taking ownership of the dict:
+        for a dict built fresh by the caller, with no zero coefficient."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "terms", terms)
+        return value
 
     @classmethod
     def zero(cls) -> "PolyScalar":
@@ -92,7 +96,7 @@ class PolyScalar:
         word = tuple(word)
         if kind not in (ALPHA, BETA) or not word:
             raise ValueError(f"bad symbol ({kind!r}, {word!r})")
-        return cls({((kind, word),): 1})
+        return cls({((kind, len(word), word),): 1})
 
     @staticmethod
     def _coerce(value) -> "PolyScalar":
@@ -105,9 +109,10 @@ class PolyScalar:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not PolyScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         terms, small = self.terms, other.terms
         if len(small) > len(terms):  # copy the larger (in C), walk the smaller
             terms, small = small, terms
@@ -118,12 +123,12 @@ class PolyScalar:
                 terms[mono] = s
             else:
                 terms.pop(mono, None)
-        return PolyScalar(terms)
+        return PolyScalar._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar({m: -c for m, c in self.terms.items()})
+        return PolyScalar._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -135,22 +140,27 @@ class PolyScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is PolyScalar:
+            a, b = self.terms, other.terms
+            if len(a) == 1 == len(b):  # one nonzero coefficient times another
+                ((m1, c1),) = a.items()
+                ((m2, c2),) = b.items()
+                return PolyScalar._of({tuple(sorted(m1 + m2)): c1 * c2})
+            terms: Dict[Monomial, Fraction] = {}
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    mono = tuple(sorted(m1 + m2))
+                    s = terms.get(mono, 0) + c1 * c2
+                    if s:
+                        terms[mono] = s
+                    else:
+                        del terms[mono]
+            return PolyScalar._of(terms)
         if isinstance(other, (int, Fraction)):
             if not other:
-                return PolyScalar()
-            return PolyScalar({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, PolyScalar):
-            return NotImplemented
-        terms: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2, key=_symbol_key))
-                s = terms.get(mono, 0) + c1 * c2
-                if s:
-                    terms[mono] = s
-                else:
-                    del terms[mono]
-        return PolyScalar(terms)
+                return PolyScalar._of({})
+            return PolyScalar._of({m: c * other for m, c in self.terms.items()})
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -158,12 +168,11 @@ class PolyScalar:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, PolyScalar):
+        if type(other) is PolyScalar:
             return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self.terms
-            return self.terms == {(): Fraction(other)}
+            # dict equality compares the coefficients by value: no Fraction needed
+            return self.terms == ({(): other} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -178,7 +187,8 @@ class PolyScalar:
     # -- presentation ------------------------------------------------------
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]))
+        """The terms by degree, then by the monomials' native order."""
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __str__(self):
         if not self.terms:
@@ -742,7 +752,7 @@ def lemma67_vector(
         raise ValueError("path, chi and omega must have equal lengths")
     if min(omega) < 1 or max(omega) > table.d:
         raise ValueError(f"index word {list(omega)} has letters outside 1..{table.d}")
-    coeff: object = 1
+    coeff: object = None
     word: Word = ()
     for m in range(n, 0, -1):
         h = chi.letters[m - 1]
@@ -760,8 +770,8 @@ def lemma67_vector(
                 word = word[:-p]
             if not value:
                 return {}
-            coeff = coeff * value if coeff != 1 else value
-    return {word: coeff}
+            coeff = value if coeff is None else coeff * value
+    return {word: 1 if coeff is None else coeff}
 
 
 # ---------------------------------------------------------------------------

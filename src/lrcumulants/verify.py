@@ -392,7 +392,7 @@ def _strip_plan(path, chi: ChiWord) -> Optional[tuple]:
     if set(vec) - {()} or list(terms.values()) != [1]:
         return None
     (mono,) = terms
-    return tuple((kind, tuple([m - 1 for m in word])) for kind, word in mono)
+    return tuple((kind, tuple([m - 1 for m in word])) for kind, _, word in mono)
 
 
 def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:

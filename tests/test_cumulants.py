@@ -124,7 +124,7 @@ def test_recursion_is_a_fixed_polynomial_in_the_moments():
             substituted = Fraction(0)
             for mono, coeff in poly.terms.items():
                 term = Fraction(coeff)
-                for _, sym_word in mono:
+                for _, _, sym_word in mono:
                     term *= phi(sym_word)
                 substituted += term
             assert substituted == direct.cumulant(chi, word)

@@ -127,7 +127,95 @@ def test_polyscalar_rendering_and_json():
 def test_monomials_sorted_by_kind_length_word():
     m = sym("b", 1) * sym("a", 2) * sym("a", 1, 1)
     (mono,) = m.terms
-    assert mono == (("a", (2,)), ("a", (1, 1)), ("b", (1,)))
+    assert mono == (("a", 1, (2,)), ("a", 2, (1, 1)), ("b", 1, (1,)))
+
+
+# A reference polynomial: {monomial: coefficient}, a monomial being a tuple of
+# (kind, word) symbols sorted by (kind, word length, word), with no zero
+# coefficient stored.
+
+REF_SYMBOLS = [("a", (2,)), ("a", (1, 1)), ("a", (2, 1)), ("a", (1, 1, 2)),
+               ("b", (1,)), ("b", (2,)), ("b", (2, 1))]
+
+
+def _ref_order(sym):
+    kind, word = sym
+    return kind, len(word), word
+
+
+def ref_add(x, y):
+    out = dict(x)
+    for mono, c in y.items():
+        out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def ref_scale(x, k):
+    return {mono: c * k for mono, c in x.items() if c * k}
+
+
+def ref_mul(x, y):
+    out = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            mono = tuple(sorted(m1 + m2, key=_ref_order))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def stored(ref):
+    """The reference's terms in PolyScalar's stored monomial form."""
+    return {tuple((kind, len(word), word) for kind, word in mono): c for mono, c in ref.items()}
+
+
+ref_scalars = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def refs(draw):
+    terms = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(REF_SYMBOLS), max_size=3), ref_scalars),
+        max_size=4,
+    ))
+    out = {}
+    for symbols, c in terms:
+        out = ref_add(out, {tuple(sorted(symbols, key=_ref_order)): c})
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(refs(), refs(), ref_scalars)
+def test_polyscalar_matches_the_reference(x, y, k):
+    px, py = PolyScalar(stored(x)), PolyScalar(stored(y))
+    before = dict(px.terms), dict(py.terms)
+    cases = {
+        "x + y": (px + py, ref_add(x, y)),
+        "x - y": (px - py, ref_add(x, ref_scale(y, -1))),
+        "x * y": (px * py, ref_mul(x, y)),
+        "-x": (-px, ref_scale(x, -1)),
+        "k * x": (k * px, ref_scale(x, k)),
+        "x * k": (px * k, ref_scale(x, k)),
+        "x + k": (px + k, ref_add(x, {(): k})),
+        "k - x": (k - px, ref_add({(): k}, ref_scale(x, -1))),
+    }
+    for name, (value, ref) in cases.items():
+        assert type(value) is PolyScalar, name
+        assert value.terms == stored(ref), name
+        for mono in value.terms:
+            assert all(length == len(word) for _, length, word in mono), name
+            assert list(mono) == sorted(mono, key=lambda f: (f[0], len(f[2]), f[2])), name
+        twin = PolyScalar(stored(ref))
+        assert value == twin and hash(value) == hash(twin), name
+        assert (value == py) == (stored(ref) == py.terms), name
+        if set(ref) <= {()}:  # a constant equals, and hashes as, its number
+            number = ref.get((), 0)
+            assert value == number and hash(value) == hash(number), name
+        else:
+            assert value != k, name
+    assert (dict(px.terms), dict(py.terms)) == before
 
 
 # -- generators -----------------------------------------------------------------
