@@ -2,10 +2,11 @@
 """Run every verification suite and print a one-line summary per suite.
 
 Default scales finish in seconds; --full runs the acceptance scales.
-On a 2-vCPU Xeon host with Python 3.11, --full took 7.2-10.1 s over five
-runs: lemma67 3.8-5.5 s, prop610 1.7-2.5 s, thm65 0.6-0.8 s, and the five
-combinatorial suites 1.0-1.4 s together (cor410 0.4-0.6 s; thm49, prop46,
-lemma48 and prop413 0.1-0.3 s each).
+On a 2-vCPU Xeon host with Python 3.11, the suites of --full took
+4.8-6.1 s together over six runs (5.1-5.3 s wall for a whole run):
+lemma67 1.7-2.0 s, prop610 1.7-2.4 s, thm65 0.5-0.7 s, and the five
+combinatorial suites 0.8-1.0 s together (cor410 0.3-0.4 s; thm49, prop46,
+lemma48 and prop413 0.1-0.2 s each).
 """
 
 import argparse

@@ -39,10 +39,12 @@ class ChiWord:
     Keeps the positions of the l-steps (``m_ell``) and of the r-steps
     (``m_r``), both in increasing order, and the standing of each position
     among the steps of its side: ``standing[m - 1]`` is q when m is the
-    q-th l-position or the q-th r-position.
+    q-th l-position or the q-th r-position.  ``slot[m]`` is position m's
+    slot in the combined standings: q for the q-th l-position, n + 1 - q
+    for the q-th r-position (``slot[0]`` is 0, so a position indexes it).
     """
 
-    __slots__ = ("n", "letters", "m_ell", "m_r", "standing")
+    __slots__ = ("n", "letters", "m_ell", "m_r", "standing", "slot")
 
     def __init__(self, letters: "str | Iterable[str]"):
         word = "".join(letters)
@@ -64,6 +66,9 @@ class ChiWord:
             for q, m in enumerate(side, 1):
                 standing[m - 1] = q
         object.__setattr__(self, "standing", tuple(standing))
+        object.__setattr__(self, "slot", (0,) + tuple(
+            [q if h == LEFT else len(word) + 1 - q for q, h in zip(standing, word)]
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChiWord is immutable")
@@ -347,21 +352,13 @@ def combined_standings(trace: ScenarioTrace) -> Partition:
     """Merge both standings into one partition of {1..n}.
 
     Block for insertion time i: V_i united with the reflection
-    {n + 1 - q : q in W_i}.  The result is always non-crossing.
+    {n + 1 - q : q in W_i}, which is the image of the output block of i
+    under ``chi.slot``.  The result is always non-crossing.
     """
-    return _merge_standings(trace.chi.n, insertion_standings(trace))
-
-
-def _merge_standings(
-    n: int, standings: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]
-) -> Partition:
-    """:func:`combined_standings` from the trace's
-    :func:`insertion_standings`."""
-    # the V_i partition {1..u} and the reflected W_i partition {u+1..n};
-    # V_i and the reflection of W_i read backwards are ascending, and every
-    # element of the first is below every element of the second
-    blocks = [vi + tuple([n + 1 - q for q in reversed(wi)]) for _, vi, wi in standings]
-    return Partition._unchecked(n, tuple(sorted(blocks)))
+    slot = trace.chi.slot
+    return Partition._unchecked(trace.chi.n, tuple(sorted(
+        [tuple(sorted(map(slot.__getitem__, block))) for block in trace.output_partition.blocks]
+    )))
 
 
 def chi_opposite(chi: ChiWord) -> ChiWord:

@@ -20,12 +20,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .cumulants import CumulantEngine, is_combinatorially_bifree_upto, mobius_cumulant
 from .deque import (
     ChiWord,
-    _merge_standings,
     block_data,
     chi_opposite,
     combined_standings,
     family,
-    insertion_standings,
     pchi_by_enumeration,
     pchi_by_sigma,
     replays,
@@ -205,15 +203,15 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
     for n in range(1, max_n + 1):
         paths = enumerate_luk(n)
         for chi, traces in replays(n):
+            slot = chi.slot
             failures = []
             checked = 0
             for checked, (path, trace) in enumerate(_scenarios(chi, paths, traces, failures), 1):
-                data = insertion_standings(trace)
-                rho = _merge_standings(n, data)
+                rho = combined_standings(trace)
                 if not is_noncrossing(rho):
                     failures.append(f"rise={list(path.rise)}: crossing {rho.to_json()}")
-                i, v, w = data[-1]
-                block = sorted(v + tuple(n + 1 - q for q in w))
+                # the combined-standings block of the last insertion time
+                block = sorted(map(slot.__getitem__, trace.output_partition.blocks[-1]))
                 if block != list(range(block[0], block[-1] + 1)):
                     failures.append(f"rise={list(path.rise)}: block {block} not an interval")
                 try:
@@ -403,39 +401,50 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     cells = _fock_cells(max_n, d, seed)
     if max_n >= 5 and d >= 2:  # single-track products stay cheap
         cells.insert(0, ("symbolic n=5 d=2", 5, shared("symbolic", 2, SYMBOLIC_N_O)))
-    # per n: the replay's trace-count failures and every (chi, path) with its
-    # strip plan and the reverse-mixture plan of its output partition,
-    # recorded once from one all-chi replay and shared by the cells of that n
-    scenarios: Dict[int, Tuple[List[str], List[tuple]]] = {}
+    # per n: the replay's trace-count failures, every distinct (strip plan,
+    # reverse-mixture plan) pair in first-seen order, and every (chi, path)
+    # with the index of its pair, recorded once from one all-chi replay and
+    # shared by the cells of that n
+    scenarios: Dict[int, Tuple[List[str], List[tuple], List[tuple]]] = {}
     for label, n, grid in cells:
         table = grid.table
         omegas = grid.omegas(n)
         if n not in scenarios:
             paths = enumerate_luk(n)
             walk_fail: List[str] = []
-            scenarios[n] = walk_fail, [
-                (chi, path, _strip_plan(path, chi), reverse_mixture_plan_for_blocks(
-                    block_data(trace.output_partition, chi.letters)))
-                for chi, traces in replays(n)
-                for path, trace in _scenarios(chi, paths, traces, walk_fail)
-            ]
-        walk_fail, cell_scenarios = scenarios[n]
-        cell_fail = list(walk_fail)
-        for chi, path, strip_plan, plan in cell_scenarios:
+            pairs: Dict[tuple, int] = {}
+            indexed = []
+            for chi, traces in replays(n):
+                for path, trace in _scenarios(chi, paths, traces, walk_fail):
+                    pair = _strip_plan(path, chi), reverse_mixture_plan_for_blocks(
+                        block_data(trace.output_partition, chi.letters))
+                    indexed.append((chi, path, pairs.setdefault(pair, len(pairs))))
+            scenarios[n] = walk_fail, indexed, list(pairs)
+        walk_fail, cell_scenarios, pairs = scenarios[n]
+        # each pair's two plans are evaluated once per cell, each on its
+        # own: None when the strip plan is None, else where they differ
+        mismatches: List[Optional[List[str]]] = []
+        for strip_plan, plan in pairs:
             if strip_plan is None:
-                cell_fail.append(f"chi={chi.letters} rise={list(path.rise)}: "
-                                 "the product is not one vacuum term of factor 1")
+                mismatches.append(None)
                 continue
             expected = grid.values(plan, n)
             actual = grid.values(strip_plan, n)
-            if actual == expected:
-                continue
-            cell_fail += [
-                f"chi={chi.letters} rise={list(path.rise)} omega={list(omega)}: "
+            mismatches.append([] if actual == expected else [
+                f" omega={list(omega)}: "
                 f"expected {table.rational(want, n)}, got {table.rational(got, n)}"
                 for omega, want, got in zip(omegas, expected, actual)
                 if got != want
-            ]
+            ])
+        cell_fail = list(walk_fail)
+        for chi, path, k in cell_scenarios:
+            mismatch = mismatches[k]
+            if mismatch is None:
+                cell_fail.append(f"chi={chi.letters} rise={list(path.rise)}: "
+                                 "the product is not one vacuum term of factor 1")
+            elif mismatch:
+                where = f"chi={chi.letters} rise={list(path.rise)}"
+                cell_fail += [where + at for at in mismatch]
         cell_count = len(omegas) * len(cell_scenarios)
         summary = f"{cell_count} products collapse to the vacuum multiple"
         result.add_sweep(label, summary, cell_count, cell_fail)

@@ -201,6 +201,18 @@ def test_combined_standings_noncrossing_and_interval_block():
                 assert block == list(range(block[0], block[-1] + 1))
 
 
+def test_combined_standings_merge_left_and_reflected_right_standings():
+    for n in range(1, 8):
+        for chi, traces in replays(n):
+            for trace in traces:
+                merged = Partition(n, [
+                    v + tuple(n + 1 - q for q in w) for _, v, w in dict_standings(trace)
+                ])
+                rho = combined_standings(trace)
+                assert rho == merged
+                assert rho.blocks == merged.blocks
+
+
 def test_sigma_maps_combined_standings_to_output():
     for n in range(1, 7):
         for chi in all_chi(n):

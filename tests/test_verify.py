@@ -300,6 +300,72 @@ def test_each_suite_verifies_its_pinned_instance_count(suite, instances):
     assert result.instances == instances
 
 
+def test_lemma67_evaluates_each_distinct_plan_pair_once_per_cell(monkeypatch):
+    calls = []
+    values = verify.OmegaGrid.values
+
+    def counted(grid, plan, n):
+        calls.append(n)
+        return values(grid, plan, n)
+
+    monkeypatch.setattr(verify.OmegaGrid, "values", counted)
+    assert verify.run_suite("lemma67", max_n=4, d=2).passed
+    # both plans of each of the 148 distinct (strip plan, reverse-mixture
+    # plan) pairs of n <= 4, in each of the three cells of every length;
+    # both plans of each of the 274 scenarios would be 1,644
+    assert len(calls) == 888
+
+
+@pytest.mark.parametrize(
+    "attr, perturb",
+    [
+        ("reverse_mixture_plan_for_blocks", first_long_block_reversed),
+        ("lemma67_vector", doubled_vector),
+    ],
+)
+def test_lemma67_fails_each_scenario_as_a_per_scenario_loop_does(monkeypatch, attr, perturb):
+    monkeypatch.setattr(verify, "_SHARED", {})
+    monkeypatch.setattr(verify, attr, perturb(getattr(verify, attr)))
+    failures = {}
+    add_sweep = verify.SuiteResult.add_sweep
+
+    def recording(result, name, summary, count, cell_fail):
+        failures[name] = list(cell_fail)
+        add_sweep(result, name, summary, count, cell_fail)
+
+    monkeypatch.setattr(verify.SuiteResult, "add_sweep", recording)
+    result = verify.run_suite("lemma67", max_n=4, d=2)
+    assert result.passed is False
+    # the reference: both plans of every scenario evaluated on their own
+    expected = {}
+    for label, n, grid in verify._fock_cells(4, 2, 0):
+        omegas = grid.omegas(n)
+        cell_fail = []
+        scenarios = 0
+        for chi, traces in deque.replays(n):
+            for path, trace in zip(enumerate_luk(n), traces):
+                scenarios += 1
+                where = f"chi={chi.letters} rise={list(path.rise)}"
+                strip_plan = verify._strip_plan(path, chi)
+                if strip_plan is None:
+                    cell_fail.append(f"{where}: the product is not one vacuum term of factor 1")
+                    continue
+                plan = verify.reverse_mixture_plan_for_blocks(
+                    verify.block_data(trace.output_partition, chi.letters))
+                expected_values = grid.values(plan, n)
+                actual_values = grid.values(strip_plan, n)
+                for omega, want, got in zip(omegas, expected_values, actual_values):
+                    if got != want:
+                        want, got = grid.table.rational(want, n), grid.table.rational(got, n)
+                        cell_fail.append(f"{where} omega={list(omega)}: expected {want}, got {got}")
+        expected[label] = cell_fail, len(omegas) * scenarios
+    assert any(cell_fail for cell_fail, _ in expected.values())
+    assert failures == {label: cell_fail for label, (cell_fail, _) in expected.items()}
+    assert [(c.name, c.instances) for c in result.checks] == [
+        (label, count) for label, (_, count) in expected.items()
+    ]
+
+
 def test_cor410_counts_each_check_apart():
     result = verify.run_suite("cor410", max_n=4)
     for chi in verify.all_chi(4):
