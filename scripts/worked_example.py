@@ -9,7 +9,6 @@ product that reproduces the same block structure as a scalar.
 
 from lrcumulants.deque import (
     ChiWord,
-    DequeScenario,
     combined_standings,
     sigma_chi,
     simulate,
@@ -22,7 +21,7 @@ from lrcumulants.partitions import act
 path = LukPath([2, -1, 1, -1, -1])
 chi = ChiWord("rllrl")
 
-trace = simulate(DequeScenario(path, chi))
+trace = simulate(path, chi)
 print(f"rise-vector        : {list(path.rise)}")
 print(f"chi                : {chi}")
 print(f"exit order         : {list(trace.exit_order)}")

@@ -18,7 +18,6 @@ from .partitions import (
 from .lukasiewicz import InvalidRiseVector, LukPath, enumerate_luk, psi
 from .deque import (
     ChiWord,
-    DequeScenario,
     ScenarioTrace,
     block_data,
     chi_opposite,

@@ -17,7 +17,6 @@ from typing import List, Optional
 
 from .deque import (
     ChiWord,
-    DequeScenario,
     combined_standings,
     pchi_by_enumeration,
     sigma_chi,
@@ -202,7 +201,7 @@ def cmd_simulate(args) -> RunReport:
     if path.n != chi.n:
         raise UsageError(f"rise-vector has {path.n} steps but chi has {chi.n} letters")
     report = RunReport("simulate", {"rise": list(rise), "chi": chi.letters})
-    trace = simulate(DequeScenario(path, chi))
+    trace = simulate(path, chi)
     left, right = standings_partitions(trace)
     report.results = {
         "exit_order": list(trace.exit_order),

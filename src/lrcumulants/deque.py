@@ -25,6 +25,7 @@ from .partitions import (
     Partition,
     Permutation,
     _check_ground_set,
+    _relabel,
     act,
     enumerate_noncrossing,
 )
@@ -37,14 +38,14 @@ class ChiWord:
     """A word over {l, r} choosing the active end of each step.
 
     Keeps the positions of the l-steps (``m_ell``) and of the r-steps
-    (``m_r``), both in increasing order, and the standing of each position
-    among the steps of its side: ``standing[m - 1]`` is q when m is the
-    q-th l-position or the q-th r-position.  ``slot[m]`` is position m's
-    slot in the combined standings: q for the q-th l-position, n + 1 - q
-    for the q-th r-position (``slot[0]`` is 0, so a position indexes it).
+    (``m_r``), both in increasing order, and sigma_chi^-1 as ``slot``:
+    ``slot[m]`` is position m's slot in the combined standings, q for the
+    q-th l-position and n + 1 - q for the q-th r-position (``slot[0]`` is
+    0, so a position indexes it).  A position's standing among the steps
+    of its side is read off its slot.
     """
 
-    __slots__ = ("n", "letters", "m_ell", "m_r", "standing", "slot")
+    __slots__ = ("n", "letters", "m_ell", "m_r", "slot")
 
     def __init__(self, letters: "str | Iterable[str]"):
         word = "".join(letters)
@@ -61,14 +62,12 @@ class ChiWord:
         object.__setattr__(
             self, "m_r", tuple(m for m, h in enumerate(word, 1) if h == RIGHT)
         )
-        standing = [0] * len(word)
-        for side in (self.m_ell, self.m_r):
-            for q, m in enumerate(side, 1):
-                standing[m - 1] = q
-        object.__setattr__(self, "standing", tuple(standing))
-        object.__setattr__(self, "slot", (0,) + tuple(
-            [q if h == LEFT else len(word) + 1 - q for q, h in zip(standing, word)]
-        ))
+        slot = [0] * (len(word) + 1)
+        for q, m in enumerate(self.m_ell, 1):
+            slot[m] = q
+        for q, m in enumerate(self.m_r, 1):
+            slot[m] = len(word) + 1 - q
+        object.__setattr__(self, "slot", tuple(slot))
 
     def __setattr__(self, name, value):
         raise AttributeError("ChiWord is immutable")
@@ -95,48 +94,29 @@ def _chi_str(chi: "ChiWord | str") -> str:
     return ChiWord(chi).letters
 
 
-class DequeScenario:
-    """A path paired with an end-choice word of the same length."""
-
-    __slots__ = ("path", "chi")
-
-    def __init__(self, path: LukPath, chi: ChiWord):
-        if path.n != chi.n:
-            raise ValueError(
-                f"path has {path.n} steps but chi word has {chi.n} letters"
-            )
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "chi", chi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DequeScenario is immutable")
-
-
 class ScenarioTrace:
     """What a scenario run produces.
 
     ``chi`` is the scenario's end-choice word; ``output_partition`` groups
     emission times by insertion batch; ``exit_order`` lists ball labels by
-    emission time; ``insertion_times`` is the sorted tuple of steps that
-    insert at least one ball.
+    emission time.
     """
 
-    __slots__ = ("chi", "output_partition", "exit_order", "insertion_times")
+    __slots__ = ("chi", "output_partition", "exit_order")
 
-    def __init__(
-        self,
-        chi: ChiWord,
-        output_partition: Partition,
-        exit_order: Tuple[int, ...],
-        insertion_times: Tuple[int, ...],
-    ):
+    def __init__(self, chi: ChiWord, output_partition: Partition, exit_order: Tuple[int, ...]):
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "output_partition", output_partition)
         object.__setattr__(self, "exit_order", exit_order)
-        object.__setattr__(self, "insertion_times", insertion_times)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScenarioTrace is immutable")
+
+    @property
+    def insertion_times(self) -> Tuple[int, ...]:
+        """The sorted steps that insert at least one ball: a batch's last
+        ball leaves at once, so each block starts at its insertion time."""
+        return tuple([block[0] for block in self.output_partition.blocks])
 
 
 #: A replay after t steps: (queue, batch of each ball inserted so far,
@@ -196,9 +176,7 @@ def _output_partition(n: int, state: ReplayState) -> Partition:
 
 
 def _trace(chi: ChiWord, state: ReplayState) -> ScenarioTrace:
-    partition = _output_partition(chi.n, state)
-    # block k starts at the k-th insertion time
-    return ScenarioTrace(chi, partition, state[2], tuple([b[0] for b in partition.blocks]))
+    return ScenarioTrace(chi, _output_partition(chi.n, state), state[2])
 
 
 def _extend(level: Iterable[ReplayState], n: int, t: int, h: str) -> Iterator[ReplayState]:
@@ -210,8 +188,9 @@ def _extend(level: Iterable[ReplayState], n: int, t: int, h: str) -> Iterator[Re
     return (_step(state, t, q, h) for state in level for q in _rises(n, t, len(state[0])))
 
 
-def simulate(s: DequeScenario) -> ScenarioTrace:
-    """Replay the scenario on an explicit queue of labelled balls.
+def simulate(path: LukPath, chi: ChiWord) -> ScenarioTrace:
+    """Replay the scenario (path, chi) on an explicit queue of labelled
+    balls; the path and the word must have the same length.
 
     Step m with insertion count p and side h: the next p balls (in label
     order) are inserted one by one at side h, then one ball is emitted from
@@ -221,10 +200,12 @@ def simulate(s: DequeScenario) -> ScenarioTrace:
     :func:`pchi_by_enumeration` along every path at once, and everything
     derived from a scenario reads its trace.
     """
+    if path.n != chi.n:
+        raise ValueError(f"path has {path.n} steps but chi word has {chi.n} letters")
     state = _START
-    for t, (q, h) in enumerate(zip(s.path.rise, s.chi.letters), start=1):
+    for t, (q, h) in enumerate(zip(path.rise, chi.letters), start=1):
         state = _step(state, t, q, h)
-    return _trace(s.chi, state)
+    return _trace(chi, state)
 
 
 def replays(n: int) -> Iterator[Tuple[ChiWord, Iterator[ScenarioTrace]]]:
@@ -255,7 +236,7 @@ def replays(n: int) -> Iterator[Tuple[ChiWord, Iterator[ScenarioTrace]]]:
 
 def output_partition(path: LukPath, chi: ChiWord) -> Partition:
     """The output-time partition of the scenario (path, chi)."""
-    return simulate(DequeScenario(path, chi)).output_partition
+    return simulate(path, chi).output_partition
 
 
 def family(chi: ChiWord, partitions: List[Partition]) -> List[Partition]:
@@ -311,20 +292,18 @@ def insertion_standings(
 
     V_i collects the l-standings q with the q-th l-position in the block
     of i, W_i the r-standings likewise.  V_i or W_i may be empty, never
-    both.
+    both.  The q-th l-position has slot q, the q-th r-position slot
+    n + 1 - q.
     """
-    letters = trace.chi.letters
-    standing = trace.chi.standing
-    out = []
-    # blocks are ascending and standings grow with position, so V_i and
-    # W_i come out sorted
-    for i, block in zip(trace.insertion_times, trace.output_partition.blocks):
-        v: List[int] = []
-        w: List[int] = []
-        for m in block:
-            (v if letters[m - 1] == LEFT else w).append(standing[m - 1])
-        out.append((i, tuple(v), tuple(w)))
-    return out
+    letters, slot, mirror = trace.chi.letters, trace.chi.slot, trace.chi.n + 1
+    # a block starts at its insertion time; blocks are ascending and
+    # standings grow with position, so V_i and W_i come out sorted
+    return [
+        (block[0],
+         tuple([slot[m] for m in block if letters[m - 1] == LEFT]),
+         tuple([mirror - slot[m] for m in block if letters[m - 1] == RIGHT]))
+        for block in trace.output_partition.blocks
+    ]
 
 
 def standings_partitions(
@@ -353,12 +332,10 @@ def combined_standings(trace: ScenarioTrace) -> Partition:
 
     Block for insertion time i: V_i united with the reflection
     {n + 1 - q : q in W_i}, which is the image of the output block of i
-    under ``chi.slot``.  The result is always non-crossing.
+    under ``chi.slot``, that is under sigma_chi^-1.  The result is always
+    non-crossing.
     """
-    slot = trace.chi.slot
-    return Partition._unchecked(trace.chi.n, tuple(sorted(
-        [tuple(sorted(map(slot.__getitem__, block))) for block in trace.output_partition.blocks]
-    )))
+    return _relabel(trace.chi.slot, trace.output_partition)
 
 
 def chi_opposite(chi: ChiWord) -> ChiWord:

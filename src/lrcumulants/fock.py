@@ -408,6 +408,8 @@ class CoefficientTable:
         rational ``value``."""
         if self.mode != "concrete":
             raise ValueError("with_entry only applies to concrete tables")
+        if kind not in (ALPHA, BETA):
+            raise ValueError(f"coefficient kind must be {ALPHA!r} or {BETA!r}, got {kind!r}")
         alpha = self._rationals(self.alpha)
         beta = self._rationals(self.beta)
         (alpha if kind == ALPHA else beta)[tuple(word)] = value

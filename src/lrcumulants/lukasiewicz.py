@@ -71,7 +71,7 @@ def _validate(rise: tuple) -> None:
     if not rise:
         raise InvalidRiseVector("rise-vector must be non-empty")
     for k, q in enumerate(rise, start=1):
-        if not isinstance(q, int) or q < -1:
+        if isinstance(q, bool) or not isinstance(q, int) or q < -1:
             raise InvalidRiseVector(
                 f"entry {q!r} at position {k} is not an integer >= -1", prefix=k
             )

@@ -294,18 +294,20 @@ def act(t: Permutation, p: Partition) -> Partition:
     """Apply t to every element of every block, then re-canonicalize."""
     if t.n != p.n:
         raise ValueError("permutation and partition sizes differ")
+    return _relabel((0,) + t.images, p)
+
+
+def _relabel(image: Sequence[int], p: Partition) -> Partition:
+    """:func:`act` for the permutation m -> image[m] of {1..p.n}, unchecked
+    (``image[0]`` is unused)."""
     # a permutation image of a partition is a partition; only the order of
     # elements and blocks needs restoring
-    image = ((0,) + t.images).__getitem__
+    at = image.__getitem__
     return Partition._unchecked(
-        p.n, tuple(sorted([tuple(sorted(map(image, block))) for block in p.blocks]))
+        p.n, tuple(sorted([tuple(sorted(map(at, block))) for block in p.blocks]))
     )
 
 
 def opposite(p: Partition) -> Partition:
     """The image of p under the order-reversing map m -> n + 1 - m."""
-    n = p.n
-    # reflecting an ascending block and reading it backwards keeps it ascending
-    return Partition._unchecked(
-        n, tuple(sorted([tuple([n + 1 - m for m in reversed(block)]) for block in p.blocks]))
-    )
+    return act(Permutation.reversal(p.n), p)

@@ -52,7 +52,6 @@ from .partitions import (
     leq,
     meet,
     one_block,
-    opposite,
     singletons,
 )
 
@@ -195,33 +194,43 @@ def suite_thm49(max_n: int = 6, **_) -> SuiteResult:
     return result
 
 
+def _scenario_sweep(suite: str, max_n: int, summary: str, checker: Callable) -> SuiteResult:
+    """One check per chi of length 1..max_n over chi's scenarios from the
+    all-chi replay: ``checker(chi)`` gives the check each scenario's
+    (path, trace, failures) goes to, which appends its failures."""
+    result = SuiteResult(suite, {"max_n": max_n})
+    for n in range(1, max_n + 1):
+        paths = enumerate_luk(n)
+        for chi, traces in replays(n):
+            check = checker(chi)
+            failures: List[str] = []
+            checked = 0
+            for checked, (path, trace) in enumerate(_scenarios(chi, paths, traces, failures), 1):
+                check(path, trace, failures)
+            result.add_sweep(f"n={n} chi={chi}", f"{checked} {summary}", checked, failures)
+    return result
+
+
 def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
     """Per scenario: the combined-standings partition is non-crossing, its
     last-insertion block is an interval, and the output-time partition maps
     back to the path."""
-    result = SuiteResult("prop46", {"max_n": max_n})
-    for n in range(1, max_n + 1):
-        paths = enumerate_luk(n)
-        for chi, traces in replays(n):
-            slot = chi.slot
-            failures = []
-            checked = 0
-            for checked, (path, trace) in enumerate(_scenarios(chi, paths, traces, failures), 1):
-                rho = combined_standings(trace)
-                if not is_noncrossing(rho):
-                    failures.append(f"rise={list(path.rise)}: crossing {rho.to_json()}")
-                # the combined-standings block of the last insertion time
-                block = sorted(map(slot.__getitem__, trace.output_partition.blocks[-1]))
-                if block != list(range(block[0], block[-1] + 1)):
-                    failures.append(f"rise={list(path.rise)}: block {block} not an interval")
-                try:
-                    if psi(trace.output_partition) != path:
-                        failures.append(f"rise={list(path.rise)}: wrong canonical path")
-                except InvalidRiseVector as err:
-                    failures.append(f"rise={list(path.rise)}: output partition has no path: {err}")
-            summary = f"{checked} scenarios, all non-crossing/interval/path-consistent"
-            result.add_sweep(f"n={n} chi={chi}", summary, checked, failures)
-    return result
+    def check(path, trace, failures: List[str]) -> None:
+        rho = combined_standings(trace)
+        if not is_noncrossing(rho):
+            failures.append(f"rise={list(path.rise)}: crossing {rho.to_json()}")
+        # the combined-standings block of the last insertion time
+        block = sorted(map(trace.chi.slot.__getitem__, trace.output_partition.blocks[-1]))
+        if block != list(range(block[0], block[-1] + 1)):
+            failures.append(f"rise={list(path.rise)}: block {block} not an interval")
+        try:
+            if psi(trace.output_partition) != path:
+                failures.append(f"rise={list(path.rise)}: wrong canonical path")
+        except InvalidRiseVector as err:
+            failures.append(f"rise={list(path.rise)}: output partition has no path: {err}")
+
+    summary = "scenarios, all non-crossing/interval/path-consistent"
+    return _scenario_sweep("prop46", max_n, summary, lambda chi: check)
 
 
 def _batched_exit_times(rise: Tuple[int, ...], exit_order: Tuple[int, ...]) -> tuple:
@@ -249,23 +258,20 @@ def suite_lemma48(max_n: int = 6, **_) -> SuiteResult:
     exit time stays 0 in these blocks, and no image of a partition of
     {1..n} contains 0.
     """
-    result = SuiteResult("lemma48", {"max_n": max_n})
-    for n in range(1, max_n + 1):
-        paths = enumerate_luk(n)
-        for chi, traces in replays(n):
-            sigma = sigma_chi(chi)
-            failures = []
-            checked = 0
-            for checked, (path, trace) in enumerate(_scenarios(chi, paths, traces, failures), 1):
-                image = act(sigma, combined_standings(trace))
-                out = _batched_exit_times(path.rise, trace.exit_order)
-                if image.blocks != out:
-                    failures.append(
-                        f"rise={list(path.rise)}: {image.to_json()} != {[list(b) for b in out]}"
-                    )
-            summary = f"{checked} scenarios mapped onto their output partitions"
-            result.add_sweep(f"n={n} chi={chi}", summary, checked, failures)
-    return result
+    def checker(chi: ChiWord) -> Callable:
+        sigma = sigma_chi(chi)
+
+        def check(path, trace, failures: List[str]) -> None:
+            image = act(sigma, combined_standings(trace))
+            out = _batched_exit_times(path.rise, trace.exit_order)
+            if image.blocks != out:
+                failures.append(
+                    f"rise={list(path.rise)}: {image.to_json()} != {[list(b) for b in out]}"
+                )
+
+        return check
+
+    return _scenario_sweep("lemma48", max_n, "scenarios mapped onto their output partitions", checker)
 
 
 def suite_prop413(max_n: int = 6, **_) -> SuiteResult:
@@ -292,7 +298,7 @@ def suite_prop413(max_n: int = 6, **_) -> SuiteResult:
             pair = {w: pchi_by_enumeration(w) for w in dict.fromkeys((first, opp))}
             for chi, family in pair.items():
                 opp = chi_opposite(chi)
-                mirrored = sorted([opposite(p) for p in family], key=attrgetter("blocks"))
+                mirrored = sorted([act(rev, p) for p in family], key=attrgetter("blocks"))
                 ok = mirrored == pair[opp]
                 result.add(
                     f"n={n} chi={chi} mirrored family",
@@ -315,7 +321,13 @@ def suite_cor410(max_n: int = 5, **_) -> SuiteResult:
     """Families contain the extremes and every partition one merge away
     from singletons; the permutation action is an order isomorphism from
     the non-crossing partitions onto the enumerated family; meets stay
-    inside the family."""
+    inside the family.
+
+    Membership catches a family that lacks a partition every family
+    holds.  ``leq`` and ``meet`` commute with every relabelling and NC(n)
+    is meet-closed, so once thm49 holds (the family is sigma_chi . NC(n))
+    the order-isomorphism and meet-closure checks can fail only through a
+    defect in ``act``, ``leq`` or ``meet``."""
     result = SuiteResult("cor410", {"max_n": max_n})
     for n in range(1, max_n + 1):
         nc = enumerate_noncrossing(n)

@@ -14,7 +14,6 @@ from math import factorial
 from lrcumulants.cumulants import CumulantEngine, moment_from_cumulants
 from lrcumulants.deque import (
     ChiWord,
-    DequeScenario,
     combined_standings,
     output_partition,
     pchi_by_enumeration,
@@ -71,7 +70,7 @@ def test_criterion_03_worked_examples_bit_exact():
     chi = ChiWord("rllrl")
     assert output_partition(path, chi) == Partition(5, [[1, 2, 4], [3, 5]])
     assert sigma_chi(chi) == Permutation([2, 3, 5, 4, 1])
-    trace = simulate(DequeScenario(path, chi))
+    trace = simulate(path, chi)
     left, right = standings_partitions(trace)
     assert left == Partition(3, [[1], [2, 3]])
     assert right == Partition(2, [[1, 2]])

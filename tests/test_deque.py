@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lrcumulants import deque
 from lrcumulants.deque import (
     ChiWord,
-    DequeScenario,
+    ScenarioTrace,
     chi_opposite,
     combined_standings,
     insertion_standings,
@@ -61,23 +61,42 @@ def test_chi_word_basics():
         ChiWord("lrx")
 
 
+def standings_of(chi):
+    """Each position's standing among the steps of its side, read off
+    its slot."""
+    return tuple(q if h == "l" else chi.n + 1 - q for q, h in zip(chi.slot[1:], chi.letters))
+
+
 def test_chi_word_standing_of_worked_example():
     # r l l r l: positions 1, 4 are the first and second r-steps;
     # positions 2, 3, 5 the first, second and third l-steps
-    assert EX_CHI.standing == (1, 1, 2, 2, 3)
-    assert ChiWord("lrlr").standing == (1, 1, 2, 2)
+    assert EX_CHI.slot == (0, 5, 1, 2, 4, 3)
+    assert standings_of(EX_CHI) == (1, 1, 2, 2, 3)
+    assert ChiWord("lrlr").slot == (0, 1, 4, 2, 3)
+    assert standings_of(ChiWord("lrlr")) == (1, 1, 2, 2)
+
+
+def test_chi_word_slot_is_the_inverse_of_sigma_chi():
+    for n in range(1, 7):
+        for chi in all_chi(n):
+            assert chi.slot[0] == 0
+            assert Permutation(chi.slot[1:]) == sigma_chi(chi).inverse()
 
 
 def test_scenario_length_mismatch():
-    with pytest.raises(ValueError):
-        DequeScenario(EX_PATH, ChiWord("lr"))
+    with pytest.raises(ValueError, match="path has 5 steps but chi word has 2 letters"):
+        simulate(EX_PATH, ChiWord("lr"))
 
 
 def test_worked_scenario():
-    trace = simulate(DequeScenario(EX_PATH, EX_CHI))
+    trace = simulate(EX_PATH, EX_CHI)
     assert trace.exit_order == (3, 1, 5, 2, 4)
     assert trace.output_partition == Partition(5, [[1, 2, 4], [3, 5]])
     assert trace.insertion_times == (1, 3)
+    # derived from the block minima, never stored
+    assert ScenarioTrace(EX_CHI, trace.output_partition, trace.exit_order).insertion_times == (1, 3)
+    with pytest.raises(AttributeError):
+        trace.insertion_times = (1, 3)
 
 
 def test_all_left_scenarios_reproduce_phi():
@@ -98,7 +117,7 @@ def test_all_right_scenarios_reproduce_phi():
 
 def test_flat_path_gives_singletons():
     for chi in all_chi(4):
-        trace = simulate(DequeScenario(LukPath([0, 0, 0, 0]), chi))
+        trace = simulate(LukPath([0, 0, 0, 0]), chi)
         assert trace.output_partition == singletons(4)
         assert trace.exit_order == (1, 2, 3, 4)
 
@@ -140,7 +159,7 @@ def test_family_contains_worked_partition_via_sigma():
 
 
 def test_standings_of_worked_scenario():
-    trace = simulate(DequeScenario(EX_PATH, EX_CHI))
+    trace = simulate(EX_PATH, EX_CHI)
     assert trace.chi == EX_CHI
     left, right = standings_partitions(trace)
     assert left == Partition(3, [[1], [2, 3]])
@@ -153,22 +172,22 @@ def test_standings_of_worked_scenario():
 
 def test_standings_absent_sides():
     path = LukPath([1, -1, 0])
-    left, right = standings_partitions(simulate(DequeScenario(path, ChiWord("lll"))))
+    left, right = standings_partitions(simulate(path, ChiWord("lll")))
     assert right is None
     assert left == output_partition(path, ChiWord("lll"))
-    left, right = standings_partitions(simulate(DequeScenario(path, ChiWord("rrr"))))
+    left, right = standings_partitions(simulate(path, ChiWord("rrr")))
     assert left is None
 
 
 def test_standings_flat_path_all_singletons():
-    trace = simulate(DequeScenario(LukPath([0, 0, 0, 0]), ChiWord("lrlr")))
+    trace = simulate(LukPath([0, 0, 0, 0]), ChiWord("lrlr"))
     left, right = standings_partitions(trace)
     assert left == singletons(2)
     assert right == singletons(2)
 
 
 def test_combined_standings_worked_example():
-    trace = simulate(DequeScenario(EX_PATH, EX_CHI))
+    trace = simulate(EX_PATH, EX_CHI)
     assert combined_standings(trace) == Partition(5, [[1, 4, 5], [2, 3]])
 
 
@@ -176,13 +195,13 @@ def test_combined_standings_all_left_is_phi():
     for n in range(1, 7):
         chi = ChiWord("l" * n)
         for path in enumerate_luk(n):
-            trace = simulate(DequeScenario(path, chi))
+            trace = simulate(path, chi)
             assert combined_standings(trace) == trace.output_partition
 
 
 def test_combined_standings_single_batch():
     for chi in all_chi(4):
-        trace = simulate(DequeScenario(LukPath([3, -1, -1, -1]), chi))
+        trace = simulate(LukPath([3, -1, -1, -1]), chi)
         assert combined_standings(trace) == one_block(4)
 
 
@@ -190,7 +209,7 @@ def test_combined_standings_noncrossing_and_interval_block():
     for n in range(1, 7):
         for chi in all_chi(n):
             for path in enumerate_luk(n):
-                trace = simulate(DequeScenario(path, chi))
+                trace = simulate(path, chi)
                 data = insertion_standings(trace)
                 rho = combined_standings(trace)
                 assert is_noncrossing(rho)
@@ -218,7 +237,7 @@ def test_sigma_maps_combined_standings_to_output():
         for chi in all_chi(n):
             sigma = sigma_chi(chi)
             for path in enumerate_luk(n):
-                trace = simulate(DequeScenario(path, chi))
+                trace = simulate(path, chi)
                 assert act(sigma, combined_standings(trace)) == trace.output_partition
 
 
@@ -326,7 +345,7 @@ def dict_standings(trace):
 
 
 def assert_replay_matches_reference(path, chi):
-    trace = simulate(DequeScenario(path, chi))
+    trace = simulate(path, chi)
     exit_order, partition, insertion_times = one_ball_replay(path, chi)
     assert trace.exit_order == exit_order
     assert trace.output_partition == partition
@@ -388,7 +407,7 @@ def test_the_replay_step_keeps_both_of_its_checks():
 def test_pchi_by_enumeration_matches_simulate_at_lengths_eight_and_nine(data):
     n = data.draw(st.integers(8, 9))
     chi = ChiWord(data.draw(st.text(alphabet="lr", min_size=n, max_size=n)))
-    by_simulate = sorted(simulate(DequeScenario(path, chi)).output_partition
+    by_simulate = sorted(simulate(path, chi).output_partition
                          for path in enumerate_luk(n))
     family = pchi_by_enumeration(chi)
     assert family == by_simulate
@@ -412,7 +431,7 @@ def test_pchi_by_enumeration_holds_no_whole_level_of_states():
 def assert_trusted_partitions_are_canonical(path, chi):
     """simulate and combined_standings build their partitions without
     validation; the validating constructor must accept them unchanged."""
-    trace = simulate(DequeScenario(path, chi))
+    trace = simulate(path, chi)
     for p in (trace.output_partition, combined_standings(trace)):
         checked = Partition(p.n, p.blocks)
         assert checked == p

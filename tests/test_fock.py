@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from lrcumulants import cumulants, fock, verify
 from lrcumulants.cli import main
 from lrcumulants.cumulants import CumulantEngine, dag_sum
-from lrcumulants.deque import ChiWord, DequeScenario, block_data, restriction_data, simulate
+from lrcumulants.deque import ChiWord, block_data, restriction_data, simulate
 from lrcumulants.fock import (
     CoefficientTable,
     OmegaGrid,
@@ -418,7 +418,7 @@ def test_lemma67_factors_over_output_partition():
         for chi_letters in itertools.product("lr", repeat=n):
             chi = ChiWord("".join(chi_letters))
             for path in enumerate_luk(n):
-                partition = simulate(DequeScenario(path, chi)).output_partition
+                partition = simulate(path, chi).output_partition
                 for omega in itertools.product((1, 2), repeat=n):
                     expected = PolyScalar.const(1)
                     for block in partition.blocks:
@@ -428,6 +428,60 @@ def test_lemma67_factors_over_output_partition():
                             *reverse_bimixture_symbol(sub_omega, sub_chi)
                         )
                     assert lemma67_vector(path, chi, omega, table) == {(): expected}
+
+
+def operator_product_mismatches(table, max_n=4):
+    """(compared, differing): ``lemma67_vector`` against the operators it
+    stands for, X*_{p_1;h_1} S_{i_1;h_1} ... X*_{p_n;h_n} S_{i_n;h_n}
+    with X*_{p;h} = adjoint(x_op(p, h)) and S_{i;h} = s_op(i, h),
+    multiplied out and applied to the vacuum, for every (chi, path,
+    omega) with n <= max_n.  Both are looked up in ``fock`` at call time,
+    so a patched one takes effect."""
+    compared = differing = 0
+    for n in range(1, max_n + 1):
+        for chi in verify.all_chi(n):
+            for path in enumerate_luk(n):
+                blocks = [adjoint(fock.x_op(q + 1, h, table)) for q, h in zip(path.rise, chi.letters)]
+                for omega in itertools.product(range(1, table.d + 1), repeat=n):
+                    product = math.prod(
+                        (factor for x, i, h in zip(blocks, omega, chi.letters) for factor in (x, s_op(i, h))),
+                        start=OperatorExpr.identity(),
+                    )
+                    compared += 1
+                    differing += fock.lemma67_vector(path, chi, omega, table) != product.apply(vacuum_vector())
+    return compared, differing
+
+
+@pytest.mark.parametrize(
+    "table", [CoefficientTable.random(2, 5, 0), CoefficientTable.symbolic(2, 4)], ids=lambda t: t.mode
+)
+def test_lemma67_vector_equals_its_operator_product(table):
+    # 2**n words times Catalan(n) paths times 2**n index words, n <= 4;
+    # the repeated-index words have one strip's annihilators read letters
+    # another strip's creators wrote
+    assert operator_product_mismatches(table) == (3940, 0)
+
+
+def vector_dropped_on_equal_ends(vector):
+    return lambda path, chi, omega, table: {} if omega[0] == omega[-1] else vector(path, chi, omega, table)
+
+
+def long_blocks_created_in_reverse(x):
+    """x_op creating a block's letters in reverse order when p >= 2."""
+    def perturbed(p, h, table):
+        block = x(p, h, table)
+        return OperatorExpr((c, gens[::-1]) for c, gens in block.terms) if p >= 2 else block
+
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "attr, defect, differing",
+    [("lemma67_vector", vector_dropped_on_equal_ends, 1972), ("x_op", long_blocks_created_in_reverse, 1824)],
+)
+def test_lemma67_operator_check_fails_under_an_injected_defect(monkeypatch, attr, defect, differing):
+    monkeypatch.setattr(fock, attr, defect(getattr(fock, attr)))
+    assert operator_product_mismatches(CoefficientTable.random(2, 5, 0)) == (3940, differing)
 
 
 # -- vacuum moments of canonical words ----------------------------------------------
@@ -897,6 +951,16 @@ def test_with_entry_overrides():
     assert patched.rational(patched.coeff("b", (2, 2)), 2) == table.rational(
         table.coeff("b", (2, 2)), 2
     )
+
+
+def test_with_entry_rejects_an_unknown_kind():
+    table = CoefficientTable.random(2, 3, 0)
+    for kind in ("x", "A", "alpha", ""):
+        with pytest.raises(ValueError, match="kind"):
+            table.with_entry(kind, (1, 2), 7)
+    patched = table.with_entry("b", (1, 2), 7)
+    assert patched.rational(patched.coeff("b", (1, 2)), 2) == 7
+    assert patched.alpha == table.alpha
 
 
 # -- graded storage and the rational boundary ------------------------------------------

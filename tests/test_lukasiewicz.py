@@ -47,6 +47,16 @@ def test_validate_rise_reports_first_failing_prefix():
     assert err.value.prefix == 2  # entries below -1 are rejected outright
 
 
+def test_validate_rise_rejects_bools_at_their_position():
+    # bool is an int subclass: True would pass for a rise of 1
+    for rise, prefix in (([True, -1], 1), ([1, False, -1], 2), ([0, 1, -1, False], 4)):
+        with pytest.raises(InvalidRiseVector) as err:
+            LukPath(rise)
+        assert err.value.prefix == prefix
+        assert f"at position {prefix}" in str(err.value)
+    assert LukPath([1, 0, -1]).rise == (1, 0, -1)
+
+
 def test_enumerate_luk_counts():
     assert [p.rise for p in enumerate_luk(1)] == [(0,)]
     for n in range(1, 8):

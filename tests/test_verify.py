@@ -164,7 +164,6 @@ def overlapping_batches(n, replays=deque.replays):
                 trace.chi,
                 Partition._unchecked(n, tuple(sorted(blocks))),
                 trace.exit_order,
-                trace.insertion_times,
             ))
         yield chi, iter(overlapped)
 
@@ -203,8 +202,7 @@ def test_lemma48_fails_when_the_exit_order_is_no_permutation(monkeypatch):
     def repeated_first_ball(n):
         for chi, traces in deque.replays(n):
             yield chi, (
-                ScenarioTrace(trace.chi, trace.output_partition,
-                              trace.exit_order[:1] * n, trace.insertion_times)
+                ScenarioTrace(trace.chi, trace.output_partition, trace.exit_order[:1] * n)
                 for trace in traces
             )
 
