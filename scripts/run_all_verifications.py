@@ -3,10 +3,10 @@
 
 Default scales finish in seconds; --full runs the acceptance scales.
 On a 2-vCPU Xeon host with Python 3.11, the suites of --full took
-4.8-6.1 s together over six runs (5.1-5.3 s wall for a whole run):
-lemma67 1.7-2.0 s, prop610 1.7-2.4 s, thm65 0.5-0.7 s, and the five
-combinatorial suites 0.8-1.0 s together (cor410 0.3-0.4 s; thm49, prop46,
-lemma48 and prop413 0.1-0.2 s each).
+5.7-6.9 s together over three runs (5.8-7.1 s wall for a whole run):
+lemma67 2.3-2.5 s, prop610 1.8-2.7 s, thm65 0.6-0.7 s, and the five
+combinatorial suites 0.8-1.0 s together (cor410 0.37-0.38 s; thm49,
+prop46, lemma48 and prop413 0.07-0.19 s each).
 """
 
 import argparse

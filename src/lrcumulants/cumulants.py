@@ -23,7 +23,7 @@ from functools import cache, cached_property
 from operator import add, mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .deque import ChiWord, _chi_str, restriction_data, sigma_chi
+from .deque import ChiWord, _chi_word, restriction_data, sigma_chi
 from .partitions import Partition, noncrossing_mobius
 
 MomentFunctional = Callable[[tuple], object]
@@ -49,7 +49,7 @@ class CumulantEngine:
         word's operators need not agree with chi (the golden free cumulant
         of eq12y is the all-"r" cumulant of an l r l r operator word).
         """
-        chi_str = _chi_str(chi)
+        chi_str = _chi_word(chi).letters
         word = tuple(word)
         if len(chi_str) != len(word):
             raise ValueError(
@@ -241,7 +241,7 @@ def moment_from_cumulants(
     ``kappa`` is called as kappa(chi_letters, restricted_word); the result
     is the sum over the partition family of chi of the per-block products.
     """
-    chi_str = _chi_str(chi)
+    chi_str = _chi_word(chi).letters
     word = tuple(word)
     if len(chi_str) != len(word):
         raise ValueError(

@@ -88,10 +88,10 @@ class ChiWord:
         return self.letters
 
 
-def _chi_str(chi: "ChiWord | str") -> str:
-    if isinstance(chi, ChiWord):
-        return chi.letters
-    return ChiWord(chi).letters
+def _chi_word(chi: "ChiWord | str") -> ChiWord:
+    """chi as a :class:`ChiWord`; ``ValueError`` unless it is a non-empty
+    word over {l, r}."""
+    return chi if isinstance(chi, ChiWord) else ChiWord(chi)
 
 
 class ScenarioTrace:
@@ -105,9 +105,9 @@ class ScenarioTrace:
     __slots__ = ("chi", "output_partition", "exit_order")
 
     def __init__(self, chi: ChiWord, output_partition: Partition, exit_order: Tuple[int, ...]):
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "output_partition", output_partition)
-        object.__setattr__(self, "exit_order", exit_order)
+        _set_chi(self, chi)
+        _set_output_partition(self, output_partition)
+        _set_exit_order(self, exit_order)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScenarioTrace is immutable")
@@ -117,6 +117,13 @@ class ScenarioTrace:
         """The sorted steps that insert at least one ball: a batch's last
         ball leaves at once, so each block starts at its insertion time."""
         return tuple([block[0] for block in self.output_partition.blocks])
+
+
+# the slots' own setters, bound once: they write past the refusing
+# ``__setattr__``, for the constructor alone
+_set_chi = ScenarioTrace.chi.__set__
+_set_output_partition = ScenarioTrace.output_partition.__set__
+_set_exit_order = ScenarioTrace.exit_order.__set__
 
 
 #: A replay after t steps: (queue, batch of each ball inserted so far,
@@ -188,7 +195,7 @@ def _extend(level: Iterable[ReplayState], n: int, t: int, h: str) -> Iterator[Re
     return (_step(state, t, q, h) for state in level for q in _rises(n, t, len(state[0])))
 
 
-def simulate(path: LukPath, chi: ChiWord) -> ScenarioTrace:
+def simulate(path: LukPath, chi: "ChiWord | str") -> ScenarioTrace:
     """Replay the scenario (path, chi) on an explicit queue of labelled
     balls; the path and the word must have the same length.
 
@@ -198,8 +205,10 @@ def simulate(path: LukPath, chi: ChiWord) -> ScenarioTrace:
     output-time partition.  ``_step`` is the one replay step in the
     package: this applies it along one path, :func:`replays` and
     :func:`pchi_by_enumeration` along every path at once, and everything
-    derived from a scenario reads its trace.
+    derived from a scenario reads its trace.  A chi that is no word over
+    {l, r} raises ``ValueError``.
     """
+    chi = _chi_word(chi)
     if path.n != chi.n:
         raise ValueError(f"path has {path.n} steps but chi word has {chi.n} letters")
     state = _START
@@ -254,13 +263,14 @@ def family(chi: ChiWord, partitions: List[Partition]) -> List[Partition]:
     return sorted(partitions, key=attrgetter("blocks"))
 
 
-def pchi_by_enumeration(chi: ChiWord) -> List[Partition]:
+def pchi_by_enumeration(chi: "ChiWord | str") -> List[Partition]:
     """The family of output-time partitions over all paths, for fixed chi.
 
     A fold over the letters of chi that replays every path at once.  Its
     levels are lazy, so a path prefix's state lives only while scenarios
     that extend it are replayed.
     """
+    chi = _chi_word(chi)
     n = chi.n
     _check_ground_set(n)
     level: Iterable[ReplayState] = (_START,)
@@ -269,16 +279,18 @@ def pchi_by_enumeration(chi: ChiWord) -> List[Partition]:
     return family(chi, [_output_partition(n, state) for state in level])
 
 
-def sigma_chi(chi: ChiWord) -> Permutation:
+def sigma_chi(chi: "ChiWord | str") -> Permutation:
     """The permutation sending slot q to the q-th l-position for q <= u,
     and slot u + j to the (v + 1 - j)-th r-position (l-positions in order,
     then r-positions reversed)."""
+    chi = _chi_word(chi)
     return Permutation(chi.m_ell + tuple(reversed(chi.m_r)))
 
 
-def pchi_by_sigma(chi: ChiWord) -> List[Partition]:
+def pchi_by_sigma(chi: "ChiWord | str") -> List[Partition]:
     """The same family as ``pchi_by_enumeration``, built as the image of the
     non-crossing partitions under the action of ``sigma_chi``."""
+    chi = _chi_word(chi)
     _check_ground_set(chi.n)
     sigma = sigma_chi(chi)
     family = [act(sigma, p) for p in enumerate_noncrossing(chi.n)]
@@ -383,5 +395,5 @@ def restriction_data(chi_str: str) -> PartitionData:
     heavily by recursions over sub-words.
     """
     return tuple(
-        block_data(p, chi_str) for p in pchi_by_enumeration(ChiWord(chi_str))
+        block_data(p, chi_str) for p in pchi_by_enumeration(chi_str)
     )

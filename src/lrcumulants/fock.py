@@ -28,7 +28,7 @@ from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cumulants import Column, NCPlan, dag_sum, sigma_nc_plan
-from .deque import LEFT, ChiWord, _chi_str, restriction_data
+from .deque import LEFT, ChiWord, _chi_word, restriction_data
 from .partitions import _check_ground_set
 
 Word = Tuple[int, ...]
@@ -722,13 +722,13 @@ def _pick(template, omega: Word, chi_str: str) -> Symbol:
 def bimixture_symbol(omega: Word, chi: "ChiWord | str") -> Symbol:
     """The mixture symbol of the bi-word (omega, chi); see
     :func:`bimixture_template`."""
-    return _pick(bimixture_template, omega, _chi_str(chi))
+    return _pick(bimixture_template, omega, _chi_word(chi).letters)
 
 
 def reverse_bimixture_symbol(omega: Word, chi: "ChiWord | str") -> Symbol:
     """The reverse-mixture symbol of the bi-word (omega, chi); see
     :func:`reverse_bimixture_template`."""
-    return _pick(reverse_bimixture_template, omega, _chi_str(chi))
+    return _pick(reverse_bimixture_template, omega, _chi_word(chi).letters)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +854,7 @@ class VacuumMoments:
     def column(self, chi_str: str) -> list:
         """The vacuum moment of the bi-word (omega, chi) at every omega in
         [d]^len(chi), in ``itertools.product`` order."""
-        chi_str = _chi_str(chi_str)  # ValueError unless chi is a word over {l, r}
+        chi_str = _chi_word(chi_str).letters  # ValueError unless chi is a word over {l, r}
         return self._sweep(chi_str, (range(1, self.table.d + 1),) * len(chi_str))
 
     def _check(self, cword: CWord) -> None:
@@ -937,7 +937,7 @@ def moment_via_pchi(omega: Word, chi: "ChiWord | str", table: CoefficientTable):
     Sum over the scenario family of chi; each partition contributes the
     product of the mixtures of the restricted bi-words of its blocks.
     """
-    chi_str = _chi_str(chi)
+    chi_str = _chi_word(chi).letters
     omega = _index_word(omega, chi_str, table)
     coeff = table.coeff
     total = 0

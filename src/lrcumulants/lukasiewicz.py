@@ -123,17 +123,23 @@ def _rises(n: int, m: int, height: int) -> range:
     return range(max(-1, -height), n - m - height + 1)
 
 
-def psi(p: Partition) -> LukPath:
-    """The canonical path of a partition.
-
-    The rise at each block minimum is the block size minus one; every
-    other rise is -1.  This map is onto the set of paths, and restricts to
-    a bijection on non-crossing partitions.  The inverse of that bijection
-    is the all-"l" deque replay, ``deque.output_partition(path,
-    ChiWord("l" * n))``: a stack whose batches of pop times are the blocks.
-    """
+def psi_rise(p: Partition) -> Tuple[int, ...]:
+    """The rise-vector of :func:`psi`, unvalidated: the rise at each block
+    minimum is the block size minus one; every other rise is -1.  It is
+    always a rise-vector when p is a partition; ``psi`` checks that."""
     rise = [-1] * p.n
     for block in p.blocks:
         rise[block[0] - 1] = len(block) - 1
-    return LukPath(rise)
+    return tuple(rise)
+
+
+def psi(p: Partition) -> LukPath:
+    """The canonical path of a partition, with rise-vector ``psi_rise(p)``.
+
+    This map is onto the set of paths, and restricts to a bijection on
+    non-crossing partitions.  The inverse of that bijection is the all-"l"
+    deque replay, ``deque.output_partition(path, ChiWord("l" * n))``: a
+    stack whose batches of pop times are the blocks.
+    """
+    return LukPath(psi_rise(p))
 

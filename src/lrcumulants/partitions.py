@@ -8,6 +8,7 @@ as dictionary keys.
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import cache
 from math import comb
 from typing import Iterable, List, Sequence, Tuple
@@ -31,7 +32,8 @@ class Partition:
     equal iff they describe the same partition.
     """
 
-    __slots__ = ("n", "blocks")
+    # ``_index`` holds the block index once :meth:`block_index` built it
+    __slots__ = ("n", "blocks", "_index")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
         if not isinstance(n, int) or n < 1:
@@ -46,8 +48,8 @@ class Partition:
             seen.update(block)
         if total != n or seen != set(range(1, n + 1)):
             raise ValueError(f"blocks {canon!r} do not partition {{1..{n}}}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", canon)
+        _set_n(self, n)
+        _set_blocks(self, canon)
 
     @classmethod
     def _unchecked(cls, n: int, canonical_blocks: Tuple[Tuple[int, ...], ...]) -> "Partition":
@@ -57,8 +59,8 @@ class Partition:
         # cover {1..n} exactly once; nothing is checked or copied.  Blocks
         # that come from outside go through ``Partition(n, blocks)``.
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", canonical_blocks)
+        _set_n(self, n)
+        _set_blocks(self, canonical_blocks)
         return self
 
     def __setattr__(self, name, value):
@@ -84,13 +86,19 @@ class Partition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def block_index(self) -> List[int]:
-        """List mapping element m (1-based) to the index of its block."""
-        idx = [0] * (self.n + 1)
-        for k, block in enumerate(self.blocks):
-            for m in block:
-                idx[m] = k
-        return idx
+    def block_index(self) -> Tuple[int, ...]:
+        """Tuple mapping element m (1-based) to the index of its block
+        (entry 0 is unused); built on the first call and kept."""
+        try:
+            return self._index
+        except AttributeError:
+            idx = [0] * (self.n + 1)
+            for k, block in enumerate(self.blocks):
+                for m in block:
+                    idx[m] = k
+            index = tuple(idx)
+            _set_index(self, index)
+            return index
 
     def to_json(self) -> List[List[int]]:
         return [list(b) for b in self.blocks]
@@ -99,6 +107,13 @@ class Partition:
     def from_json(cls, data: Sequence[Sequence[int]]) -> "Partition":
         n = sum(len(b) for b in data)
         return cls(n, data)
+
+
+# the slots' own setters, bound once: they write past the refusing
+# ``__setattr__``, for the constructors alone
+_set_n = Partition.n.__set__
+_set_blocks = Partition.blocks.__set__
+_set_index = Partition._index.__set__
 
 
 def singletons(n: int) -> Partition:
@@ -193,20 +208,27 @@ def is_noncrossing(p: Partition) -> bool:
     """True iff no two blocks of p cross.
 
     Blocks V and W cross when there are a < b < c < d with a, c in V and
-    b, d in W.  Equivalently the blocks are properly nested, which is what
-    this single scan with a stack of open blocks checks.
+    b, d in W.  Equivalently the blocks are properly nested: each block
+    lies between two neighbouring elements of every block open at its
+    minimum, which is what this single scan of the canonical blocks (by
+    increasing minimum) with a stack of open blocks checks.
     """
-    idx = p.block_index()
-    stack: List[int] = []
-    for m in range(1, p.n + 1):
-        k = idx[m]
-        block = p.blocks[k]  # canonical: its minimum first, its maximum last
-        if block[0] == m:
-            stack.append(k)
-        elif stack[-1] != k:
-            return False
-        if block[-1] == m:
+    # each block on the stack lies in a gap of the one below it, so the
+    # maxima fall towards the top, and only the top needs checking
+    stack: List[Tuple[int, ...]] = []
+    for block in p.blocks:
+        first = block[0]
+        # pop the blocks closed before this one opens; ``<=`` only matters
+        # for blocks that share an element, no partition, and keeps the
+        # scan from reading past the end of the top block
+        while stack and stack[-1][-1] <= first:
             stack.pop()
+        if stack:
+            outer = stack[-1]
+            # outer's next element after first must come after block's last
+            if outer[bisect(outer, first)] < block[-1]:
+                return False
+        stack.append(block)
     return True
 
 
@@ -302,10 +324,13 @@ def _relabel(image: Sequence[int], p: Partition) -> Partition:
     (``image[0]`` is unused)."""
     # a permutation image of a partition is a partition; only the order of
     # elements and blocks needs restoring
-    at = image.__getitem__
-    return Partition._unchecked(
-        p.n, tuple(sorted([tuple(sorted(map(at, block))) for block in p.blocks]))
-    )
+    blocks = []
+    for block in p.blocks:
+        relabelled = [image[m] for m in block]
+        relabelled.sort()
+        blocks.append(tuple(relabelled))
+    blocks.sort()
+    return Partition._unchecked(p.n, tuple(blocks))
 
 
 def opposite(p: Partition) -> Partition:

@@ -88,6 +88,47 @@ def test_scenario_length_mismatch():
         simulate(EX_PATH, ChiWord("lr"))
 
 
+def test_a_trace_equals_what_it_was_built_from_and_stays_immutable():
+    trace = simulate(EX_PATH, EX_CHI)
+    rebuilt = ScenarioTrace(EX_CHI, trace.output_partition, trace.exit_order)
+    assert (rebuilt.chi, rebuilt.output_partition, rebuilt.exit_order) == (
+        EX_CHI, Partition(5, [[1, 2, 4], [3, 5]]), (3, 1, 5, 2, 4))
+    for name in ("chi", "output_partition", "exit_order"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(rebuilt, name, None)
+
+
+def test_simulate_accepts_a_plain_word():
+    assert simulate(LukPath([0]), "l").output_partition == singletons(1)
+    trace = simulate(EX_PATH, "rllrl")
+    assert trace.chi == EX_CHI
+    assert trace.exit_order == simulate(EX_PATH, EX_CHI).exit_order
+    for bad in ("", "x", "rllrx"):
+        with pytest.raises(ValueError):
+            simulate(EX_PATH, bad)
+
+
+def test_pchi_by_enumeration_accepts_a_plain_word():
+    assert pchi_by_enumeration("lrlr") == pchi_by_enumeration(ChiWord("lrlr"))
+    for bad in ("", "lrxr"):
+        with pytest.raises(ValueError):
+            pchi_by_enumeration(bad)
+
+
+def test_sigma_chi_accepts_a_plain_word():
+    assert sigma_chi("rllrl") == sigma_chi(EX_CHI)
+    for bad in ("", "rlLrl"):
+        with pytest.raises(ValueError):
+            sigma_chi(bad)
+
+
+def test_pchi_by_sigma_accepts_a_plain_word():
+    assert pchi_by_sigma("rllrl") == pchi_by_sigma(EX_CHI)
+    for bad in ("", "rl rl"):
+        with pytest.raises(ValueError):
+            pchi_by_sigma(bad)
+
+
 def test_worked_scenario():
     trace = simulate(EX_PATH, EX_CHI)
     assert trace.exit_order == (3, 1, 5, 2, 4)

@@ -12,6 +12,7 @@ from lrcumulants.partitions import (
     MAX_GROUND_SET,
     Partition,
     Permutation,
+    _relabel,
     act,
     enumerate_noncrossing,
     enumerate_partitions,
@@ -120,6 +121,31 @@ def test_noncrossing_agrees_with_quadruple_scan():
     for n in range(1, 8):
         for p in enumerate_partitions(n):
             assert is_noncrossing(p) == (not crosses_brute_force(p))
+
+
+def noncrossing_by_element_scan(p):
+    """A scan of 1..n with a stack of open block indices, read off the
+    block index: the reference for the scan of the canonical blocks."""
+    idx = p.block_index()
+    stack = []
+    for m in range(1, p.n + 1):
+        k = idx[m]
+        block = p.blocks[k]
+        if block[0] == m:
+            stack.append(k)
+        elif stack[-1] != k:
+            return False
+        if block[-1] == m:
+            stack.pop()
+    return True
+
+
+def test_noncrossing_matches_the_element_scan():
+    for n in range(1, 9):
+        for p in enumerate_partitions(n):
+            assert is_noncrossing(p) == noncrossing_by_element_scan(p)
+    for n in range(1, 10):
+        assert sum(map(is_noncrossing, enumerate_partitions(n))) == catalan(n)
 
 
 def test_noncrossing_examples():
@@ -266,3 +292,40 @@ def test_meet_matches_the_validating_constructor():
             for q in family:
                 blocks = [set(a) & set(b) for a in p.blocks for b in q.blocks]
                 assert_validated_as(meet(p, q), [b for b in blocks if b])
+
+
+def test_relabel_matches_the_validating_constructor():
+    for n in range(1, 6):
+        family = enumerate_partitions(n)
+        for images in itertools.permutations(range(1, n + 1)):
+            image = (0,) + images
+            for p in family:
+                assert_validated_as(_relabel(image, p), [[image[m] for m in b] for b in p.blocks])
+
+
+def test_block_index_is_built_once():
+    p = Partition(5, [[3, 5], [4, 1, 2]])
+    first = p.block_index()
+    assert first == (0, 0, 0, 1, 0, 1)
+    assert p.block_index() is first
+    assert one_block(3).block_index() == (0, 0, 0, 0)
+
+
+def test_trusted_partitions_equal_validated_ones_and_stay_immutable():
+    for n in range(1, 6):
+        for p in enumerate_partitions(n):
+            checked = Partition(n, p.blocks)
+            trusted = (
+                p,
+                Partition._unchecked(n, p.blocks),
+                act(Permutation.identity(n), p),
+                meet(p, one_block(n)),
+            )
+            for t in trusted:
+                t.block_index()  # fills the kept index
+                assert t == checked and hash(t) == hash(checked)
+                for name in ("n", "blocks", "_index"):
+                    with pytest.raises(AttributeError, match="immutable"):
+                        setattr(t, name, None)
+    for p in (singletons(4), one_block(4)):
+        assert p == Partition(4, p.blocks) and hash(p) == hash(Partition(4, p.blocks))

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lrcumulants import cumulants, deque, verify
+from lrcumulants import cumulants, deque, lukasiewicz, verify
 from lrcumulants.cli import main
 from lrcumulants.cumulants import Column
 from lrcumulants.deque import ScenarioTrace, restriction_data
@@ -71,8 +71,8 @@ def without_last(family):
     return lambda chi: family(chi)[:-1]
 
 
-def one_block_path(psi):
-    return lambda p: psi(one_block(p.n))
+def one_block_path(psi_rise):
+    return lambda p: psi_rise(one_block(p.n))
 
 
 def identity_permutation(_):
@@ -108,7 +108,7 @@ def without_one_block(family):
         ("thm65", "OmegaGrid", last_partition_unsubtracted),
         ("thm65", "VacuumMoments", reversed_columns),
         ("thm49", "pchi_by_sigma", without_last),
-        ("prop46", "psi", one_block_path),
+        ("prop46", "psi_rise", one_block_path),
         ("lemma48", "sigma_chi", identity_permutation),
         ("prop413", "chi_opposite", identity),
         ("cor410", "family", without_one_block),
@@ -184,6 +184,21 @@ def test_prop46_records_an_output_partition_without_a_path_as_a_failure(monkeypa
     failed = [c for c in result.checks if not c.ok]
     assert len(failed) == 28
     assert all(any("has no path" in message for message in c.actual) for c in failed)
+
+
+def test_a_passing_prop46_run_builds_no_canonical_path(monkeypatch):
+    psi = lukasiewicz.psi
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return psi(p)
+
+    monkeypatch.setattr(lukasiewicz, "psi", counted)
+    monkeypatch.setattr(verify, "psi", counted, raising=False)
+    result = verify.run_suite("prop46", max_n=4)
+    assert result.passed and result.instances == 274
+    assert calls == []
 
 
 def test_lemma48_fails_when_the_replay_emits_overlapping_blocks(monkeypatch):
