@@ -248,37 +248,80 @@ def _check_dense_size(d: int, n_o: int, kind: str) -> None:
         )
 
 
+def _key_word(name: str, key, d: int, n_o: int, word_key, words: Dict[object, Word]) -> Word:
+    """The index word one map key spells, validated.  With ``word_key``,
+    the canonical-key regex's ``fullmatch``, a key is a table file's text
+    "2,1,3", and a key whose text without its last letter is in ``words``
+    (validated earlier in the same load) extends that word, so only its
+    length and its last letter are checked.  Without ``word_key``, a key
+    is a tuple of int letters.  A key of any other form, a word outside
+    lengths 1..n_o or a letter outside 1..d is refused with a ValueError
+    naming the entry."""
+    if word_key is None:
+        if type(key) is not tuple or {*map(type, key)} - {int}:
+            raise ValueError(f"{name} key {key!r} is not an index word: a tuple of int letters")
+        word = key
+    elif type(key) is not str or not word_key(key):
+        raise ValueError(f"{name} key {key!r} is not an index word like '1,2'")
+    else:
+        head, _, last = key.rpartition(",")
+        prefix = words.get(head)
+        if prefix is None:
+            word = tuple(map(int, key.split(",")))
+        else:
+            word = prefix + (int(last),)
+            if len(word) <= n_o and word[-1] <= d:
+                return word
+    if not word or len(word) > n_o:
+        raise ValueError(f"{name} entry {word} outside word lengths 1..{n_o}")
+    if min(word) < 1 or max(word) > d:
+        raise ValueError(f"{name} entry {word} has letters outside 1..{d}")
+    return word
+
+
 def _checked(
-    name: str, table: Mapping, d: int, n_o: int, reduced: Dict[str, Tuple[int, int]]
+    name: str,
+    table: Optional[Mapping],
+    d: int,
+    n_o: int,
+    word_key,
+    words: Dict[object, Word],
+    reduced: Dict[str, Tuple[int, int]],
 ) -> Dict[Word, Tuple[int, int]]:
-    """The non-zero entries of one concrete coefficient map, validated, as
-    (numerator, denominator) pairs in lowest terms.  A value is an int, a
-    Fraction, or a "p/q" string, which is split and reduced without
-    building a Fraction; floats, bools and anything else are not exact and
-    are rejected.  ``reduced`` holds the pair of every string reduced
-    earlier in the same load, so each distinct string is reduced once."""
+    """The non-zero entries of one concrete coefficient map (None for
+    none), validated in one walk, as (numerator, denominator) pairs in
+    lowest terms.  Keys are index words, spelt as :func:`_key_word` says
+    for ``word_key``.  A value is an int, a Fraction, or a "p/q" string,
+    which is split and reduced without building a Fraction; floats, bools
+    and anything else are not exact and are rejected.  ``words`` holds the
+    word of every key validated earlier and ``reduced`` the pair of every
+    string reduced earlier, so each distinct key is validated and each
+    distinct string reduced once for as long as the caller keeps them."""
+    if table is None:
+        return {}
+    if not isinstance(table, Mapping):
+        raise ValueError(f"{name} must be a map from index words to rationals")
     rational = re.compile(_RATIONAL).fullmatch
     cleaned = {}
-    for word, value in table.items():
-        word = tuple(word)
-        if not word or len(word) > n_o:
-            raise ValueError(f"{name} entry {word} outside word lengths 1..{n_o}")
-        if min(word) < 1 or max(word) > d:
-            raise ValueError(f"{name} entry {word} has letters outside 1..{d}")
-        # only a str is looked up: a list or a dict read from a file is unhashable
-        pair = reduced.get(value) if isinstance(value, str) else None
-        if pair is None:
-            if isinstance(value, str) and rational(value):
+    for key, value in table.items():
+        word = words.get(key)
+        if word is None:
+            word = words[key] = _key_word(name, key, d, n_o, word_key, words)
+        if isinstance(value, str):
+            pair = reduced.get(value)
+            if pair is None and rational(value):
                 num, _, den = value.partition("/")
                 num, den = int(num), int(den or 1)
                 g = gcd(num, den)
                 pair = reduced[value] = num // g, den // g
-            elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-                pair = value.numerator, value.denominator
-            else:
-                raise ValueError(
-                    f"{name} entry {word} must be an integer or a 'p/q' string, got {value!r}"
-                )
+        elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            pair = value.numerator, value.denominator
+        else:
+            pair = None
+        if pair is None:
+            raise ValueError(
+                f"{name} entry {word} must be an integer or a 'p/q' string, got {value!r}"
+            )
         if pair[0]:
             cleaned[word] = pair
     return cleaned
@@ -312,6 +355,11 @@ class CoefficientTable:
         alpha: Optional[Mapping[Word, Fraction]] = None,
         beta: Optional[Mapping[Word, Fraction]] = None,
     ):
+        self._build(d, n_o, mode, alpha, beta, text_keys=False)
+
+    def _build(self, d, n_o, mode: str, alpha, beta, text_keys: bool) -> None:
+        """Validate and store a table whose maps are keyed by tuples of
+        int letters, or by a table file's text keys with ``text_keys``."""
         if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (d, n_o)):
             raise ValueError(f"d and n_o must be positive integers, got {d!r} and {n_o!r}")
         if mode not in ("symbolic", "concrete"):
@@ -321,18 +369,24 @@ class CoefficientTable:
                 raise ValueError("symbolic tables carry no stored values")
             _check_dense_size(d, n_o, mode)
             scale = 1
+            # symbols valid by construction: one non-empty word per entry
             stored = [
                 {
-                    word: PolyScalar.symbol(kind, word)
+                    word: PolyScalar._of({((kind, p, word),): 1})
                     for p in range(1, n_o + 1)
                     for word in product(range(1, d + 1), repeat=p)
                 }
                 for kind in (ALPHA, BETA)
             ]
         else:
+            # A text key is validated once per load, so beta reuses alpha's
+            # words.  Tuple keys are validated per map: (True,) and (1.0,)
+            # equal (1,), so a word kept from alpha would let them through.
+            word_key = re.compile(_WORD_KEY).fullmatch if text_keys else None
+            words: Dict[object, Word] = {}
             reduced: Dict[str, Tuple[int, int]] = {}
             rationals = [
-                _checked(name, table or {}, d, n_o, reduced)
+                _checked(name, table, d, n_o, word_key, words if text_keys else {}, reduced)
                 for name, table in (("alpha", alpha), ("beta", beta))
             ]
             scale = lcm(*{den for table in rationals for _, den in table.values()})
@@ -369,9 +423,11 @@ class CoefficientTable:
         _check_dense_size(d, n_o, "random")
         rng = random.Random(seed)
 
-        def draw() -> Fraction:
+        def draw() -> str:
+            # as "p/q": the table reduces each of the 72 distinct strings
+            # once, where a Fraction per draw would reduce every draw
             num = rng.randint(-9, 9)
-            return Fraction(num if num else 1, rng.randint(1, 4))
+            return f"{num if num else 1}/{rng.randint(1, 4)}"
 
         alpha = {}
         beta = {}
@@ -432,7 +488,8 @@ class CoefficientTable:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "CoefficientTable":
         """A table from its JSON form: an object whose maps have canonical
-        index-word keys and JSON integers or "p/q" strings as values."""
+        index-word keys and JSON integers or "p/q" strings as values.  The
+        maps are validated as they are read, by the constructor's validator."""
         if not isinstance(obj, Mapping):
             raise ValueError("a table must be a JSON object")
         missing = [name for name in ("d", "n_o") if name not in obj]
@@ -441,33 +498,9 @@ class CoefficientTable:
         mode = obj.get("mode")
         if mode is None:
             mode = "concrete" if ("alpha" in obj or "beta" in obj) else "symbolic"
-
-        word_key = re.compile(_WORD_KEY).fullmatch
-        words: Dict[str, Word] = {}  # every key parsed so far in this load
-
-        def parse(name: str) -> Optional[Dict[Word, object]]:
-            table = obj.get(name)
-            if table is None:
-                return None
-            if not isinstance(table, Mapping):
-                raise ValueError(f"{name} must be a map from index words to rationals")
-            parsed = {}
-            for key, value in table.items():
-                if not word_key(key):
-                    raise ValueError(f"{name} key {key!r} is not an index word like '1,2'")
-                word = words.get(key)
-                if word is None:
-                    head, _, last = key.rpartition(",")
-                    prefix = words.get(head)
-                    if prefix is None:
-                        word = tuple(map(int, key.split(",")))
-                    else:  # the key extends one parsed earlier by a letter
-                        word = prefix + (int(last),)
-                    words[key] = word
-                parsed[word] = value
-            return parsed
-
-        return cls(obj["d"], obj["n_o"], mode, parse("alpha"), parse("beta"))
+        table = object.__new__(cls)
+        table._build(obj["d"], obj["n_o"], mode, obj.get("alpha"), obj.get("beta"), text_keys=True)
+        return table
 
     @classmethod
     def from_file(cls, path: str) -> "CoefficientTable":
@@ -799,16 +832,19 @@ class VacuumMoments:
         self.table = table
         self._memo: Dict[CWord, object] = {}
         # (side, i) -> per prefix length: the non-zero coefficients of the
-        # words ending in i, as (prefix, reversed prefix, value); sized by
+        # words ending in i, as (prefix, value), the prefix reversed on side
+        # l, where it is put in front of a word letter by letter; sized by
         # the longest stored word, since a sparse table may declare a huge n_o
-        self._creators: Dict[Tuple[str, int], List[List[Tuple[Word, Word, object]]]] = {}
+        creators: Dict[Tuple[str, int], List[List[Tuple[Word, object]]]] = {}
         longest = max(map(len, chain(table.alpha, table.beta)), default=0)
         for h, stored in (("l", table.alpha), ("r", table.beta)):
+            left = h == "l"
             for word, value in stored.items():
-                m = word[:-1]
-                if (h, word[-1]) not in self._creators:
-                    self._creators[h, word[-1]] = [[] for _ in range(longest)]
-                self._creators[h, word[-1]][len(m)].append((m, m[::-1], value))
+                lists = creators.get((h, word[-1]))
+                if lists is None:
+                    lists = creators[h, word[-1]] = [[] for _ in range(longest)]
+                lists[len(word) - 1].append((word[-2::-1] if left else word[:-1], value))
+        self._creators = creators
 
     def __call__(self, cword: CWord):
         value = self._memo.get(cword)
@@ -886,8 +922,8 @@ class VacuumMoments:
                     out[key] = c if prev is None else prev + c
             top = min(len(entries), max_len - length + 1)
             for pm1 in range(top):
-                for m, mrev, value in entries[pm1]:
-                    key = mrev + z if left else z + m
+                for m, value in entries[pm1]:
+                    key = m + z if left else z + m
                     scaled = value * c
                     prev = out.get(key)
                     out[key] = scaled if prev is None else prev + scaled

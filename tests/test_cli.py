@@ -163,6 +163,42 @@ def test_moment_invalid_table_is_io_error(tmp_path, capsys):
         assert f"a table must give {missing}" in err, err
 
 
+def test_a_beta_defect_is_refused_behind_a_valid_alpha(tmp_path, capsys):
+    # alpha holds every valid word, so each valid key in beta was validated
+    # earlier in the load; each beta entry must still be checked
+    alpha = {key: "1" for key in ("1", "2", "1,1", "1,2", "2,1", "2,2")}
+    path = tmp_path / "bad.json"
+    for beta in (
+        ["1", "1/2"],
+        {"1": 0.1},
+        {"1": 1, "1,1": True},
+        {"1": "0.5"},
+        {"2,1": "0.5"},
+        {"1": "1/0"},
+        {"1": None},
+        {"1": "1/2", "01": "3"},
+        {" 2": "1/2"},
+        {"+1": "1/2"},
+        {"1_1": "1/2"},
+        {"1": "1/-2"},
+        {"1": "1/2 "},
+        {"1": "1//2"},
+        {"1": "\u0663"},
+        {"1": "1/\u0663"},
+        {"3": "1"},
+        {"1,2,1": "1"},  # extends a key validated in alpha, beyond n_o
+        {"0": "1"},
+        {"1,,2": "1"},
+        {"1,": "1"},
+        {"1,3": "1"},  # extends a key validated in alpha by a letter above d
+        {"2,02": "1"},
+    ):
+        path.write_text(json.dumps({"d": 2, "n_o": 2, "alpha": alpha, "beta": beta}))
+        code, out, err = run(capsys, "moment", "--chi", "lr", "--omega", "1,2", "--table", str(path))
+        assert code == 3, beta
+        assert out == "" and ": beta " in err, (beta, err)
+
+
 def test_each_query_reads_its_table_file_again(tmp_path, capsys):
     path = tmp_path / "t.json"
     values = []

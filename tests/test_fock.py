@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -488,14 +489,14 @@ def test_lemma67_operator_check_fails_under_an_injected_defect(monkeypatch, attr
 
 
 def test_sequential_moments_match_explicit_operator_route():
-    table = CoefficientTable.symbolic(2, 3)
-    vm = VacuumMoments(table)
-    for n in range(1, 4):
-        for chi in itertools.product("lr", repeat=n):
-            for omega in itertools.product((1, 2), repeat=n):
-                cword = tuple(zip(omega, chi))
-                ops = [canonical_operator(i, h, table) for i, h in cword]
-                assert vm(cword) == vacuum_expectation(ops)
+    for table in (CoefficientTable.symbolic(2, 3), CoefficientTable.random(3, 3, seed=8)):
+        vm = VacuumMoments(table)
+        for n in range(1, 4):
+            for chi in itertools.product("lr", repeat=n):
+                for omega in itertools.product(range(1, table.d + 1), repeat=n):
+                    cword = tuple(zip(omega, chi))
+                    ops = [canonical_operator(i, h, table) for i, h in cword]
+                    assert vm(cword) == vacuum_expectation(ops), (table.mode, cword)
 
 
 def test_sequential_moments_match_partition_sums():
@@ -980,6 +981,89 @@ def test_concrete_table_stores_graded_ints():
     assert CoefficientTable(1, 1, "concrete", {}, {}).scale == 1
     x = sym("a", 1)
     assert CoefficientTable.symbolic(2, 2).rational(x, 1) is x
+
+
+def test_in_memory_keys_must_be_tuples_of_int_letters():
+    # a float or bool letter made a key that to_json wrote and a file load refused
+    for alpha, entry in (
+        ({(1.0,): 1}, "alpha key (1.0,)"),
+        ({(True,): 1}, "alpha key (True,)"),
+        ({(1, True): 1}, "alpha key (1, True)"),
+        ({1: 1}, "alpha key 1 "),
+        ({"12": 1}, "alpha key '12'"),
+        ([((1,), 1)], "alpha must be a map"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            CoefficientTable(2, 2, "concrete", alpha, {})
+    # (True,) == (1,), so beta's keys must not be taken on alpha's word
+    with pytest.raises(ValueError, match=re.escape("beta key (True,)")):
+        CoefficientTable(2, 2, "concrete", {(1,): 1}, {(True,): 1})
+    with pytest.raises(ValueError, match=re.escape("alpha key (1,)")):  # text keys only
+        CoefficientTable.from_json_obj({"d": 2, "n_o": 2, "alpha": {(1,): 1}})
+
+
+def test_a_file_table_validates_each_distinct_key_once(monkeypatch):
+    obj = CoefficientTable.random(2, 7, seed=11).to_json()  # the same 254 keys on each side
+    assert obj["alpha"].keys() == obj["beta"].keys()
+    key_word = fock._key_word
+    validated = []
+    monkeypatch.setattr(
+        fock, "_key_word", lambda name, key, *args: validated.append(key) or key_word(name, key, *args)
+    )
+    table = CoefficientTable.from_json_obj(obj)
+    assert sorted(validated) == sorted(obj["alpha"])
+    assert table.to_json() == obj
+
+
+def _reference_word(key: str, d: int, n_o: int):
+    """The word a canonical text key spells when it lies in [d]^1..n_o, else None."""
+    parts = key.split(",")
+    if not all(p.isascii() and p.isdigit() and p[0] != "0" for p in parts):
+        return None
+    word = tuple(map(int, parts))
+    return word if len(word) <= n_o and max(word) <= d else None
+
+
+@st.composite
+def keyed_file_objects(draw):
+    """A concrete table's JSON object whose keys are mostly canonical words,
+    some too long or with a letter above d, some misspelt.  Each key comes
+    after the keys of its prefixes, so most keys extend one read earlier."""
+    d = draw(st.integers(1, 11))
+    n_o = draw(st.integers(1, 3))
+    letter = st.one_of(
+        st.integers(1, 12).map(str), st.sampled_from(("0", "01", " 2", "+1", "", "1_1", "\u0663"))
+    )
+    value = st.sampled_from(("1", "-2/3", 4))
+    obj = {"d": d, "n_o": n_o}
+    for name in ("alpha", "beta"):
+        obj[name] = {}
+        for letters in draw(st.lists(st.lists(letter, min_size=1, max_size=4), max_size=4)):
+            for end in range(1, len(letters) + 1):
+                obj[name][",".join(letters[:end])] = draw(value)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyed_file_objects())
+def test_file_keys_load_as_the_words_they_spell(obj):
+    d, n_o = obj["d"], obj["n_o"]
+    bad = [
+        (name, key) for name in ("alpha", "beta") for key in obj[name]
+        if _reference_word(key, d, n_o) is None
+    ]
+    if bad:  # the first bad key, alpha before beta, is the one named
+        name, key = bad[0]
+        with pytest.raises(ValueError) as refused:
+            CoefficientTable.from_json_obj(obj)
+        message = str(refused.value)
+        assert message.startswith(f"{name} key {key!r} is not an index word") or (
+            message.startswith(f"{name} entry {tuple(map(int, key.split(',')))} ")
+        ), (message, name, key)
+        return
+    table = CoefficientTable.from_json_obj(obj)
+    for name, stored in (("alpha", table.alpha), ("beta", table.beta)):
+        assert stored.keys() == {_reference_word(key, d, n_o) for key in obj[name]}
 
 
 def test_table_rejects_inexact_values():
