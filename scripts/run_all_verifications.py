@@ -3,10 +3,10 @@
 
 Default scales finish in seconds; --full runs the acceptance scales.
 On a 2-vCPU Xeon host with Python 3.11, the suites of --full took
-5.7-6.9 s together over three runs (5.8-7.1 s wall for a whole run):
-lemma67 2.3-2.5 s, prop610 1.8-2.7 s, thm65 0.6-0.7 s, and the five
-combinatorial suites 0.8-1.0 s together (cor410 0.37-0.38 s; thm49,
-prop46, lemma48 and prop413 0.07-0.19 s each).
+5.5-7.2 s together over six runs (6.5-6.8 s wall for a whole run, three
+of them timed): lemma67 2.1-2.6 s, prop610 1.9-2.9 s, thm65 0.6-0.8 s,
+and the five combinatorial suites 0.60-0.85 s together (cor410
+0.26-0.39 s; thm49, prop46, lemma48 and prop413 0.06-0.14 s each).
 """
 
 import argparse

@@ -25,6 +25,7 @@ from .partitions import (
     Partition,
     Permutation,
     _check_ground_set,
+    _is_int,
     _relabel,
     act,
     enumerate_noncrossing,
@@ -186,13 +187,23 @@ def _trace(chi: ChiWord, state: ReplayState) -> ScenarioTrace:
     return ScenarioTrace(chi, _output_partition(chi.n, state), state[2])
 
 
-def _extend(level: Iterable[ReplayState], n: int, t: int, h: str) -> Iterator[ReplayState]:
+def _rise_rows(n: int) -> Tuple[Tuple[range, ...], ...]:
+    """``rows[t][height]`` is ``_rises(n, t, height)``, for every step t of
+    an n-step path and every height 0..n - t + 1 it can start from (row 0
+    is empty): built once per walk, read once per replayed state."""
+    return ((),) + tuple(
+        tuple(_rises(n, t, height) for height in range(n - t + 2)) for t in range(1, n + 1)
+    )
+
+
+def _extend(level: Iterable[ReplayState], row: Tuple[range, ...], t: int, h: str) -> Iterator[ReplayState]:
     """Step t at end h applied to every state of a level, one child per
-    rise the path may take next.  Children follow their parents' order,
-    rises increasing, so a level lists its path prefixes in
-    ``enumerate_luk`` order.  Lazy: a chain of these holds one state per
-    step, not whole levels."""
-    return (_step(state, t, q, h) for state in level for q in _rises(n, t, len(state[0])))
+    rise the path may take next; ``row`` is step t's row of
+    :func:`_rise_rows`, indexed by a state's height.  Children follow their
+    parents' order, rises increasing, so a level lists its path prefixes
+    in ``enumerate_luk`` order.  Lazy: a chain of these holds one state
+    per step, not whole levels."""
+    return (_step(state, t, q, h) for state in level for q in row[len(state[0])])
 
 
 def simulate(path: LukPath, chi: "ChiWord | str") -> ScenarioTrace:
@@ -229,6 +240,7 @@ def replays(n: int) -> Iterator[Tuple[ChiWord, Iterator[ScenarioTrace]]]:
     are replayed one at a time as ``traces`` is read.
     """
     _check_ground_set(n)
+    rows = _rise_rows(n)
 
     def walk(word: str, level: Iterable[ReplayState]):
         t = len(word) + 1
@@ -238,7 +250,7 @@ def replays(n: int) -> Iterator[Tuple[ChiWord, Iterator[ScenarioTrace]]]:
             return
         level = list(level)  # both letters extend it
         for h in (LEFT, RIGHT):
-            yield from walk(word + h, _extend(level, n, t, h))
+            yield from walk(word + h, _extend(level, rows[t], t, h))
 
     return walk("", (_START,))
 
@@ -273,9 +285,10 @@ def pchi_by_enumeration(chi: "ChiWord | str") -> List[Partition]:
     chi = _chi_word(chi)
     n = chi.n
     _check_ground_set(n)
+    rows = _rise_rows(n)
     level: Iterable[ReplayState] = (_START,)
     for t, h in enumerate(chi.letters, start=1):
-        level = _extend(level, n, t, h)
+        level = _extend(level, rows[t], t, h)
     return family(chi, [_output_partition(n, state) for state in level])
 
 
@@ -289,11 +302,13 @@ def sigma_chi(chi: "ChiWord | str") -> Permutation:
 
 def pchi_by_sigma(chi: "ChiWord | str") -> List[Partition]:
     """The same family as ``pchi_by_enumeration``, built as the image of the
-    non-crossing partitions under the action of ``sigma_chi``."""
+    non-crossing partitions under the action of ``sigma_chi``, through one
+    block memo."""
     chi = _chi_word(chi)
     _check_ground_set(chi.n)
     sigma = sigma_chi(chi)
-    family = [act(sigma, p) for p in enumerate_noncrossing(chi.n)]
+    memo: dict = {}
+    family = [act(sigma, p, memo) for p in enumerate_noncrossing(chi.n)]
     return sorted(family, key=attrgetter("blocks"))
 
 
@@ -339,20 +354,22 @@ def standings_partitions(
     return left, right
 
 
-def combined_standings(trace: ScenarioTrace) -> Partition:
+def combined_standings(trace: ScenarioTrace, memo: Optional[dict] = None) -> Partition:
     """Merge both standings into one partition of {1..n}.
 
     Block for insertion time i: V_i united with the reflection
     {n + 1 - q : q in W_i}, which is the image of the output block of i
     under ``chi.slot``, that is under sigma_chi^-1.  The result is always
-    non-crossing.
+    non-crossing.  ``memo`` is the block memo of :func:`partitions._relabel`,
+    for the traces of one chi alone.
     """
-    return _relabel(trace.chi.slot, trace.output_partition)
+    return _relabel(trace.chi.slot, trace.output_partition, {} if memo is None else memo)
 
 
-def chi_opposite(chi: ChiWord) -> ChiWord:
-    """The word read in reverse."""
-    return ChiWord(chi.letters[::-1])
+def chi_opposite(chi: "ChiWord | str") -> ChiWord:
+    """The word read in reverse; ``ValueError`` unless chi is a non-empty
+    word over {l, r}."""
+    return ChiWord(_chi_word(chi).letters[::-1])
 
 
 def tau_u(n: int, u: int) -> Permutation:
@@ -361,8 +378,10 @@ def tau_u(n: int, u: int) -> Permutation:
     q -> u + 1 - q for q <= u, and q -> n + u + 1 - q for q > u.  For
     u = 0 or u = n it is the full reversal.
     """
-    if not 0 <= u <= n:
-        raise ValueError(f"u must be in 0..{n}, got {u}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not _is_int(u) or not 0 <= u <= n:
+        raise ValueError(f"u must be an integer in 0..{n}, got {u!r}")
     return Permutation(
         [u + 1 - q for q in range(1, u + 1)]
         + [n + u + 1 - q for q in range(u + 1, n + 1)]

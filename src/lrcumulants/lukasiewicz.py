@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, List, Sequence, Tuple
 
-from .partitions import Partition, _check_ground_set
+from .partitions import Partition, _check_ground_set, _is_int
 
 
 class InvalidRiseVector(ValueError):
@@ -71,7 +71,7 @@ def _validate(rise: tuple) -> None:
     if not rise:
         raise InvalidRiseVector("rise-vector must be non-empty")
     for k, q in enumerate(rise, start=1):
-        if isinstance(q, bool) or not isinstance(q, int) or q < -1:
+        if not _is_int(q) or q < -1:
             raise InvalidRiseVector(
                 f"entry {q!r} at position {k} is not an integer >= -1", prefix=k
             )

@@ -11,15 +11,21 @@ from __future__ import annotations
 from bisect import bisect
 from functools import cache
 from math import comb
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 #: Enumeration functions reject n above this bound (Bell(11) = 678570
 #: objects is the largest batch we are willing to materialize).
 MAX_GROUND_SET = 11
 
 
+def _is_int(x) -> bool:
+    """True for an int that is no bool: the only entries the validating
+    constructors take."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_ground_set(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"ground-set size must be a positive integer, got {n!r}")
     if n > MAX_GROUND_SET:
         raise ValueError(f"ground-set size {n} exceeds the supported limit {MAX_GROUND_SET}")
@@ -36,8 +42,13 @@ class Partition:
     __slots__ = ("n", "blocks", "_index")
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"partition ground-set size must be >= 1, got {n!r}")
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"partition ground-set size must be an integer >= 1, got {n!r}")
+        blocks = [tuple(b) for b in blocks]
+        for block in blocks:
+            for m in block:
+                if not _is_int(m):
+                    raise ValueError(f"partition entry {m!r} in block {list(block)!r} is not an integer")
         canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
         seen: set[int] = set()
         total = 0
@@ -134,6 +145,9 @@ class Permutation:
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         n = len(images)
+        for k, m in enumerate(images, 1):
+            if not _is_int(m):
+                raise ValueError(f"permutation entry {m!r} at position {k} is not an integer")
         if n < 1 or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{images!r} is not a permutation of 1..{n}")
         object.__setattr__(self, "n", n)
@@ -312,23 +326,38 @@ def meet(p: Partition, q: Partition) -> Partition:
     return Partition._unchecked(p.n, tuple(map(tuple, groups.values())))
 
 
-def act(t: Permutation, p: Partition) -> Partition:
-    """Apply t to every element of every block, then re-canonicalize."""
+def act(t: Permutation, p: Partition, memo: Optional[dict] = None) -> Partition:
+    """Apply t to every element of every block, then re-canonicalize.
+
+    ``memo`` is :func:`_relabel`'s block memo; a loop that maps many
+    partitions through the same t passes one and keeps it for t alone.
+    """
     if t.n != p.n:
         raise ValueError("permutation and partition sizes differ")
-    return _relabel((0,) + t.images, p)
+    return _relabel((0,) + t.images, p, {} if memo is None else memo)
 
 
-def _relabel(image: Sequence[int], p: Partition) -> Partition:
+def _relabel(image: Sequence[int], p: Partition, memo: dict) -> Partition:
     """:func:`act` for the permutation m -> image[m] of {1..p.n}, unchecked
-    (``image[0]`` is unused)."""
+    (``image[0]`` is unused).
+
+    ``memo`` maps each block met so far to its sorted image and is filled
+    here.  It holds images under this one permutation: a caller that maps
+    many partitions through it passes one memo for the whole loop and a
+    new one for each other permutation.  {1..n} has 2^n - 1 non-empty
+    subsets, so a memo holds at most that many blocks, and a family of
+    partitions mostly reads its images back.
+    """
     # a permutation image of a partition is a partition; only the order of
     # elements and blocks needs restoring
     blocks = []
     for block in p.blocks:
-        relabelled = [image[m] for m in block]
-        relabelled.sort()
-        blocks.append(tuple(relabelled))
+        relabelled = memo.get(block)
+        if relabelled is None:
+            relabelled = [image[m] for m in block]
+            relabelled.sort()
+            relabelled = memo[block] = tuple(relabelled)
+        blocks.append(relabelled)
     blocks.sort()
     return Partition._unchecked(p.n, tuple(blocks))
 

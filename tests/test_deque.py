@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import re
 import tracemalloc
 from math import comb
 
@@ -25,7 +26,7 @@ from lrcumulants.deque import (
     standings_partitions,
     tau_u,
 )
-from lrcumulants.lukasiewicz import LukPath, enumerate_luk, psi
+from lrcumulants.lukasiewicz import LukPath, _rises, enumerate_luk, psi
 from lrcumulants.partitions import (
     MAX_GROUND_SET,
     Partition,
@@ -127,6 +128,14 @@ def test_pchi_by_sigma_accepts_a_plain_word():
     for bad in ("", "rl rl"):
         with pytest.raises(ValueError):
             pchi_by_sigma(bad)
+
+
+def test_chi_opposite_accepts_a_plain_word():
+    assert chi_opposite("lrr") == ChiWord("rrl")
+    assert chi_opposite("rllrl") == chi_opposite(EX_CHI)
+    for bad in ("", "lrx"):
+        with pytest.raises(ValueError):
+            chi_opposite(bad)
 
 
 def test_worked_scenario():
@@ -282,6 +291,32 @@ def test_sigma_maps_combined_standings_to_output():
                 assert act(sigma, combined_standings(trace)) == trace.output_partition
 
 
+def test_one_memo_per_word_relabels_each_trace_as_a_fresh_call_does():
+    # the block memos as lemma48 holds them: one for chi.slot and one for
+    # sigma_chi, each for one chi's traces alone
+    for n in range(1, 8):
+        for chi, traces in replays(n):
+            sigma = sigma_chi(chi)
+            slot_memo, sigma_memo = {}, {}
+            for trace in traces:
+                rho = combined_standings(trace, slot_memo)
+                assert rho.blocks == combined_standings(trace).blocks
+                image = act(sigma, rho, sigma_memo)
+                assert image.blocks == trace.output_partition.blocks
+            assert len(slot_memo) <= 2 ** n - 1 and len(sigma_memo) <= 2 ** n - 1
+
+
+def test_rise_rows_hold_the_rises_of_every_reachable_height():
+    for n in range(1, 8):
+        rows = deque._rise_rows(n)
+        assert len(rows) == n + 1 and rows[0] == ()
+        for t in range(1, n + 1):
+            assert rows[t] == tuple(_rises(n, t, height) for height in range(n - t + 2))
+        for path in enumerate_luk(n):
+            for t, height in enumerate([0] + path.heights()[:-1], start=1):
+                assert path.rise[t - 1] in rows[t][height]
+
+
 def test_output_partition_canonical_path():
     for n in range(1, 6):
         for chi in all_chi(n):
@@ -294,6 +329,12 @@ def test_chi_opposite():
     assert chi_opposite(ChiWord("lll")) == ChiWord("lll")
     for chi in all_chi(5):
         assert chi_opposite(chi_opposite(chi)) == chi
+
+
+@pytest.mark.parametrize("n, u, entry", [(3, True, "True"), (3, 1.0, "1.0"), (True, 0, "True")])
+def test_tau_u_refuses_a_bool_or_float(n, u, entry):
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        tau_u(n, u)
 
 
 def test_tau_u_examples():

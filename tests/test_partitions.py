@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from math import factorial
 
 import pytest
@@ -299,8 +300,39 @@ def test_relabel_matches_the_validating_constructor():
         family = enumerate_partitions(n)
         for images in itertools.permutations(range(1, n + 1)):
             image = (0,) + images
+            t = Permutation(images)
+            # a fresh memo per call, then one memo per image for the whole
+            # family, as the suites hold it, through _relabel and act
+            memo, act_memo = {}, {}
             for p in family:
-                assert_validated_as(_relabel(image, p), [[image[m] for m in b] for b in p.blocks])
+                expected = [[image[m] for m in b] for b in p.blocks]
+                assert_validated_as(_relabel(image, p, {}), expected)
+                assert_validated_as(_relabel(image, p, memo), expected)
+                assert_validated_as(act(t, p, act_memo), expected)
+            # every non-empty subset of {1..n} is a block of some partition:
+            # the memo ends with each once, mapped to its sorted image
+            assert len(memo) == 2 ** n - 1
+            assert act_memo == memo
+            for block, relabelled in memo.items():
+                assert relabelled == tuple(sorted(image[m] for m in block))
+
+
+@pytest.mark.parametrize(
+    "build,entry",
+    [
+        (lambda: Permutation([2.0, 1.0, 3.0]), "2.0"),
+        (lambda: Permutation([True, 2]), "True"),
+        (lambda: Partition(2, [[1.0, 2]]), "1.0"),
+        (lambda: Partition(True, [[1]]), "True"),
+        (lambda: enumerate_noncrossing(True), "True"),
+        (lambda: enumerate_partitions(2.0), "2.0"),
+    ],
+    ids=["float-permutation", "bool-permutation", "float-block-entry", "bool-ground-set",
+         "bool-noncrossing-size", "float-partitions-size"],
+)
+def test_validating_constructors_refuse_floats_and_bools(build, entry):
+    with pytest.raises(ValueError, match=re.escape(entry)):
+        build()
 
 
 def test_block_index_is_built_once():

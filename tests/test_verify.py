@@ -141,6 +141,38 @@ def test_grid_suites_fail_when_sigma_chi_is_the_identity(monkeypatch, fresh_mobi
     assert failed and all("n=4" in c.name for c in failed)
 
 
+@pytest.mark.parametrize("suite", ["thm49", "prop46", "lemma48", "prop413", "cor410"])
+def test_family_suites_keep_one_block_memo_per_permutation(monkeypatch, suite):
+    # a block memo holds images under one permutation; one that saw two
+    # would hand the first one's images to the second.  A shared memo can
+    # leave a check passing (under tau_u and the reversal, both of which
+    # stabilise NC(n), or when lemma48 relabels straight back), so the
+    # relabelling calls themselves are watched.  Every memo is kept alive
+    # here, so no two memos share an id.
+    kept = {}
+
+    def record(memo, images):
+        assert memo is not None, "a family suite relabels without a block memo"
+        first_memo, first_images = kept.setdefault(id(memo), (memo, images))
+        assert first_memo is memo and first_images == images
+
+    act, combined_standings = verify.act, verify.combined_standings
+
+    def act_spy(t, p, memo=None):
+        record(memo, t.images)
+        return act(t, p, memo)
+
+    def combined_standings_spy(trace, memo=None):
+        record(memo, trace.chi.slot)
+        return combined_standings(trace, memo)
+
+    monkeypatch.setattr(verify, "act", act_spy)
+    monkeypatch.setattr(deque, "act", act_spy)  # pchi_by_sigma's
+    monkeypatch.setattr(verify, "combined_standings", combined_standings_spy)
+    assert verify.run_suite(suite, max_n=4).passed
+    assert kept
+
+
 def overlapping_batches(n, replays=deque.replays):
     """The all-chi replay, with each output partition reading each batch
     one exit time too far, exit_time[lo:end + 1]: neighbouring blocks
