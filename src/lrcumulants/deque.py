@@ -43,10 +43,12 @@ class ChiWord:
     ``slot[m]`` is position m's slot in the combined standings, q for the
     q-th l-position and n + 1 - q for the q-th r-position (``slot[0]`` is
     0, so a position indexes it).  A position's standing among the steps
-    of its side is read off its slot.
+    of its side is read off its slot.  ``_blocks`` is the block memo of
+    :func:`partitions._relabel` for ``slot``; it takes no part in equality
+    or hashing.
     """
 
-    __slots__ = ("n", "letters", "m_ell", "m_r", "slot")
+    __slots__ = ("n", "letters", "m_ell", "m_r", "slot", "_blocks")
 
     def __init__(self, letters: "str | Iterable[str]"):
         word = "".join(letters)
@@ -69,6 +71,7 @@ class ChiWord:
         for q, m in enumerate(self.m_r, 1):
             slot[m] = len(word) + 1 - q
         object.__setattr__(self, "slot", tuple(slot))
+        object.__setattr__(self, "_blocks", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ChiWord is immutable")
@@ -302,13 +305,11 @@ def sigma_chi(chi: "ChiWord | str") -> Permutation:
 
 def pchi_by_sigma(chi: "ChiWord | str") -> List[Partition]:
     """The same family as ``pchi_by_enumeration``, built as the image of the
-    non-crossing partitions under the action of ``sigma_chi``, through one
-    block memo."""
+    non-crossing partitions under the action of ``sigma_chi``."""
     chi = _chi_word(chi)
     _check_ground_set(chi.n)
     sigma = sigma_chi(chi)
-    memo: dict = {}
-    family = [act(sigma, p, memo) for p in enumerate_noncrossing(chi.n)]
+    family = [act(sigma, p) for p in enumerate_noncrossing(chi.n)]
     return sorted(family, key=attrgetter("blocks"))
 
 
@@ -354,16 +355,15 @@ def standings_partitions(
     return left, right
 
 
-def combined_standings(trace: ScenarioTrace, memo: Optional[dict] = None) -> Partition:
+def combined_standings(trace: ScenarioTrace) -> Partition:
     """Merge both standings into one partition of {1..n}.
 
     Block for insertion time i: V_i united with the reflection
     {n + 1 - q : q in W_i}, which is the image of the output block of i
     under ``chi.slot``, that is under sigma_chi^-1.  The result is always
-    non-crossing.  ``memo`` is the block memo of :func:`partitions._relabel`,
-    for the traces of one chi alone.
+    non-crossing.
     """
-    return _relabel(trace.chi.slot, trace.output_partition, {} if memo is None else memo)
+    return _relabel(trace.chi.slot, trace.output_partition, trace.chi._blocks)
 
 
 def chi_opposite(chi: "ChiWord | str") -> ChiWord:

@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cumulants import Column, NCPlan, dag_sum, sigma_nc_plan
 from .deque import LEFT, ChiWord, _chi_word, restriction_data
-from .partitions import _check_ground_set
+from .partitions import _check_ground_set, _is_int
 
 Word = Tuple[int, ...]
 Symbol = Tuple[str, Word]  # ("a" | "b", index word)
@@ -657,6 +657,13 @@ def adjoint(op: OperatorExpr) -> OperatorExpr:
     return op.adjoint()
 
 
+def _side(h: str) -> bool:
+    """True for side "l", False for "r"; ``ValueError`` for any other."""
+    if h not in ("l", "r"):
+        raise ValueError(f"side must be 'l' or 'r', got {h!r}")
+    return h == "l"
+
+
 def x_op(p: int, h: str, table: CoefficientTable) -> OperatorExpr:
     """The degree-p creation block on side h.
 
@@ -664,11 +671,12 @@ def x_op(p: int, h: str, table: CoefficientTable) -> OperatorExpr:
     length p of coeff(w) times the creators for w applied innermost
     letter first.  Beyond the table's degree bound the block is zero.
     """
+    left = _side(h)
     if p == 0:
         return OperatorExpr.identity()
     if p > table.n_o:
         return OperatorExpr.zero()
-    kind, create = (ALPHA, "L") if h == "l" else (BETA, "R")
+    kind, create = (ALPHA, "L") if left else (BETA, "R")
     terms = []
     for word in product(range(1, table.d + 1), repeat=p):
         c = table.coeff(kind, word)
@@ -681,7 +689,7 @@ def x_op(p: int, h: str, table: CoefficientTable) -> OperatorExpr:
 
 def s_op(i: int, h: str) -> OperatorExpr:
     """The creator for basis index i on side h."""
-    return OperatorExpr.generator("L" if h == "l" else "R", i)
+    return OperatorExpr.generator("L" if _side(h) else "R", i)
 
 
 def canonical_operator(i: int, h: str, table: CoefficientTable) -> OperatorExpr:
@@ -690,7 +698,7 @@ def canonical_operator(i: int, h: str, table: CoefficientTable) -> OperatorExpr:
     For h = "l" this is the left canonical operator of index i, for
     h = "r" the right one.
     """
-    star = "L*" if h == "l" else "R*"
+    star = "L*" if _side(h) else "R*"
     terms = [(1, ((star, i),))]
     for p in range(1, table.n_o + 1):
         for c, gens in x_op(p, h, table).terms:
@@ -770,7 +778,7 @@ def reverse_bimixture_symbol(omega: Word, chi: "ChiWord | str") -> Symbol:
 
 
 def lemma67_vector(
-    path, chi: ChiWord, omega: Word, table: CoefficientTable
+    path, chi: "ChiWord | str", omega: Word, table: CoefficientTable
 ) -> FockVector:
     """Apply  X*_{p_1;h_1} S_{i_1;h_1} ... X*_{p_n;h_n} S_{i_n;h_n}  to the
     vacuum, where (p_m - 1) is the path's rise-vector.
@@ -782,11 +790,11 @@ def lemma67_vector(
     the vacuum; the multiple factors over the scenario's output-time
     partition as a product of reverse-mixtures.
     """
+    chi = _chi_word(chi)
     n = chi.n
-    if len(omega) != n or path.n != n:
-        raise ValueError("path, chi and omega must have equal lengths")
-    if min(omega) < 1 or max(omega) > table.d:
-        raise ValueError(f"index word {list(omega)} has letters outside 1..{table.d}")
+    omega = _index_word(omega, chi.letters, table)
+    if path.n != n:
+        raise ValueError(f"path has {path.n} steps but chi word has {n} letters")
     coeff: object = None
     word: Word = ()
     for m in range(n, 0, -1):
@@ -896,7 +904,7 @@ class VacuumMoments:
     def _check(self, cword: CWord) -> None:
         d = self.table.d
         for i, h in cword:
-            if h not in ("l", "r") or not 1 <= i <= d:
+            if h not in ("l", "r") or not _is_int(i) or not 1 <= i <= d:
                 raise ValueError(
                     f"operator {(i, h)!r} is not (index in 1..{d}, side 'l' or 'r')"
                 )
@@ -999,7 +1007,7 @@ def moment_via_sigma(omega: Word, chi: "ChiWord | str", table: CoefficientTable)
     products of its blocks' coefficients, evaluated on the plan's ``unit``
     DAG; the plan of NC(n) is built once per length.
     """
-    chi = chi if isinstance(chi, ChiWord) else ChiWord(chi)
+    chi = _chi_word(chi)
     omega = _index_word(omega, chi.letters, table)
     mixtures, plan = sigma_mixture_plan(chi)
     coeff = table.coeff
@@ -1008,13 +1016,13 @@ def moment_via_sigma(omega: Word, chi: "ChiWord | str", table: CoefficientTable)
 
 
 def _index_word(omega: Word, chi_str: str, table: CoefficientTable) -> Word:
-    """omega as a tuple; ValueError unless it has one letter in 1..d per
-    letter of chi."""
+    """omega as a tuple; ValueError unless it has one int letter in 1..d
+    per letter of chi."""
     omega = tuple(omega)
     if len(omega) != len(chi_str):
         raise ValueError("index word and chi word lengths differ")
-    if any(not 1 <= i <= table.d for i in omega):
-        raise ValueError(f"index word {list(omega)} has letters outside 1..{table.d}")
+    if any(not _is_int(i) or not 1 <= i <= table.d for i in omega):
+        raise ValueError(f"index word {list(omega)} has letters that are no int in 1..{table.d}")
     return omega
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect
 from functools import cache
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 #: Enumeration functions reject n above this bound (Bell(11) = 678570
 #: objects is the largest batch we are willing to materialize).
@@ -138,9 +138,14 @@ def one_block(n: int) -> Partition:
 
 
 class Permutation:
-    """A permutation of {1..n} in one-line notation."""
+    """A permutation of {1..n} in one-line notation.
 
-    __slots__ = ("n", "images")
+    ``_image`` is ``(0,) + images``, indexed by an element, and ``_blocks``
+    the block memo of :func:`_relabel` for this permutation; neither takes
+    part in equality or hashing.
+    """
+
+    __slots__ = ("n", "images", "_image", "_blocks")
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -152,6 +157,8 @@ class Permutation:
             raise ValueError(f"{images!r} is not a permutation of 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_image", (0,) + images)
+        object.__setattr__(self, "_blocks", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -326,15 +333,11 @@ def meet(p: Partition, q: Partition) -> Partition:
     return Partition._unchecked(p.n, tuple(map(tuple, groups.values())))
 
 
-def act(t: Permutation, p: Partition, memo: Optional[dict] = None) -> Partition:
-    """Apply t to every element of every block, then re-canonicalize.
-
-    ``memo`` is :func:`_relabel`'s block memo; a loop that maps many
-    partitions through the same t passes one and keeps it for t alone.
-    """
+def act(t: Permutation, p: Partition) -> Partition:
+    """Apply t to every element of every block, then re-canonicalize."""
     if t.n != p.n:
         raise ValueError("permutation and partition sizes differ")
-    return _relabel((0,) + t.images, p, {} if memo is None else memo)
+    return _relabel(t._image, p, t._blocks)
 
 
 def _relabel(image: Sequence[int], p: Partition, memo: dict) -> Partition:
@@ -342,11 +345,9 @@ def _relabel(image: Sequence[int], p: Partition, memo: dict) -> Partition:
     (``image[0]`` is unused).
 
     ``memo`` maps each block met so far to its sorted image and is filled
-    here.  It holds images under this one permutation: a caller that maps
-    many partitions through it passes one memo for the whole loop and a
-    new one for each other permutation.  {1..n} has 2^n - 1 non-empty
-    subsets, so a memo holds at most that many blocks, and a family of
-    partitions mostly reads its images back.
+    here; the object that owns ``image`` owns it.  {1..n} has 2^n - 1
+    non-empty subsets, so a memo holds at most that many blocks, and a
+    family of partitions mostly reads its images back.
     """
     # a permutation image of a partition is a partition; only the order of
     # elements and blocks needs restoring

@@ -215,32 +215,27 @@ def suite_prop46(max_n: int = 6, **_) -> SuiteResult:
     """Per scenario: the combined-standings partition is non-crossing, its
     last-insertion block is an interval, and the output-time partition maps
     back to the path."""
-    def checker(chi: ChiWord) -> Callable:
-        memo: dict = {}  # chi.slot's block images, for chi's scenarios alone
-
-        def check(path, trace, failures: List[str]) -> None:
-            rho = combined_standings(trace, memo)
-            if not is_noncrossing(rho):
-                failures.append(f"rise={list(path.rise)}: crossing {rho.to_json()}")
-            # the combined-standings block of the last insertion time
-            block = sorted(map(trace.chi.slot.__getitem__, trace.output_partition.blocks[-1]))
-            if block != list(range(block[0], block[-1] + 1)):
-                failures.append(f"rise={list(path.rise)}: block {block} not an interval")
-            # the output partition's canonical rises; only a mismatch is
-            # validated, to tell a wrong path from none
-            rise = psi_rise(trace.output_partition)
-            if rise != path.rise:
-                try:
-                    LukPath(rise)
-                except InvalidRiseVector as err:
-                    failures.append(f"rise={list(path.rise)}: output partition has no path: {err}")
-                else:
-                    failures.append(f"rise={list(path.rise)}: wrong canonical path")
-
-        return check
+    def check(path, trace, failures: List[str]) -> None:
+        rho = combined_standings(trace)
+        if not is_noncrossing(rho):
+            failures.append(f"rise={list(path.rise)}: crossing {rho.to_json()}")
+        # the combined-standings block of the last insertion time
+        block = sorted(map(trace.chi.slot.__getitem__, trace.output_partition.blocks[-1]))
+        if block != list(range(block[0], block[-1] + 1)):
+            failures.append(f"rise={list(path.rise)}: block {block} not an interval")
+        # the output partition's canonical rises; only a mismatch is
+        # validated, to tell a wrong path from none
+        rise = psi_rise(trace.output_partition)
+        if rise != path.rise:
+            try:
+                LukPath(rise)
+            except InvalidRiseVector as err:
+                failures.append(f"rise={list(path.rise)}: output partition has no path: {err}")
+            else:
+                failures.append(f"rise={list(path.rise)}: wrong canonical path")
 
     summary = "scenarios, all non-crossing/interval/path-consistent"
-    return _scenario_sweep("prop46", max_n, summary, checker)
+    return _scenario_sweep("prop46", max_n, summary, lambda chi: check)
 
 
 def _batched_exit_times(rise: Tuple[int, ...], exit_order: Tuple[int, ...]) -> tuple:
@@ -270,12 +265,9 @@ def suite_lemma48(max_n: int = 6, **_) -> SuiteResult:
     """
     def checker(chi: ChiWord) -> Callable:
         sigma = sigma_chi(chi)
-        # one block memo per permutation, for chi's scenarios alone
-        slot_memo: dict = {}
-        sigma_memo: dict = {}
 
         def check(path, trace, failures: List[str]) -> None:
-            image = act(sigma, combined_standings(trace, slot_memo), sigma_memo)
+            image = act(sigma, combined_standings(trace))
             out = _batched_exit_times(path.rise, trace.exit_order)
             if image.blocks != out:
                 failures.append(
@@ -296,8 +288,7 @@ def suite_prop413(max_n: int = 6, **_) -> SuiteResult:
         nc = set(enumerate_noncrossing(n))
         for u in range(n + 1):
             tau = tau_u(n, u)
-            memo: dict = {}
-            image = {act(tau, p, memo) for p in nc}
+            image = {act(tau, p) for p in nc}
             result.add(
                 f"n={n} u={u} reversal stabilizes non-crossing family",
                 "stable",
@@ -313,8 +304,7 @@ def suite_prop413(max_n: int = 6, **_) -> SuiteResult:
             pair = {w: pchi_by_enumeration(w) for w in dict.fromkeys((first, opp))}
             for chi, family in pair.items():
                 opp = chi_opposite(chi)
-                memo = {}
-                mirrored = sorted([act(rev, p, memo) for p in family], key=attrgetter("blocks"))
+                mirrored = sorted([act(rev, p) for p in family], key=attrgetter("blocks"))
                 ok = mirrored == pair[opp]
                 result.add(
                     f"n={n} chi={chi} mirrored family",
@@ -364,8 +354,7 @@ def suite_cor410(max_n: int = 5, **_) -> SuiteResult:
                 not missing,
             )
             sigma = sigma_chi(chi)
-            memo: dict = {}
-            images = [act(sigma, p, memo) for p in nc]
+            images = [act(sigma, p) for p in nc]
             inside = [image in fam for image in images]
             order_bad = 0
             for p, image_p, p_inside in zip(nc, images, inside):

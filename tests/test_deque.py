@@ -84,6 +84,21 @@ def test_chi_word_slot_is_the_inverse_of_sigma_chi():
             assert Permutation(chi.slot[1:]) == sigma_chi(chi).inverse()
 
 
+def test_a_chi_word_with_a_filled_memo_equals_and_hashes_like_a_fresh_one():
+    for n in range(1, 6):
+        for chi, traces in replays(n):
+            for trace in traces:
+                combined_standings(trace)
+            assert chi._blocks
+            fresh = ChiWord(chi.letters)
+            assert not fresh._blocks
+            assert chi == fresh and hash(chi) == hash(fresh)
+            assert {chi: n}[fresh] == n and len({chi, fresh}) == 1
+            for name in ("slot", "_blocks"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(chi, name, None)
+
+
 def test_scenario_length_mismatch():
     with pytest.raises(ValueError, match="path has 5 steps but chi word has 2 letters"):
         simulate(EX_PATH, ChiWord("lr"))
@@ -292,18 +307,20 @@ def test_sigma_maps_combined_standings_to_output():
 
 
 def test_one_memo_per_word_relabels_each_trace_as_a_fresh_call_does():
-    # the block memos as lemma48 holds them: one for chi.slot and one for
-    # sigma_chi, each for one chi's traces alone
+    # the block memos as lemma48 reads them: chi's own for chi.slot and
+    # sigma_chi's own, each filled by one chi's traces alone
     for n in range(1, 8):
         for chi, traces in replays(n):
             sigma = sigma_chi(chi)
-            slot_memo, sigma_memo = {}, {}
             for trace in traces:
-                rho = combined_standings(trace, slot_memo)
-                assert rho.blocks == combined_standings(trace).blocks
-                image = act(sigma, rho, sigma_memo)
+                rho = combined_standings(trace)
+                assert rho.blocks == deque._relabel(chi.slot, trace.output_partition, {}).blocks
+                image = act(sigma, rho)
                 assert image.blocks == trace.output_partition.blocks
-            assert len(slot_memo) <= 2 ** n - 1 and len(sigma_memo) <= 2 ** n - 1
+            for owner, image in ((chi, chi.slot), (sigma, (0,) + sigma.images)):
+                assert 0 < len(owner._blocks) <= 2 ** n - 1
+                for block, relabelled in owner._blocks.items():
+                    assert relabelled == tuple(sorted(image[m] for m in block))
 
 
 def test_rise_rows_hold_the_rises_of_every_reachable_height():

@@ -274,6 +274,20 @@ def test_x_op_shapes():
     assert x_op(4, "l", table).terms == ()  # beyond the degree bound
 
 
+def test_operators_refuse_a_side_other_than_l_or_r():
+    table = CoefficientTable.symbolic(2, 3)
+    for h in ("x", "L", "", None):
+        for build in (
+            lambda: x_op(1, h, table),
+            lambda: x_op(0, h, table),
+            lambda: s_op(1, h),
+            lambda: canonical_operator(1, h, table),
+        ):
+            with pytest.raises(ValueError):
+                build()
+    assert x_op(1, "r", table).terms == ((sym("b", 1), (("R", 1),)), (sym("b", 2), (("R", 2),)))
+
+
 def test_canonical_operator_first_moments():
     table = CoefficientTable.symbolic(2, 3)
     for i in (1, 2):
@@ -407,10 +421,24 @@ def test_lemma67_single_batch_all_left():
 def test_lemma67_rejects_indices_outside_the_table():
     path, chi = LukPath([0]), ChiWord("l")
     for table in (CoefficientTable.symbolic(2, 2), CoefficientTable.random(2, 2, seed=0)):
-        for omega in ((7,), (0,)):
+        for omega in ((7,), (0,), (1.5,), (1.0,), (True,), (1, 1)):
             with pytest.raises(ValueError):
                 lemma67_vector(path, chi, omega, table)
         assert lemma67_vector(path, chi, (2,), table) == {(): table.coeff("a", (2,))}
+    with pytest.raises(ValueError):
+        lemma67_vector(LukPath([1, -1]), chi, (1,), table)
+
+
+def test_lemma67_takes_a_chi_word_or_its_letters():
+    table = CoefficientTable.symbolic(2, 4)
+    path = LukPath([1, -1])
+    for letters in ("lr", "rl", "ll"):
+        assert lemma67_vector(path, letters, (1, 2), table) == lemma67_vector(
+            path, ChiWord(letters), (1, 2), table
+        )
+    for chi in ("", "lx"):
+        with pytest.raises(ValueError):
+            lemma67_vector(path, chi, (1, 2), table)
 
 
 def test_lemma67_factors_over_output_partition():
@@ -619,6 +647,14 @@ def test_moments_reject_operators_outside_the_table():
         vm(((5, "l"), (5, "l")))
     with pytest.raises(ValueError):
         vm(((1, "x"),))
+    # a letter that is no int, on a table whose moments of them read 0
+    random_vm = VacuumMoments(CoefficientTable.random(2, 3, 0))
+    for cword in (((1.5, "l"), (1.5, "l")), ((True, "l"),), ((1, "l"), (2.0, "r"))):
+        for moments in (vm, random_vm):
+            with pytest.raises(ValueError):
+                moments(cword)
+            with pytest.raises(ValueError):
+                moments.sweep_subwords(cword)
     for chi in ("", "lx"):
         with pytest.raises(ValueError):
             vm.column(chi)
@@ -639,6 +675,11 @@ def test_family_sum_rejects_indices_outside_the_table():
             route((1, 0), "lr", table)
         with pytest.raises(ValueError):
             route((1, 2), "l", table)
+        for omega in ((1.5, 1.5), (True, 2), (1, 2.0)):
+            with pytest.raises(ValueError):
+                route(omega, "ll", table)
+            with pytest.raises(ValueError):
+                route(omega, "ll", CoefficientTable.random(2, 3, 0))
         assert route((2,), "l", table) == sym("a", 2)
 
 
@@ -710,7 +751,7 @@ def test_an_operator_keeps_no_word_longer_than_its_bound():
 
 def test_sub_word_sweep_rejects_what_a_moment_rejects():
     vm = VacuumMoments(CoefficientTable.symbolic(2, 2))
-    for cword in (((5, "l"),), ((1, "x"),), ((1, "l"),) * 12):
+    for cword in (((5, "l"),), ((1, "x"),), ((1.5, "l"),), ((True, "r"),), ((1, "l"),) * 12):
         with pytest.raises(ValueError):
             vm.sweep_subwords(cword)
     assert vm._memo == {}

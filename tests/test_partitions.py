@@ -301,18 +301,18 @@ def test_relabel_matches_the_validating_constructor():
         for images in itertools.permutations(range(1, n + 1)):
             image = (0,) + images
             t = Permutation(images)
-            # a fresh memo per call, then one memo per image for the whole
-            # family, as the suites hold it, through _relabel and act
-            memo, act_memo = {}, {}
+            # a fresh memo per call, then one memo for the whole family
+            # through _relabel, and t's own memo through act
+            memo = {}
             for p in family:
                 expected = [[image[m] for m in b] for b in p.blocks]
                 assert_validated_as(_relabel(image, p, {}), expected)
                 assert_validated_as(_relabel(image, p, memo), expected)
-                assert_validated_as(act(t, p, act_memo), expected)
+                assert_validated_as(act(t, p), expected)
             # every non-empty subset of {1..n} is a block of some partition:
             # the memo ends with each once, mapped to its sorted image
             assert len(memo) == 2 ** n - 1
-            assert act_memo == memo
+            assert t._blocks == memo
             for block, relabelled in memo.items():
                 assert relabelled == tuple(sorted(image[m] for m in block))
 
@@ -361,3 +361,21 @@ def test_trusted_partitions_equal_validated_ones_and_stay_immutable():
                         setattr(t, name, None)
     for p in (singletons(4), one_block(4)):
         assert p == Partition(4, p.blocks) and hash(p) == hash(Partition(4, p.blocks))
+
+
+def test_a_permutation_with_a_filled_memo_equals_and_hashes_like_a_fresh_one():
+    rng = random.Random(1)
+    for n in range(1, 6):
+        for _ in range(5):
+            images = rng.sample(range(1, n + 1), n)
+            used = Permutation(images)
+            for p in enumerate_partitions(n):
+                act(used, p)
+            assert len(used._blocks) == 2 ** n - 1
+            fresh = Permutation(images)
+            assert not fresh._blocks
+            assert used == fresh and hash(used) == hash(fresh)
+            assert {used: n}[fresh] == n and len({used, fresh}) == 1
+            for name in ("_image", "_blocks"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(used, name, None)

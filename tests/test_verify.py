@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lrcumulants import cumulants, deque, lukasiewicz, verify
+from lrcumulants import cumulants, deque, lukasiewicz, partitions, verify
 from lrcumulants.cli import main
 from lrcumulants.cumulants import Column
 from lrcumulants.deque import ScenarioTrace, restriction_data
@@ -147,28 +147,21 @@ def test_family_suites_keep_one_block_memo_per_permutation(monkeypatch, suite):
     # would hand the first one's images to the second.  A shared memo can
     # leave a check passing (under tau_u and the reversal, both of which
     # stabilise NC(n), or when lemma48 relabels straight back), so the
-    # relabelling calls themselves are watched.  Every memo is kept alive
-    # here, so no two memos share an id.
+    # relabelling calls themselves are watched: act's in partitions,
+    # combined_standings' in deque.  Every memo is kept alive here, so no
+    # two memos share an id.
     kept = {}
 
-    def record(memo, images):
-        assert memo is not None, "a family suite relabels without a block memo"
-        first_memo, first_images = kept.setdefault(id(memo), (memo, images))
-        assert first_memo is memo and first_images == images
+    def spy(relabel):
+        def relabel_spy(image, p, memo):
+            first_memo, first_image = kept.setdefault(id(memo), (memo, image))
+            assert first_memo is memo and first_image == image
+            return relabel(image, p, memo)
 
-    act, combined_standings = verify.act, verify.combined_standings
+        return relabel_spy
 
-    def act_spy(t, p, memo=None):
-        record(memo, t.images)
-        return act(t, p, memo)
-
-    def combined_standings_spy(trace, memo=None):
-        record(memo, trace.chi.slot)
-        return combined_standings(trace, memo)
-
-    monkeypatch.setattr(verify, "act", act_spy)
-    monkeypatch.setattr(deque, "act", act_spy)  # pchi_by_sigma's
-    monkeypatch.setattr(verify, "combined_standings", combined_standings_spy)
+    for module in (partitions, deque):
+        monkeypatch.setattr(module, "_relabel", spy(module._relabel))
     assert verify.run_suite(suite, max_n=4).passed
     assert kept
 
