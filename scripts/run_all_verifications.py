@@ -3,10 +3,10 @@
 
 Default scales finish in seconds; --full runs the acceptance scales.
 On a 2-vCPU Xeon host with Python 3.11, the suites of --full took
-5.5-7.2 s together over six runs (6.5-6.8 s wall for a whole run, three
-of them timed): lemma67 2.1-2.6 s, prop610 1.9-2.9 s, thm65 0.6-0.8 s,
-and the five combinatorial suites 0.60-0.85 s together (cor410
-0.26-0.39 s; thm49, prop46, lemma48 and prop413 0.06-0.14 s each).
+3.6-4.6 s together over three runs (3.7-4.8 s wall for a whole run):
+lemma67 1.4-1.9 s, prop610 1.2-1.3 s, thm65 0.5-0.6 s, and the five
+combinatorial suites 0.42-0.77 s together (cor410 0.18-0.36 s; thm49,
+prop46, lemma48 and prop413 0.05-0.13 s each).
 """
 
 import argparse

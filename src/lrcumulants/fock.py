@@ -830,34 +830,28 @@ class VacuumMoments:
     Callable on a word of (index, side) pairs, memoized;
     :meth:`sweep_subwords` memoizes every sub-word of one word, and
     :meth:`column` sweeps every index word for one chi word.  Moments are
-    evaluated by applying the operators to the vacuum right-to-left; since
-    every canonical operator lowers word length by at most one,
-    intermediate words longer than the number of operators still to come
-    are dropped.
+    evaluated by applying the operators to the vacuum right-to-left.
+
+    The canonical operators act like a double-ended queue: one of index i
+    on side l removes a letter only when it is i at the left end, one on
+    side r only at the right end, and creation removes nothing.  So a word
+    reaches the vacuum only if it splits as u.v, with u popped from the
+    left, in order, by the remaining left operators and v popped from the
+    right by the remaining right ones.  Each operator computes the state
+    only at these words (:func:`_reachable`), pulling every term from the
+    table and the state before it; every other word's vacuum moment under
+    the remaining operators is zero.  The reach sets come from the
+    operators' definitions alone, never from the partition families.
     """
 
     def __init__(self, table: CoefficientTable):
         self.table = table
         self._memo: Dict[CWord, object] = {}
-        # (side, i) -> per prefix length: the non-zero coefficients of the
-        # words ending in i, as (prefix, value), the prefix reversed on side
-        # l, where it is put in front of a word letter by letter; sized by
-        # the longest stored word, since a sparse table may declare a huge n_o
-        creators: Dict[Tuple[str, int], List[List[Tuple[Word, object]]]] = {}
-        longest = max(map(len, chain(table.alpha, table.beta)), default=0)
-        for h, stored in (("l", table.alpha), ("r", table.beta)):
-            left = h == "l"
-            for word, value in stored.items():
-                lists = creators.get((h, word[-1]))
-                if lists is None:
-                    lists = creators[h, word[-1]] = [[] for _ in range(longest)]
-                lists[len(word) - 1].append((word[-2::-1] if left else word[:-1], value))
-        self._creators = creators
 
     def __call__(self, cword: CWord):
+        self._check(cword)  # before the lookup: (True, "l") == (1, "l")
         value = self._memo.get(cword)
         if value is None:
-            self._check(cword)
             chi = tuple(h for _, h in cword)
             value = self._memo[cword] = self._sweep(chi, tuple((i,) for i, _ in cword))[0]
         return value
@@ -867,19 +861,24 @@ class VacuumMoments:
         from one depth-first sweep from the right end.
 
         The state of a set S of positions is the state of S without its
-        leftmost position j with the operator at j applied, keeping the
-        words of length <= j, the bound the sweep of the whole word uses
-        at j.  Later leftmost positions are visited first, so the first
-        set to spell a sub-word is its rightmost embedding, whose leftmost
-        position j' is the latest of any set spelling it.  A later set
-        spelling it, with leftmost position j <= j', is skipped with all
-        its extensions: the first set's state kept every word of length
-        <= j', and its extensions by positions left of j' spell every
-        sub-word that the later set's extensions by positions left of j
-        spell.  So each distinct sub-word costs one operator application.
+        leftmost position j with the operator at j applied, kept on
+        reach[j], the words that the operators of cword[:j] can bring to
+        the vacuum: the set the sweep of the whole word uses at j, and a
+        superset of the reach of every subset's remaining operators.
+        Reach only grows with j, since cword[:j] is a prefix of cword[:j']
+        for j <= j'.  Later leftmost positions are visited first, so the
+        first set to spell a sub-word is its rightmost embedding, whose
+        leftmost position j' is the latest of any set spelling it.  A later
+        set spelling it, with leftmost position j <= j', is skipped with
+        all its extensions: the first set's state kept every word of
+        reach[j'], which holds reach[j], and its extensions by positions
+        left of j' spell every sub-word that the later set's extensions by
+        positions left of j spell.  So each distinct sub-word costs one
+        operator application.
         """
         _check_ground_set(len(cword))
         self._check(cword)
+        reach = _reachable([h for _, h in cword], [(i,) for i, _ in cword])
         memo = self._memo
         swept = set()
 
@@ -889,7 +888,7 @@ class VacuumMoments:
                 if sub in swept:
                     continue
                 swept.add(sub)
-                state = self._apply(vec, *cword[j], j)
+                state = self._apply(vec, *cword[j], reach[j])
                 memo[sub] = state.get(VACUUM, 0)
                 descend(j, sub, state)
 
@@ -904,37 +903,37 @@ class VacuumMoments:
     def _check(self, cword: CWord) -> None:
         d = self.table.d
         for i, h in cword:
-            if h not in ("l", "r") or not _is_int(i) or not 1 <= i <= d:
+            # type(i) is int first: a moment checks every word it is called on
+            if (type(i) is not int and not _is_int(i)) or not 0 < i <= d or h not in ("l", "r"):
                 raise ValueError(
                     f"operator {(i, h)!r} is not (index in 1..{d}, side 'l' or 'r')"
                 )
 
-    def _apply(self, vec: FockVector, i: int, h: str, max_len: int) -> FockVector:
-        """One canonical operator; keep only words of length <= max_len."""
-        entries = self._creators.get((h, i), ())
+    def _apply(self, vec: FockVector, i: int, h: str, reach: Iterable[Word]) -> FockVector:
+        """One canonical operator, at the words of reach only.
+
+        At z, the annihilation term is vec at (i,) + z on side l and at
+        z + (i,) on side r.  A creation term splits z as p + rest on side l
+        (as rest + p on side r): vec at rest times the coefficient of the
+        created word, p reversed then i (p then i).  A word of reach with
+        no term is left out.
+        """
         left = h == "l"
+        stored = self.table.alpha if left else self.table.beta
+        get = vec.get
         out: FockVector = {}
-        for z, c in vec.items():
-            length = len(z)
-            if length > max_len + 1:  # every word it is sent to is longer
-                continue
-            if length:  # annihilation-only branch
-                if left:
-                    if z[0] == i:
-                        key = z[1:]
-                        prev = out.get(key)
-                        out[key] = c if prev is None else prev + c
-                elif z[-1] == i:
-                    key = z[:-1]
-                    prev = out.get(key)
-                    out[key] = c if prev is None else prev + c
-            top = min(len(entries), max_len - length + 1)
-            for pm1 in range(top):
-                for m, value in entries[pm1]:
-                    key = m + z if left else z + m
-                    scaled = value * c
-                    prev = out.get(key)
-                    out[key] = scaled if prev is None else prev + scaled
+        for z in reach:
+            total = get((i,) + z if left else z + (i,))
+            for k in range(len(z) + 1):
+                # side l: z = p + rest with p = z[:k]; side r: z = rest + p with p = z[k:]
+                c = get(z[k:] if left else z[:k])
+                if c is not None:
+                    value = stored.get(z[:k][::-1] + (i,) if left else z[k:] + (i,))
+                    if value is not None:
+                        term = value * c
+                        total = term if total is None else total + term
+            if total is not None:
+                out[z] = total
         return out
 
     def _sweep(self, chi: Sequence[str], letters: Sequence[Sequence[int]]) -> list:
@@ -943,16 +942,41 @@ class VacuumMoments:
 
         A depth-first sweep from the right end: the state after the
         operators at positions m.. is computed once and shared by every
-        word with that tail.
+        word with that tail, on the words that every choice of letters
+        at positions < m can bring to the vacuum.
         """
+        reach = _reachable(chi, letters)
+
         def descend(m: int, vec: FockVector) -> list:
             if m < 0:
                 return [vec.get(VACUUM, 0)]
             h = chi[m]
-            columns = [descend(m - 1, self._apply(vec, i, h, m)) for i in letters[m]]
+            columns = [descend(m - 1, self._apply(vec, i, h, reach[m])) for i in letters[m]]
             return [v for values in zip(*columns) for v in values]  # position m varies fastest
 
         return descend(len(chi) - 1, vacuum_vector())
+
+
+def _reachable(chi: Sequence[str], letters: Sequence[Sequence[int]]) -> List[set]:
+    """reach[m] for m < len(chi): the words z = u + v that the operators at
+    positions < m, with an index from letters[p] at each position p, can
+    bring to the vacuum.  They act from position m - 1 down to 0, so u is
+    a sub-sequence of their left indices in that order and reversed v one
+    of their right indices.  The operator at m pops first on its side:
+    reach[m + 1] adds to reach[m] its index put before every word of
+    reach[m] on side l, after it on side r.  With every index at every
+    position, reach[m] is every word of length <= m.
+    """
+    reach = [{VACUUM}]
+    for h, ids in zip(chi[:-1], letters):
+        last = reach[-1]
+        grown = set(last)
+        if h == "l":
+            grown.update([(i,) + z for i in ids for z in last])
+        else:
+            grown.update([z + (i,) for i in ids for z in last])
+        reach.append(grown)
+    return reach
 
 
 def operator_word_functional(operators: Mapping[object, OperatorExpr]):

@@ -42,6 +42,7 @@ from lrcumulants.fock import (
     vacuum_vector,
     x_op,
 )
+from lrcumulants.fock import _reachable
 from lrcumulants.lukasiewicz import LukPath, enumerate_luk
 from lrcumulants.partitions import Partition, Permutation
 
@@ -647,14 +648,18 @@ def test_moments_reject_operators_outside_the_table():
         vm(((5, "l"), (5, "l")))
     with pytest.raises(ValueError):
         vm(((1, "x"),))
-    # a letter that is no int, on a table whose moments of them read 0
+    # a letter that is no int, on a table whose moments of them read 0; a
+    # word equal to a memoized one, as (True, "l") == (1, "l"), is refused too
     random_vm = VacuumMoments(CoefficientTable.random(2, 3, 0))
-    for cword in (((1.5, "l"), (1.5, "l")), ((True, "l"),), ((1, "l"), (2.0, "r"))):
+    assert random_vm(((1, "l"),)) == 9
+    vm(((1, "l"),))
+    for cword in (((1.5, "l"), (1.5, "l")), ((True, "l"),), ((1.0, "l"),), ((1, "l"), (2.0, "r"))):
         for moments in (vm, random_vm):
             with pytest.raises(ValueError):
                 moments(cword)
             with pytest.raises(ValueError):
                 moments.sweep_subwords(cword)
+    assert list(random_vm._memo) == [((1, "l"),)]
     for chi in ("", "lx"):
         with pytest.raises(ValueError):
             vm.column(chi)
@@ -739,14 +744,74 @@ def test_sigma_family_sum_equals_the_simulated_family_sum(table):
     assert sigma_sum_mismatches(table, bi_words(6)) == []
 
 
-def test_an_operator_keeps_no_word_longer_than_its_bound():
-    vm = VacuumMoments(CoefficientTable.symbolic(2, 3))
+def test_an_operator_keeps_only_the_words_in_its_reach():
+    table = CoefficientTable.symbolic(2, 3)
+    vm = VacuumMoments(table)
     vec = {z: 1 for n in range(6) for z in itertools.product((1, 2), repeat=n)}
-    for i, h, max_len in itertools.product((1, 2), "lr", range(5)):
-        out = vm._apply(vec, i, h, max_len)
-        short = {z: c for z, c in vec.items() if len(z) <= max_len + 1}
-        assert out and out == vm._apply(short, i, h, max_len)
-        assert max(map(len, out)) <= max_len
+    full = {(i, h): canonical_operator(i, h, table).apply(vec) for i in (1, 2) for h in "lr"}
+    for chi in map("".join, itertools.product("lr", repeat=5)):
+        for omega in ((1, 2, 2, 1, 2), (2, 2, 1, 1, 1)):
+            reach = _reachable(chi, [(i,) for i in omega])
+            for m in range(4):
+                op = omega[m], chi[m]
+                out = vm._apply(vec, *op, reach[m])
+                # every word of reach[m] is at most 3 letters long, so vec
+                # holds every word the operator sends to it
+                assert out == {z: full[op][z] for z in reach[m]}
+                # and only words in reach[m + 1] are sent into reach[m]
+                kept = {z: c for z, c in vec.items() if z in reach[m + 1]}
+                assert out == vm._apply(kept, *op, reach[m])
+
+
+def operator_prefixes(d, n):
+    """(chi, omega, adjoint of the product of their canonical operators
+    applied to the vacuum) for every word of at most n operators over
+    [d], grown one operator at a time."""
+    table = CoefficientTable.symbolic(d, 3)
+    adjoints = {
+        (i, h): adjoint(canonical_operator(i, h, table)) for i in range(1, d + 1) for h in "lr"
+    }
+    level = [("", (), vacuum_vector())]
+    for _ in range(n + 1):
+        yield from level
+        level = [
+            (chi + h, omega + (i,), adjoints[i, h].apply(vec))
+            for chi, omega, vec in level for (i, h) in adjoints
+        ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_word_outside_reach_has_a_zero_moment_under_the_operators_left(d):
+    # <vacuum, T_0 ... T_(m-1) z> is the coefficient of z in the adjoint
+    # product applied to the vacuum, so its support is every word z that the
+    # operators at positions < m send to a non-zero vacuum coefficient; a
+    # symbolic table cancels no term, so the support is all of reach[m]
+    for chi, omega, vec in operator_prefixes(d, 4):
+        # reach[m] depends on the positions < m only: any operator may follow
+        reach = _reachable(chi + "l", [(i,) for i in omega] + [(1,)])
+        assert set(vec) == reach[len(chi)], (chi, omega)
+
+
+@st.composite
+def tables_and_words(draw):
+    d = draw(st.integers(1, 3))
+    n_o = draw(st.integers(1, 3))
+    seed = draw(st.one_of(st.none(), st.integers(0, 10**6)))
+    table = CoefficientTable.symbolic(d, n_o) if seed is None else CoefficientTable.random(d, n_o, seed)
+    n = draw(st.integers(1, 5))
+    ops = st.tuples(st.integers(1, d), st.sampled_from("lr"))
+    return table, tuple(draw(st.lists(ops, min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_words())
+def test_moments_equal_the_operator_products_on_drawn_tables(case):
+    table, cword = case
+    value = vacuum_expectation([canonical_operator(i, h, table) for i, h in cword])
+    assert VacuumMoments(table)(cword) == value
+    swept = VacuumMoments(table)
+    swept.sweep_subwords(cword)
+    assert swept._memo[cword] == value
 
 
 def test_sub_word_sweep_rejects_what_a_moment_rejects():
@@ -820,8 +885,11 @@ def identity_sigma(chi):
 
 
 def lowered_bound(apply):
-    """_apply keeping words one letter shorter than asked."""
-    return lambda *args: apply(*args[:-1], args[-1] - 1)
+    """_apply keeping only the words of its reach shorter than its longest."""
+    def lowered(*args):
+        top = max(map(len, args[-1]))
+        return apply(*args[:-1], {z for z in args[-1] if len(z) < top})
+    return lowered
 
 
 def second_application_skipped(apply):
@@ -1143,8 +1211,8 @@ def test_a_sparse_file_table_sizes_its_powers_by_its_longest_word(tmp_path):
     assert float(seconds) < 1.0
 
 
-def test_a_sparse_table_sizes_its_creator_lists_by_its_longest_word(tmp_path, capsys):
-    # creator lists sized by n_o = 10**6 would take about 150 MB per engine
+def test_a_moment_on_a_sparse_table_with_a_huge_n_o_stays_small(tmp_path, capsys):
+    # anything sized by n_o = 10**6 would take megabytes per engine
     path = tmp_path / "sparse.json"
     path.write_text(json.dumps(
         {"d": 2, "n_o": 10**6, "alpha": {"1,2": "1/3"}, "beta": {"2": "1", "2,1": "1/2"}}
@@ -1158,7 +1226,6 @@ def test_a_sparse_table_sizes_its_creator_lists_by_its_longest_word(tmp_path, ca
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert {len(lists) for lists in vm._creators.values()} == {2}
     assert value == 0
     # both routes of the query read beta at 2,1 and at 2: 1/2 * 1
     code = main(["moment", "--chi", "rrr", "--omega", "2,1,2", "--table", str(path)])
