@@ -33,9 +33,8 @@ from .partitions import _check_ground_set, _is_int
 
 Word = Tuple[int, ...]
 Symbol = Tuple[str, Word]  # ("a" | "b", index word)
-# a symbol as a monomial's factor: (kind, len(word), word), so that native
-# tuple order is the monomial order (kind, word length, word)
-Factor = Tuple[str, int, Word]
+# a symbol as a monomial's factor: one str, see _factor
+Factor = str
 Monomial = Tuple[Factor, ...]  # sorted multiset of factors
 
 ALPHA = "a"
@@ -43,18 +42,43 @@ BETA = "b"
 
 VACUUM: Word = ()
 
+#: The largest letter, and word length, a symbol may have: one code point each.
+MAX_LETTER = 0x10FFFF
+
+
+def _factor(kind: str, word: Word) -> Factor:
+    """The symbol (kind, word) as a monomial factor: ``kind``, then one
+    character for the word's length and one per letter, so that the
+    factors' code-point order is the order by (kind, word length, word).
+    A str caches its hash and compares in C, where a tuple of tuples
+    re-hashes and compares level by level."""
+    return kind + chr(len(word)) + "".join(map(chr, word))
+
+
+def _unfactor(factor: Factor) -> Symbol:
+    """The symbol (kind, word) a monomial factor encodes."""
+    return factor[0], tuple(map(ord, factor[2:]))
+
+
+def _is_factor(factor) -> bool:
+    """True for a str that :func:`_factor` makes from a valid symbol."""
+    if type(factor) is not str or not factor:
+        return False
+    kind, word = _unfactor(factor)
+    return kind in (ALPHA, BETA) and min(word, default=0) > 0 and _factor(kind, word) == factor
+
 
 def symbol_str(sym: "Symbol | Factor") -> str:
-    """A symbol (kind, word), or a monomial factor (kind, len(word), word),
-    as "kind[w1,...,wk]"."""
-    return f"{sym[0]}[{','.join(map(str, sym[-1]))}]"
+    """A symbol (kind, word), or a monomial factor, as "kind[w1,...,wk]"."""
+    kind, word = _unfactor(sym) if type(sym) is str else sym
+    return f"{kind}[{','.join(map(str, word))}]"
 
 
 class PolyScalar:
     """Sparse exact polynomial in coefficient symbols, over the rationals.
 
-    Monomials are multisets of symbols, stored as tuples of factors
-    (kind, len(word), word) in their native order, which is the order by
+    Monomials are multisets of symbols, stored as sorted tuples of str
+    factors (see :func:`_factor`), whose native order is the order by
     kind, word length, word; zero coefficients are never stored.  Symbols
     and whole constants carry int coefficients, so sums and products of
     them stay in int arithmetic.
@@ -64,8 +88,19 @@ class PolyScalar:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None):
-        object.__setattr__(self, "terms", dict(terms) if terms else {})
+    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
+        """The polynomial with these terms.  Each monomial must be a sorted
+        tuple of factors and each coefficient an int or Fraction (no bool);
+        zero coefficients are dropped."""
+        kept = {}
+        for mono, c in dict(terms or {}).items():
+            if type(mono) is not tuple or not all(map(_is_factor, mono)) or list(mono) != sorted(mono):
+                raise ValueError(f"monomial {mono!r} is not a sorted tuple of factors")
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise ValueError(f"coefficient {c!r} of {mono!r} is not an int or Fraction")
+            if c:
+                kept[mono] = c
+        object.__setattr__(self, "terms", kept)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
@@ -82,21 +117,33 @@ class PolyScalar:
 
     @classmethod
     def zero(cls) -> "PolyScalar":
-        return cls()
+        return cls._of({})
 
     @classmethod
     def const(cls, value) -> "PolyScalar":
         value = Fraction(value)
         if value.denominator == 1:
             value = value.numerator
-        return cls({(): value} if value else None)
+        return cls._of({(): value} if value else {})
 
     @classmethod
     def symbol(cls, kind: str, word: Iterable[int]) -> "PolyScalar":
+        """The symbol kind[word]: ``kind`` "a" or "b" and a non-empty word
+        of int letters in 1..MAX_LETTER."""
         word = tuple(word)
-        if kind not in (ALPHA, BETA) or not word:
+        if (
+            kind not in (ALPHA, BETA)
+            or not 0 < len(word) <= MAX_LETTER
+            or not all(type(x) is int and 0 < x <= MAX_LETTER for x in word)
+        ):
             raise ValueError(f"bad symbol ({kind!r}, {word!r})")
-        return cls({((kind, len(word), word),): 1})
+        return cls._symbol(kind, word)
+
+    @classmethod
+    def _symbol(cls, kind: str, word: Word) -> "PolyScalar":
+        """The symbol kind[word], for a kind and word already known to be
+        valid: the trusted form of :meth:`symbol`."""
+        return cls._of({(_factor(kind, word),): 1})
 
     @staticmethod
     def _coerce(value) -> "PolyScalar":
@@ -190,13 +237,20 @@ class PolyScalar:
         """The terms by degree, then by the monomials' native order."""
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
+    def _rendered(self) -> List[Tuple[List[str], Fraction]]:
+        """The sorted terms, each monomial as its rendered factors; each
+        distinct factor is decoded once."""
+        terms = self.sorted_terms()
+        names = {f: symbol_str(f) for f in {f for mono, _ in terms for f in mono}}
+        return [([names[f] for f in mono], c) for mono, c in terms]
+
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for mono, c in self.sorted_terms():
-            factors = "*".join(symbol_str(s) for s in mono)
-            if not mono:
+        for names, c in self._rendered():
+            factors = "*".join(names)
+            if not names:
                 parts.append(str(c))
             elif c == 1:
                 parts.append(factors)
@@ -210,10 +264,7 @@ class PolyScalar:
         return f"PolyScalar<{self}>"
 
     def to_json(self) -> List[dict]:
-        return [
-            {"coeff": str(c), "monomial": [symbol_str(s) for s in mono]}
-            for mono, c in self.sorted_terms()
-        ]
+        return [{"coeff": str(c), "monomial": names} for names, c in self._rendered()]
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +420,18 @@ class CoefficientTable:
                 raise ValueError("symbolic tables carry no stored values")
             _check_dense_size(d, n_o, mode)
             scale = 1
-            # symbols valid by construction: one non-empty word per entry
+            # symbols valid by construction: one non-empty word per entry,
+            # each factor (see _factor) joined straight from characters, in
+            # the same order as the words
+            letters = "".join(map(chr, range(1, d + 1)))
             stored = [
                 {
-                    word: PolyScalar._of({((kind, p, word),): 1})
+                    word: PolyScalar._of({(factor,): 1})
                     for p in range(1, n_o + 1)
-                    for word in product(range(1, d + 1), repeat=p)
+                    for word, factor in zip(
+                        product(range(1, d + 1), repeat=p),
+                        map("".join, product([kind + chr(p)], *[letters] * p)),
+                    )
                 }
                 for kind in (ALPHA, BETA)
             ]

@@ -35,6 +35,7 @@ from .fock import (
     OmegaGrid,
     PolyScalar,
     VacuumMoments,
+    _unfactor,
     bimixture_template,
     lemma67_vector,
     moment_via_pchi,
@@ -402,13 +403,14 @@ def _strip_plan(path, chi: ChiWord) -> Optional[tuple]:
     monomial is the plan.
     """
     n = chi.n
-    stand_in = SimpleNamespace(d=n, coeff=PolyScalar.symbol)
+    # omega's letters are 1..n, so every stripped word is a valid symbol
+    stand_in = SimpleNamespace(d=n, coeff=PolyScalar._symbol)
     vec = lemma67_vector(path, chi, tuple(range(1, n + 1)), stand_in)
-    terms = (PolyScalar.zero() + vec.get((), 0)).terms
+    terms = PolyScalar._coerce(vec.get((), 0)).terms
     if set(vec) - {()} or list(terms.values()) != [1]:
         return None
     (mono,) = terms
-    return tuple((kind, tuple([m - 1 for m in word])) for kind, _, word in mono)
+    return tuple((kind, tuple([m - 1 for m in word])) for kind, word in map(_unfactor, mono))
 
 
 def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:

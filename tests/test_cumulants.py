@@ -25,7 +25,7 @@ from lrcumulants.cumulants import (
     moment_from_cumulants,
 )
 from lrcumulants.deque import restriction_data
-from lrcumulants.fock import CoefficientTable, PolyScalar, VacuumMoments, moment_via_sigma
+from lrcumulants.fock import CoefficientTable, PolyScalar, VacuumMoments, _unfactor, moment_via_sigma
 from lrcumulants.partitions import (
     Partition,
     Permutation,
@@ -124,7 +124,7 @@ def test_recursion_is_a_fixed_polynomial_in_the_moments():
             substituted = Fraction(0)
             for mono, coeff in poly.terms.items():
                 term = Fraction(coeff)
-                for _, _, sym_word in mono:
+                for _, sym_word in map(_unfactor, mono):
                     term *= phi(sym_word)
                 substituted += term
             assert substituted == direct.cumulant(chi, word)

@@ -42,7 +42,7 @@ from lrcumulants.fock import (
     vacuum_vector,
     x_op,
 )
-from lrcumulants.fock import _reachable
+from lrcumulants.fock import _factor, _reachable, _unfactor
 from lrcumulants.lukasiewicz import LukPath, enumerate_luk
 from lrcumulants.partitions import Partition, Permutation
 
@@ -129,7 +129,89 @@ def test_polyscalar_rendering_and_json():
 def test_monomials_sorted_by_kind_length_word():
     m = sym("b", 1) * sym("a", 2) * sym("a", 1, 1)
     (mono,) = m.terms
-    assert mono == (("a", 1, (2,)), ("a", 2, (1, 1)), ("b", 1, (1,)))
+    assert mono == (_factor("a", (2,)), _factor("a", (1, 1)), _factor("b", (1,)))
+    assert [_unfactor(f) for f in mono] == [("a", (2,)), ("a", (1, 1)), ("b", (1,))]
+
+
+def no_length_factor(kind, word):
+    return kind + "".join(map(chr, word))
+
+
+def no_length_unfactor(factor):
+    return factor[0], tuple(map(ord, factor[1:]))
+
+
+def decimal_factor(kind, word):
+    return kind + chr(len(word)) + ",".join(map(str, word))
+
+
+def decimal_unfactor(factor):
+    return factor[0], tuple(map(int, factor[2:].split(",")))
+
+
+@pytest.mark.parametrize(
+    "encode, decode, sound",
+    [
+        (_factor, _unfactor, True),
+        (no_length_factor, no_length_unfactor, False),
+        (decimal_factor, decimal_unfactor, False),
+    ],
+)
+def test_factor_order_is_kind_length_word(encode, decode, sound):
+    # letters in 1..300 cross 9/10 (a decimal spelling's order breaks) and
+    # 255/256 (a one-byte spelling's would); the two mutants must fail
+    symbols = st.tuples(
+        st.sampled_from("ab"), st.lists(st.integers(1, 300), min_size=1, max_size=4).map(tuple)
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(symbols, min_size=2, max_size=8))
+    def check(drawn):
+        for kind, word in drawn:
+            assert decode(encode(kind, word)) == (kind, word)
+        by_symbol = sorted(drawn, key=lambda s: (s[0], len(s[1]), s[1]))
+        assert sorted(encode(*s) for s in drawn) == [encode(*s) for s in by_symbol]
+
+    if sound:
+        check()
+    else:
+        with pytest.raises(AssertionError):
+            check()
+
+
+def test_polyscalar_constructor_takes_only_well_formed_terms():
+    ab = (_factor("a", (1,)), _factor("b", (2,)))
+    assert PolyScalar({ab: 3}) == 3 * sym("a", 1) * sym("b", 2)
+    assert PolyScalar({ab: Fraction(1, 2), (): 1}) == Fraction(1, 2) * sym("a", 1) * sym("b", 2) + 1
+    # zero coefficients are dropped: the zero polynomial is falsy and equals 0
+    zero = PolyScalar({(): 0, ab: Fraction(0)})
+    assert zero.terms == {} and not zero and zero == 0 and hash(zero) == hash(0)
+    bad_monomials = [
+        ab[::-1],  # unsorted
+        ab[0],  # a bare factor, not a tuple
+        frozenset(ab),  # not a tuple
+        (("a", 1, (1,)),),  # a factor in another form
+        ("a\x02\x01",),  # length character disagrees with the word
+        ("a\x01",),  # no letter
+        ("c\x01\x01",),  # unknown kind
+        ("a\x01\x00",),  # letter 0
+    ]
+    for mono in bad_monomials:
+        with pytest.raises(ValueError, match="monomial"):
+            PolyScalar({mono: 1})
+    for coeff in (True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match="coefficient"):
+            PolyScalar({ab: coeff})
+
+
+def test_polyscalar_symbol_takes_only_letters_in_range():
+    assert str(sym("a", 10, 9)) == "a[10,9]"
+    assert str(sym("b", 300, fock.MAX_LETTER)) == f"b[300,{fock.MAX_LETTER}]"
+    bad = [("a", (0,)), ("a", (-3, "x")), ("a", (True,)), ("b", (1.0,)),
+           ("a", (fock.MAX_LETTER + 1,)), ("a", ()), ("c", (1,))]
+    for kind, word in bad:
+        with pytest.raises(ValueError, match=re.escape(repr((kind, word)))):
+            PolyScalar.symbol(kind, word)
 
 
 # A reference polynomial: {monomial: coefficient}, a monomial being a tuple of
@@ -167,7 +249,7 @@ def ref_mul(x, y):
 
 def stored(ref):
     """The reference's terms in PolyScalar's stored monomial form."""
-    return {tuple((kind, len(word), word) for kind, word in mono): c for mono, c in ref.items()}
+    return {tuple(_factor(kind, word) for kind, word in mono): c for mono, c in ref.items()}
 
 
 ref_scalars = st.one_of(
@@ -207,8 +289,7 @@ def test_polyscalar_matches_the_reference(x, y, k):
         assert type(value) is PolyScalar, name
         assert value.terms == stored(ref), name
         for mono in value.terms:
-            assert all(length == len(word) for _, length, word in mono), name
-            assert list(mono) == sorted(mono, key=lambda f: (f[0], len(f[2]), f[2])), name
+            assert list(mono) == sorted(mono, key=lambda f: _ref_order(_unfactor(f))), name
         twin = PolyScalar(stored(ref))
         assert value == twin and hash(value) == hash(twin), name
         assert (value == py) == (stored(ref) == py.terms), name
