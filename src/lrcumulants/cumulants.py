@@ -224,7 +224,7 @@ def mobius_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional)
     distinct block's moment is read once, and the sum is the plan's
     ``mobius`` DAG; nothing is shared with :class:`CumulantEngine`.
     """
-    chi = chi if isinstance(chi, ChiWord) else ChiWord(chi)
+    chi = _chi_word(chi)
     word = tuple(word)
     if chi.n != len(word):
         raise ValueError(f"chi has {chi.n} letters but the word has {len(word)} entries")

@@ -882,31 +882,56 @@ CWord = Tuple[Tuple[int, str], ...]  # ((index, side), ...)
 
 
 class VacuumMoments:
-    """Vacuum moments of products of canonical operators.
+    """Vacuum moments of products of canonical operators over one table.
 
-    Callable on a word of (index, side) pairs, memoized;
-    :meth:`sweep_subwords` memoizes every sub-word of one word, and
-    :meth:`column` sweeps every index word for one chi word.  Moments are
-    evaluated by applying the operators to the vacuum right-to-left.
+    One word at a time: the engine is callable on a word of (index, side)
+    pairs, memoized, and :meth:`sweep_subwords` memoizes every sub-word of
+    one word.  Every index word omega in [d]^n at once, in
+    ``itertools.product`` order: :meth:`column` sweeps the moments of one
+    chi word, :meth:`cumulants` runs the moment-cumulant recursion on those
+    columns, and :meth:`values` and :meth:`family_sums` evaluate mixture
+    plans.  The engine keeps every memo, column and gather index it builds
+    for as long as it lives.
 
-    The canonical operators act like a double-ended queue: one of index i
-    on side l removes a letter only when it is i at the left end, one on
-    side r only at the right end, and creation removes nothing.  So a word
-    reaches the vacuum only if it splits as u.v, with u popped from the
-    left, in order, by the remaining left operators and v popped from the
-    right by the remaining right ones.  Each operator computes the state
-    only at these words (:func:`_reachable`), pulling every term from the
-    table and the state before it; every other word's vacuum moment under
-    the remaining operators is zero.  The reach sets come from the
+    Moments are evaluated by applying the operators to the vacuum
+    right-to-left.  The canonical operators act like a double-ended queue:
+    one of index i on side l removes a letter only when it is i at the left
+    end, one on side r only at the right end, and creation removes nothing.
+    So a word reaches the vacuum only if it splits as u.v, with u popped
+    from the left, in order, by the remaining left operators and v popped
+    from the right by the remaining right ones.  Each operator computes the
+    state only at these words (:func:`_reachable`), pulling every term from
+    the table and the state before it; every other word's vacuum moment
+    under the remaining operators is zero.  The reach sets come from the
     operators' definitions alone, never from the partition families.
+
+    A plan is a tuple of (kind, 0-based position order) blocks, as built by
+    :func:`mixture_plan`, standing at omega for the product over its blocks
+    of coeff(kind, omega at those positions in that order).  The plan
+    methods gather one dense coefficient column per block over all d**n
+    words and multiply them as :class:`~.cumulants.Column`, graded ints and
+    :class:`PolyScalar` alike.  They never apply an operator, and
+    :meth:`column` reads no plan, so Prop 6.10's two routes share only the
+    table.
     """
 
     def __init__(self, table: CoefficientTable):
         self.table = table
         self._memo: Dict[CWord, object] = {}
+        # chi letters -> the vacuum moment, and the chi-cumulant, at every
+        # omega in [d]^len(chi)
+        self._columns: Dict[str, list] = {}
+        self._cumulants: Dict[str, list] = {}
+        # (kind, length p) -> the coefficients of the words of length p
+        self._coefficients: Dict[Tuple[str, int], list] = {}
+        # (length k, position order) -> the itemgetter that reads, per omega
+        # in [d]^k, omega at those positions from the column of that length
+        self._gathers: Dict[Tuple[int, Tuple[int, ...]], itemgetter] = {}
+
+    # -- one word --------------------------------------------------------------
 
     def __call__(self, cword: CWord):
-        self._check(cword)  # before the lookup: (True, "l") == (1, "l")
+        _check_operators(cword, self.table.d)  # before the lookup: (True, "l") == (1, "l")
         value = self._memo.get(cword)
         if value is None:
             chi = tuple(h for _, h in cword)
@@ -934,7 +959,7 @@ class VacuumMoments:
         operator application.
         """
         _check_ground_set(len(cword))
-        self._check(cword)
+        _check_operators(cword, self.table.d)
         reach = _reachable([h for _, h in cword], [(i,) for i, _ in cword])
         memo = self._memo
         swept = set()
@@ -951,20 +976,61 @@ class VacuumMoments:
 
         descend(len(cword), (), vacuum_vector())
 
+    # -- every index word ------------------------------------------------------
+
+    def omegas(self, n: int) -> List[Word]:
+        """Every index word of length n, in product order."""
+        return list(product(range(1, self.table.d + 1), repeat=n))
+
     def column(self, chi_str: str) -> list:
         """The vacuum moment of the bi-word (omega, chi) at every omega in
-        [d]^len(chi), in ``itertools.product`` order."""
-        chi_str = _chi_word(chi_str).letters  # ValueError unless chi is a word over {l, r}
-        return self._sweep(chi_str, (range(1, self.table.d + 1),) * len(chi_str))
+        [d]^len(chi), kept for later calls."""
+        column = self._columns.get(chi_str)
+        if column is None:
+            chi_str = _chi_word(chi_str).letters  # ValueError unless chi is a word over {l, r}
+            column = self._columns[chi_str] = self._sweep(
+                chi_str, (range(1, self.table.d + 1),) * len(chi_str))
+        return column
 
-    def _check(self, cword: CWord) -> None:
-        d = self.table.d
-        for i, h in cword:
-            # type(i) is int first: a moment checks every word it is called on
-            if (type(i) is not int and not _is_int(i)) or not 0 < i <= d or h not in ("l", "r"):
-                raise ValueError(
-                    f"operator {(i, h)!r} is not (index in 1..{d}, side 'l' or 'r')"
-                )
+    def values(self, plan, n: int) -> list:
+        """The product of the plan's blocks at every omega of length n."""
+        factors = [self._mixture_column(kind, order, n) for kind, order in plan]
+        return reduce(mul, factors) if factors else [1] * self.table.d ** n
+
+    def family_sums(self, chi_str: str) -> list:
+        """The family sum of :func:`moment_via_sigma` at every omega: one
+        gathered mixture column per block of :func:`sigma_mixture_plan`,
+        summed on the plan's ``unit`` DAG, as the CLI does one bi-word at
+        a time."""
+        mixtures, plan = sigma_mixture_plan(ChiWord(chi_str))
+        n = len(chi_str)
+        return dag_sum(plan.unit, [self._mixture_column(kind, order, n) for kind, order in mixtures])
+
+    def cumulants(self, chi_str: str) -> list:
+        """The chi-cumulant of the bi-word (omega, chi) at every omega.
+
+        The moment-cumulant recursion of :class:`~.cumulants.CumulantEngine`,
+        one column over [d]^k per chi word of length k: K_chi is the
+        column of :meth:`column` minus the ``unit`` sum over
+        sigma_chi . NC(k) of the blocks' sub-word cumulant columns,
+        gathered at the blocks' positions, with the one-block partition's
+        factor set to 0, since that term is K_chi itself.  Every column
+        reached is read from the engine's memo or computed and kept there.
+        """
+        column = self._cumulants.get(chi_str)
+        if column is None:
+            blocks, plan = sigma_nc_plan(ChiWord(chi_str))
+            k = len(chi_str)
+            zero = Column([0] * self.table.d ** k)
+            factors = [
+                zero if len(positions) == k else self._gathered(
+                    self.cumulants("".join([chi_str[q] for q in positions])), positions, k)
+                for positions in blocks
+            ]
+            rest = dag_sum(plan.unit, factors)
+            column = [m - t for m, t in zip(self.column(chi_str), rest)]
+            self._cumulants[chi_str] = column
+        return column
 
     def _apply(self, vec: FockVector, i: int, h: str, reach: Iterable[Word]) -> FockVector:
         """One canonical operator, at the words of reach only.
@@ -1012,6 +1078,32 @@ class VacuumMoments:
             return [v for values in zip(*columns) for v in values]  # position m varies fastest
 
         return descend(len(chi) - 1, vacuum_vector())
+
+    def _mixture_column(self, kind: str, order: Tuple[int, ...], n: int) -> Column:
+        """Per omega in [d]^n, coeff(kind, omega at those positions in that
+        order), gathered from the coefficient column of that length."""
+        p = len(order)
+        column = self._coefficients.get((kind, p))
+        if column is None:
+            coeff = self.table.coeff
+            column = self._coefficients[kind, p] = [coeff(kind, word) for word in self.omegas(p)]
+        return self._gathered(column, order, n)
+
+    def _gathered(self, column: list, order: Tuple[int, ...], k: int) -> Column:
+        """Per omega in [d]^k, the column's value at omega read at those
+        positions in that order."""
+        gather = self._gathers.get((k, order))
+        if gather is None:
+            d = self.table.d
+            weight = [0] * k
+            for j, p in enumerate(order):
+                weight[p] += d ** (len(order) - 1 - j)
+            index = [0]
+            for w in weight:  # the last position varies fastest, as in product
+                index = [x + w * i for x in index for i in range(d)]
+            # for d = 1, index is [0], and itemgetter(0) would not give a tuple
+            gather = self._gathers[k, order] = itemgetter(*index) if d > 1 else itemgetter(slice(1))
+        return Column(gather(column))
 
 
 def _reachable(chi: Sequence[str], letters: Sequence[Sequence[int]]) -> List[set]:
@@ -1102,9 +1194,17 @@ def _index_word(omega: Word, chi_str: str, table: CoefficientTable) -> Word:
     omega = tuple(omega)
     if len(omega) != len(chi_str):
         raise ValueError("index word and chi word lengths differ")
-    if any(not _is_int(i) or not 1 <= i <= table.d for i in omega):
-        raise ValueError(f"index word {list(omega)} has letters that are no int in 1..{table.d}")
+    _check_operators(zip(omega, chi_str), table.d)
     return omega
+
+
+def _check_operators(cword: Iterable[Tuple[int, str]], d: int) -> None:
+    """ValueError unless every (index, side) pair has an int index in 1..d
+    (no bool or float) and side "l" or "r".  A plain int is told by its
+    type, with no call: every moment call checks its word."""
+    for i, h in cword:
+        if (type(i) is not int and not _is_int(i)) or not 0 < i <= d or h not in ("l", "r"):
+            raise ValueError(f"operator {(i, h)!r} is not (index in 1..{d}, side 'l' or 'r')")
 
 
 def _block_plan(template, blocks: Tuple[Tuple[Word, str], ...]):
@@ -1140,117 +1240,3 @@ def reverse_mixture_plan_for_blocks(blocks_and_sub: Tuple[Tuple[Word, str], ...]
     """Reverse-mixture lookup plan for a fixed block decomposition
     ((absolute 0-based positions, restricted chi), ...)."""
     return _block_plan(reverse_bimixture_template, blocks_and_sub)
-
-
-# ---------------------------------------------------------------------------
-# Plans evaluated over every index word at once
-# ---------------------------------------------------------------------------
-
-
-class OmegaGrid:
-    """Evaluates position plans at every index word omega in [d]^n, for
-    every length n, over one table and its moment engine.
-
-    A plan is a tuple of (kind, 0-based position order) blocks, as built
-    by :func:`mixture_plan`; at omega it stands for the product over its
-    blocks of coeff(kind, omega at those positions in that order).  Only
-    the coefficient lookups depend on omega, so the grid holds each
-    length's coefficients as one dense column, in ``itertools.product``
-    order, and evaluates a plan by gathering one column per block over all
-    d**n words and multiplying them as :class:`~.cumulants.Column`.  Values
-    are whatever the table stores, so graded ints and :class:`PolyScalar`
-    go through the same code.
-
-    :meth:`family_sums` and :meth:`cumulants` gather one column per block
-    of sigma_chi . NC(n) and sum them with :func:`~.cumulants.dag_sum`, as
-    the CLI does one bi-word at a time.  The grid keeps what it builds
-    for as long as it lives: the coefficient columns, the gather indices,
-    the moment columns and the cumulant columns.
-    """
-
-    def __init__(self, vm: VacuumMoments):
-        self.vm = vm
-        self.table = vm.table
-        # (kind, length p) -> the coefficients of the words of length p
-        self._columns: Dict[Tuple[str, int], list] = {}
-        # (length k, position order) -> the itemgetter that reads, per omega
-        # in [d]^k, omega at those positions from the column of that length
-        self._gathers: Dict[Tuple[int, Tuple[int, ...]], itemgetter] = {}
-        # chi letters -> the vacuum moment, and the chi-cumulant, at every
-        # omega in [d]^len(chi)
-        self._moments: Dict[str, list] = {}
-        self._cumulants: Dict[str, list] = {}
-
-    def omegas(self, n: int) -> List[Word]:
-        """Every index word of length n, in product order."""
-        return list(product(range(1, self.table.d + 1), repeat=n))
-
-    def _column(self, kind: str, p: int) -> list:
-        column = self._columns.get((kind, p))
-        if column is None:
-            coeff = self.table.coeff
-            column = self._columns[kind, p] = [coeff(kind, word) for word in self.omegas(p)]
-        return column
-
-    def _gathered(self, column: list, order: Tuple[int, ...], k: int) -> Column:
-        """Per omega in [d]^k, the column's value at omega read at those
-        positions in that order."""
-        gather = self._gathers.get((k, order))
-        if gather is None:
-            d = self.table.d
-            weight = [0] * k
-            for j, p in enumerate(order):
-                weight[p] += d ** (len(order) - 1 - j)
-            index = [0]
-            for w in weight:  # the last position varies fastest, as in product
-                index = [x + w * i for x in index for i in range(d)]
-            # for d = 1, index is [0], and itemgetter(0) would not give a tuple
-            gather = self._gathers[k, order] = itemgetter(*index) if d > 1 else itemgetter(slice(1))
-        return Column(gather(column))
-
-    def values(self, plan, n: int) -> list:
-        """The product of the plan's blocks at every omega of length n."""
-        factors = [self._gathered(self._column(kind, len(order)), order, n) for kind, order in plan]
-        return reduce(mul, factors) if factors else [1] * self.table.d ** n
-
-    def moments(self, chi_str: str) -> list:
-        """The vacuum moment of the bi-word (omega, chi) at every omega."""
-        column = self._moments.get(chi_str)
-        if column is None:
-            column = self._moments[chi_str] = self.vm.column(chi_str)
-        return column
-
-    def family_sums(self, chi_str: str) -> list:
-        """The family sum of :func:`moment_via_sigma` at every omega: one
-        gathered mixture column per block of :func:`sigma_mixture_plan`,
-        summed on the plan's ``unit`` DAG."""
-        mixtures, plan = sigma_mixture_plan(ChiWord(chi_str))
-        n = len(chi_str)
-        return dag_sum(plan.unit, [self._gathered(self._column(kind, len(order)), order, n)
-                                   for kind, order in mixtures])
-
-    def cumulants(self, chi_str: str) -> list:
-        """The chi-cumulant of the bi-word (omega, chi) at every omega.
-
-        The moment-cumulant recursion of :class:`~.cumulants.CumulantEngine`,
-        one column over [d]^k per chi word of length k: K_chi is the
-        column of :meth:`moments` minus the ``unit`` sum over
-        sigma_chi . NC(k) of the blocks' sub-word cumulant columns,
-        gathered at the blocks' positions, with the one-block partition's
-        factor set to 0, since that term is K_chi itself.  Every column
-        reached is read from the grid's memo or computed and kept there.
-        """
-        column = self._cumulants.get(chi_str)
-        if column is None:
-            blocks, plan = sigma_nc_plan(ChiWord(chi_str))
-            k = len(chi_str)
-            zero = Column([0] * self.table.d ** k)
-            factors = [
-                zero if len(positions) == k else self._gathered(
-                    self.cumulants("".join([chi_str[q] for q in positions])), positions, k)
-                for positions in blocks
-            ]
-            rest = dag_sum(plan.unit, factors)
-            column = [m - t for m, t in zip(self.moments(chi_str), rest)]
-            self._cumulants[chi_str] = column
-        return column

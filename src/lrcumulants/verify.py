@@ -32,10 +32,10 @@ from .deque import (
 )
 from .fock import (
     CoefficientTable,
-    OmegaGrid,
     PolyScalar,
     VacuumMoments,
     _unfactor,
+    bimixture_symbol,
     bimixture_template,
     lemma67_vector,
     moment_via_pchi,
@@ -104,20 +104,20 @@ def all_chi(n: int) -> List[ChiWord]:
 
 # ---------------------------------------------------------------------------
 # shared tables (a table is a pure function of (kind, d, n_o, seed), so
-# cells and suites share its grid and what the grid keeps)
+# cells and suites share its moment engine and what the engine keeps)
 # ---------------------------------------------------------------------------
 
 
-_SHARED: Dict[tuple, OmegaGrid] = {}
+_SHARED: Dict[tuple, VacuumMoments] = {}
 SYMBOLIC_N_O = 5  # the longest symbolic cell: one symbolic table per d covers them all
 
 
-def shared(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> OmegaGrid:
-    """The process-wide :class:`OmegaGrid` of the table (kind, d, n_o,
-    seed); ``grid.table`` is the table and ``grid.vm`` its moment engine."""
+def shared(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> VacuumMoments:
+    """The process-wide :class:`VacuumMoments` of the table (kind, d, n_o,
+    seed); ``vm.table`` is the table."""
     key = (kind, d, n_o, seed)
-    grid = _SHARED.get(key)
-    if grid is None:
+    vm = _SHARED.get(key)
+    if vm is None:
         if kind == "symbolic":
             table = CoefficientTable.symbolic(d, n_o)
         elif kind == "random":
@@ -126,13 +126,13 @@ def shared(kind: str, d: int, n_o: int, seed: Optional[int] = None) -> OmegaGrid
             table = CoefficientTable.separated_random(d, n_o, seed)
         else:
             raise ValueError(f"unknown table kind {kind!r}")
-        grid = _SHARED[key] = OmegaGrid(VacuumMoments(table))
-    return grid
+        vm = _SHARED[key] = VacuumMoments(table)
+    return vm
 
 
-def _fock_cells(max_n: int, d: int, seed: int) -> List[Tuple[str, int, OmegaGrid]]:
-    """(label, n, grid) cells every operator-model suite sweeps, with
-    every grid built before the sweep starts.
+def _fock_cells(max_n: int, d: int, seed: int) -> List[Tuple[str, int, VacuumMoments]]:
+    """(label, n, engine) cells every operator-model suite sweeps, with
+    every engine built before the sweep starts.
 
     Symbolic cells stay small (full formal expansion); concrete cells with
     seeded random rationals cover the full requested range.  Each d has
@@ -391,16 +391,15 @@ def suite_cor410(max_n: int = 5, **_) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _strip_plan(path, chi: ChiWord) -> Optional[tuple]:
-    """The operator side of Lemma 6.7 for (chi, path) as an
-    omega-independent plan; None unless it is one term of factor 1 times
-    the vacuum.
+def _strip_monomial(path, chi: ChiWord) -> Optional[tuple]:
+    """The operator side of Lemma 6.7 for (chi, path) as the monomial of
+    an omega-independent plan (see :func:`_decoded`); None unless it is
+    one term of factor 1 times the vacuum.
 
     One run of ``lemma67_vector`` on omega = (1, ..., n) records it,
     against a stand-in table over d = n letters whose every coefficient
     is its own formal symbol: each symbol of the result names the
-    positions (plus one) that one strip read, in order; the term's
-    monomial is the plan.
+    positions (plus one) that one strip read, in order.
     """
     n = chi.n
     # omega's letters are 1..n, so every stripped word is a valid symbol
@@ -410,7 +409,19 @@ def _strip_plan(path, chi: ChiWord) -> Optional[tuple]:
     if set(vec) - {()} or list(terms.values()) != [1]:
         return None
     (mono,) = terms
-    return tuple((kind, tuple([m - 1 for m in word])) for kind, word in map(_unfactor, mono))
+    return mono
+
+
+def _decoded(mono: Optional[tuple]) -> Optional[tuple]:
+    """The plan a monomial of :func:`_strip_monomial` records, one
+    (kind, 0-based positions) block per symbol; None for None."""
+    return None if mono is None else tuple(
+        (kind, tuple([m - 1 for m in word])) for kind, word in map(_unfactor, mono))
+
+
+def _strip_plan(path, chi: ChiWord) -> Optional[tuple]:
+    """The operator side of Lemma 6.7 for (chi, path) as a plan, or None."""
+    return _decoded(_strip_monomial(path, chi))
 
 
 def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
@@ -424,11 +435,12 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     # per n: the replay's trace-count failures, every distinct (strip plan,
     # reverse-mixture plan) pair in first-seen order, and every (chi, path)
     # with the index of its pair, recorded once from one all-chi replay and
-    # shared by the cells of that n
+    # shared by the cells of that n; pairs are told apart by the strip
+    # plan's raw monomial, so each distinct one is decoded once
     scenarios: Dict[int, Tuple[List[str], List[tuple], List[tuple]]] = {}
-    for label, n, grid in cells:
-        table = grid.table
-        omegas = grid.omegas(n)
+    for label, n, vm in cells:
+        table = vm.table
+        omegas = vm.omegas(n)
         if n not in scenarios:
             paths = enumerate_luk(n)
             walk_fail: List[str] = []
@@ -436,10 +448,14 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
             indexed = []
             for chi, traces in replays(n):
                 for path, trace in _scenarios(chi, paths, traces, walk_fail):
-                    pair = _strip_plan(path, chi), reverse_mixture_plan_for_blocks(
+                    pair = _strip_monomial(path, chi), reverse_mixture_plan_for_blocks(
                         block_data(trace.output_partition, chi.letters))
                     indexed.append((chi, path, pairs.setdefault(pair, len(pairs))))
-            scenarios[n] = walk_fail, indexed, list(pairs)
+            plans = list(pairs)
+            pairs.clear()  # so each monomial is freed as its plan is decoded
+            for k, (mono, plan) in enumerate(plans):
+                plans[k] = _decoded(mono), plan
+            scenarios[n] = walk_fail, indexed, plans
         walk_fail, cell_scenarios, pairs = scenarios[n]
         # each pair's two plans are evaluated once per cell, each on its
         # own: None when the strip plan is None, else where they differ
@@ -448,8 +464,8 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
             if strip_plan is None:
                 mismatches.append(None)
                 continue
-            expected = grid.values(plan, n)
-            actual = grid.values(strip_plan, n)
+            expected = vm.values(plan, n)
+            actual = vm.values(strip_plan, n)
             mismatches.append([] if actual == expected else [
                 f" omega={list(omega)}: "
                 f"expected {table.rational(want, n)}, got {table.rational(got, n)}"
@@ -484,11 +500,7 @@ def cumulant_routes(vm: VacuumMoments, chi_str: str, omega: Tuple[int, ...]) -> 
     from one sweep, and Thm 6.5's mixture coefficient in ``vm.table``."""
     word = tuple(zip(omega, chi_str))
     vm.sweep_subwords(word)
-    kind, order = bimixture_template(chi_str)
-    return (
-        mobius_cumulant(chi_str, word, vm),
-        vm.table.coeff(kind, tuple(omega[p] for p in order)),
-    )
+    return mobius_cumulant(chi_str, word, vm), vm.table.coeff(*bimixture_symbol(omega, chi_str))
 
 
 def _route_sweep(
@@ -496,17 +508,17 @@ def _route_sweep(
     max_n: int, d: int, seed: int,
 ) -> SuiteResult:
     """Compare a suite's two routes on every bi-word of every Fock cell;
-    ``routes(grid, chi_str)`` gives both routes' values at every omega of
+    ``routes(vm, chi_str)`` gives both routes' values at every omega of
     length len(chi), and ``labels`` name the routes in failure
     messages."""
     result = SuiteResult(suite, {"max_n": max_n, "d": d, "seed": seed})
-    for label, n, grid in _fock_cells(max_n, d, seed):
-        table = grid.table
-        omegas = grid.omegas(n)
+    for label, n, vm in _fock_cells(max_n, d, seed):
+        table = vm.table
+        omegas = vm.omegas(n)
         cell_fail = []
         cell_count = 0
         for chi in all_chi(n):
-            lhs, rhs = routes(grid, chi.letters)
+            lhs, rhs = routes(vm, chi.letters)
             if not len(lhs) == len(rhs) == len(omegas):  # compared as far as all three go
                 cell_fail.append(f"chi={chi.letters}: {len(lhs)} and {len(rhs)} values "
                                  f"for {len(omegas)} words")
@@ -524,15 +536,15 @@ def _route_sweep(
 def suite_prop610(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """Sequentially computed vacuum moments of canonical-operator words
     equal the partition-family mixture sums."""
-    return _route_sweep("prop610", lambda grid, chi: (grid.moments(chi), grid.family_sums(chi)),
+    return _route_sweep("prop610", lambda vm, chi: (vm.column(chi), vm.family_sums(chi)),
                         ("engine", "family sum"), "moments agree across routes", max_n, d, seed)
 
 
 def suite_thm65(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """Every chi-cumulant of a canonical-operator word collapses to the
     single mixture coefficient of its bi-word."""
-    def routes(grid: OmegaGrid, chi: str) -> tuple:
-        return grid.cumulants(chi), grid.values((bimixture_template(chi),), len(chi))
+    def routes(vm: VacuumMoments, chi: str) -> tuple:
+        return vm.cumulants(chi), vm.values((bimixture_template(chi),), len(chi))
 
     return _route_sweep("thm65", routes, ("cumulant", "mixture"),
                         "cumulants equal their mixture coefficient", max_n, d, seed)
@@ -588,7 +600,7 @@ def suite_eq12x(**_) -> SuiteResult:
     two indices matches the golden 14-term sum, by the operator engine and
     by the sum over the simulated family."""
     result = SuiteResult("eq12x", {})
-    vm = shared("symbolic", 2, SYMBOLIC_N_O).vm
+    vm = shared("symbolic", 2, SYMBOLIC_N_O)
     for omega in product((1, 2), repeat=4):
         expected = interleaved_moment_terms(*omega)
         engine_value = vm(tuple(zip(omega, "lrlr")))
@@ -608,7 +620,7 @@ def suite_eq12y(**_) -> SuiteResult:
     """The length-4 free cumulant of the interleaved word matches the
     golden 3-term sum."""
     result = SuiteResult("eq12y", {})
-    engine = CumulantEngine(shared("symbolic", 2, SYMBOLIC_N_O).vm)
+    engine = CumulantEngine(shared("symbolic", 2, SYMBOLIC_N_O))
     for omega in product((1, 2), repeat=4):
         expected = interleaved_free_cumulant_terms(*omega)
         actual = engine.cumulant("rrrr", tuple(zip(omega, "lrlr")))
@@ -620,7 +632,7 @@ def suite_bifree(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """With per-index separated symbols every mixed cumulant vanishes;
     injecting one mixed coefficient produces a pinpointed violation."""
     result = SuiteResult("bifree", {"max_n": max_n, "d": d, "seed": seed})
-    vm = shared("separated", d, max_n, seed).vm
+    vm = shared("separated", d, max_n, seed)
     table = vm.table
     pairs = [((i, "l"), (i, "r")) for i in range(1, d + 1)]
     ok, violations = is_combinatorially_bifree_upto(pairs, vm, max_n)

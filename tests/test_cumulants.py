@@ -141,7 +141,7 @@ def test_length_mismatch_rejected():
 def test_chi_and_the_operator_sides_are_independent():
     # kappa_chi is defined on any tuple of elements; eq12y takes the
     # all-r cumulant of an l r l r operator word
-    vm = shared("random", 2, 3, 0).vm
+    vm = shared("random", 2, 3, 0)
     engine = CumulantEngine(vm)
     a, b = (1, "r"), (2, "l")
     assert engine.cumulant("lr", (a, b)) == vm((a, b)) - vm((a,)) * vm((b,))

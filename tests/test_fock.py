@@ -21,7 +21,6 @@ from lrcumulants.cumulants import CumulantEngine, dag_sum
 from lrcumulants.deque import ChiWord, block_data, restriction_data, simulate
 from lrcumulants.fock import (
     CoefficientTable,
-    OmegaGrid,
     OperatorExpr,
     PolyScalar,
     VacuumMoments,
@@ -634,23 +633,22 @@ GRID_TABLES = [CoefficientTable.symbolic(2, 4)] + [
 
 @pytest.mark.parametrize("table", GRID_TABLES, ids=lambda t: f"{t.mode}-d{t.d}")
 def test_grid_matches_the_single_word_routes(table):
-    vm = VacuumMoments(table)
+    vm = VacuumMoments(table)  # one engine for every length, as in the sweeps
     engine = CumulantEngine(vm)
-    grid = OmegaGrid(vm)  # one grid for every length, as in the sweeps
     for n in range(1, 5):
-        omegas = grid.omegas(n)
+        omegas = vm.omegas(n)
         assert omegas == list(itertools.product(range(1, table.d + 1), repeat=n))
         for chi in map("".join, itertools.product("lr", repeat=n)):
-            assert grid.moments(chi) == [vm(tuple(zip(omega, chi))) for omega in omegas]
-            sums = grid.family_sums(chi)
+            assert vm.column(chi) == [vm(tuple(zip(omega, chi))) for omega in omegas]
+            sums = vm.family_sums(chi)
             assert sums == [moment_via_pchi(omega, chi, table) for omega in omegas]
-            assert grid.cumulants(chi) == [
+            assert vm.cumulants(chi) == [
                 engine.cumulant(chi, tuple(zip(omega, chi))) for omega in omegas
             ]
             for path in enumerate_luk(n):
                 plan = verify._strip_plan(path, ChiWord(chi))
                 assert plan is not None
-                assert grid.values(plan, n) == [
+                assert vm.values(plan, n) == [
                     lemma67_vector(path, ChiWord(chi), omega, table).get((), 0)
                     for omega in omegas
                 ]
@@ -660,9 +658,8 @@ def test_grid_matches_the_single_word_routes(table):
 @given(st.text("lr", min_size=7, max_size=7), st.integers(0, 10**6))
 def test_family_sums_match_the_engine_at_length_seven(chi, seed):
     vm = VacuumMoments(CoefficientTable.random(2, 7, seed))
-    grid = OmegaGrid(vm)
-    single = [vm(tuple(zip(omega, chi))) for omega in grid.omegas(7)]
-    assert grid.family_sums(chi) == single
+    single = [vm(tuple(zip(omega, chi))) for omega in vm.omegas(7)]
+    assert vm.family_sums(chi) == single
     assert vm.column(chi) == single
 
 
@@ -671,7 +668,7 @@ def test_family_sums_match_the_engine_at_length_seven(chi, seed):
 def test_cumulant_columns_match_the_engine_at_length_seven(chi, seed):
     vm = VacuumMoments(CoefficientTable.random(2, 7, seed))
     engine = CumulantEngine(vm)
-    assert OmegaGrid(vm).cumulants(chi) == [
+    assert vm.cumulants(chi) == [
         engine.cumulant(chi, tuple(zip(omega, chi)))
         for omega in itertools.product((1, 2), repeat=7)
     ]
@@ -682,11 +679,10 @@ def test_grid_sums_match_the_per_partition_references(n):
     table = CoefficientTable.random(2, 6, seed=8)
     vm = VacuumMoments(table)
     engine = CumulantEngine(vm)
-    grid = OmegaGrid(vm)
-    omegas = grid.omegas(n)
+    omegas = vm.omegas(n)
     for chi in map("".join, itertools.product("lr", repeat=n)):
-        assert grid.family_sums(chi) == [moment_via_pchi(omega, chi, table) for omega in omegas]
-        assert grid.cumulants(chi) == [
+        assert vm.family_sums(chi) == [moment_via_pchi(omega, chi, table) for omega in omegas]
+        assert vm.cumulants(chi) == [
             engine.cumulant(chi, tuple(zip(omega, chi))) for omega in omegas
         ]
 
@@ -694,32 +690,32 @@ def test_grid_sums_match_the_per_partition_references(n):
 def test_dag_sum_takes_the_mobius_sum_of_moment_columns():
     # the Moebius route of the CLI, evaluated on columns: every sub-word's
     # moment column gathered at its block, summed on the plan's mobius DAG
-    grid = OmegaGrid(VacuumMoments(CoefficientTable.random(2, 5, seed=9)))
+    vm = VacuumMoments(CoefficientTable.random(2, 5, seed=9))
     for n in range(1, 6):
         for chi in map("".join, itertools.product("lr", repeat=n)):
             blocks, plan = cumulants.sigma_nc_plan(ChiWord(chi))
             columns = [
-                grid._gathered(grid.moments("".join([chi[q] for q in block])), block, n)
+                vm._gathered(vm.column("".join([chi[q] for q in block])), block, n)
                 for block in blocks
             ]
-            assert dag_sum(plan.mobius, columns) == grid.cumulants(chi)
+            assert dag_sum(plan.mobius, columns) == vm.cumulants(chi)
 
 
 def test_cumulant_columns_reject_a_chi_that_is_not_a_word_over_l_and_r():
-    grid = OmegaGrid(VacuumMoments(CoefficientTable.random(2, 3, seed=0)))
+    vm = VacuumMoments(CoefficientTable.random(2, 3, seed=0))
     for chi in ("", "x", "lx", "rlL"):
         with pytest.raises(ValueError):
-            grid.cumulants(chi)
+            vm.cumulants(chi)
 
 
 def test_each_shared_table_grid_keeps_its_own_cumulant_columns():
-    grids = [verify.shared("random", 2, 2, seed) for seed in (0, 1)]
-    first, second = (grid.cumulants("lr") for grid in grids)
+    engines = [verify.shared("random", 2, 2, seed) for seed in (0, 1)]
+    first, second = (vm.cumulants("lr") for vm in engines)
     assert first != second
-    for grid, column in zip(grids, (first, second)):
-        engine = CumulantEngine(grid.vm)
+    for vm, column in zip(engines, (first, second)):
+        engine = CumulantEngine(vm)
         assert column == [
-            engine.cumulant("lr", tuple(zip(omega, "lr"))) for omega in grid.omegas(2)
+            engine.cumulant("lr", tuple(zip(omega, "lr"))) for omega in vm.omegas(2)
         ]
 
 
@@ -767,6 +763,30 @@ def test_family_sum_rejects_indices_outside_the_table():
             with pytest.raises(ValueError):
                 route(omega, "ll", CoefficientTable.random(2, 3, 0))
         assert route((2,), "l", table) == sym("a", 2)
+
+
+def test_every_entry_point_checks_index_letters_by_one_rule(monkeypatch):
+    # a plain int letter is told by its type, with no call; any other
+    # letter goes through the one check, and a bool is refused
+    seen = []
+    is_int = fock._is_int
+    monkeypatch.setattr(fock, "_is_int", lambda x: seen.append(x) or is_int(x))
+    table = CoefficientTable.random(2, 3, 0)
+    path = enumerate_luk(3)[0]
+    routes = [
+        lambda omega: VacuumMoments(table)(tuple(zip(omega, "lrl"))),
+        lambda omega: VacuumMoments(table).sweep_subwords(tuple(zip(omega, "lrl"))),
+        lambda omega: moment_via_pchi(omega, "lrl", table),
+        lambda omega: moment_via_sigma(omega, "lrl", table),
+        lambda omega: lemma67_vector(path, "lrl", omega, table),
+    ]
+    for route in routes:
+        route((1, 2, 1))
+    assert seen == []
+    for route in routes:
+        with pytest.raises(ValueError):
+            route((1, True, 1))
+    assert seen == [True] * len(routes)
 
 
 # -- sub-word moments from one sweep; family sums over sigma_chi . NC(n) -----------
@@ -957,8 +977,7 @@ def test_moment_routes_agree_on_sampled_long_bi_words(case, seed):
     assert moment_via_pchi(omega, chi, table) == value
     assert moment_via_sigma(omega, chi, table) == value
     if len(chi) == 7:
-        grid = OmegaGrid(swept)
-        assert grid.moments(chi)[grid.omegas(7).index(omega)] == value
+        assert swept.column(chi)[swept.omegas(7).index(omega)] == value
 
 
 def identity_sigma(chi):
@@ -1016,15 +1035,12 @@ def test_sub_word_sweep_fails_under_an_injected_defect(defect, monkeypatch, tmp_
 def test_moment_columns_equal_the_single_word_values():
     for table in (CoefficientTable.random(2, 3, seed=1), CoefficientTable.symbolic(2, 3)):
         vm = VacuumMoments(table)
-        grid = OmegaGrid(vm)
         fresh = VacuumMoments(table)
         for k in range(1, 4):
             for chi in map("".join, itertools.product("lr", repeat=k)):
-                column = grid.moments(chi)
-                assert column == vm.column(chi) == [
-                    fresh(tuple(zip(omega, chi))) for omega in grid.omegas(k)
-                ]
-                assert grid.moments(chi) is column  # the grid keeps it
+                column = vm.column(chi)
+                assert column == [fresh(tuple(zip(omega, chi))) for omega in vm.omegas(k)]
+                assert vm.column(chi) is column  # the engine keeps it
         assert not vm._memo  # columns bypass the per-word memo
 
 

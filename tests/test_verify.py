@@ -21,18 +21,18 @@ def doubled(fn):
     return lambda *args: 2 * fn(*args)
 
 
-def doubled_family_sums(grid_type):
-    class Doubled(grid_type):
+def doubled_family_sums(vm_type):
+    class Doubled(vm_type):
         def family_sums(self, chi_str):
             return [2 * v for v in super().family_sums(chi_str)]
 
     return Doubled
 
 
-def last_partition_unsubtracted(grid_type):
+def last_partition_unsubtracted(vm_type):
     """Cumulant columns that leave the term of the family's last
     partition in."""
-    class Perturbed(grid_type):
+    class Perturbed(vm_type):
         def cumulants(self, chi_str):
             column = super().cumulants(chi_str)
             *_, last = restriction_data(chi_str)
@@ -100,12 +100,12 @@ def without_one_block(family):
     [
         ("lemma67", "lemma67_vector", doubled_vector),
         ("lemma67", "reverse_mixture_plan_for_blocks", first_long_block_reversed),
-        ("prop610", "OmegaGrid", doubled_family_sums),
+        ("prop610", "VacuumMoments", doubled_family_sums),
         ("prop610", "VacuumMoments", reversed_columns),
         ("eq12x", "moment_via_pchi", doubled),
         ("eq12y", "CumulantEngine", doubled_cumulants),
         ("thm65", "bimixture_template", lambda _: reverse_bimixture_template),
-        ("thm65", "OmegaGrid", last_partition_unsubtracted),
+        ("thm65", "VacuumMoments", last_partition_unsubtracted),
         ("thm65", "VacuumMoments", reversed_columns),
         ("thm49", "pchi_by_sigma", without_last),
         ("prop46", "psi_rise", one_block_path),
@@ -130,7 +130,7 @@ def test_operator_suite_fails_when_one_route_is_perturbed(
 
 @pytest.mark.parametrize("suite", ["prop610", "thm65"])
 def test_grid_suites_fail_when_sigma_chi_is_the_identity(monkeypatch, fresh_mobius_plans, suite):
-    # the grid sums over sigma_chi . NC(n); for n <= 3 every family is
+    # the engine sums over sigma_chi . NC(n); for n <= 3 every family is
     # NC(n), so the defect shows from n = 4 on
     assert verify.run_suite(suite, max_n=4, d=2).passed
     monkeypatch.setattr(verify, "_SHARED", {})
@@ -300,8 +300,8 @@ def test_scenario_suites_fail_when_the_replay_miscounts_traces(
 
 
 def test_route_suites_fail_when_a_route_gives_too_few_values(monkeypatch):
-    moments = verify.OmegaGrid.moments
-    monkeypatch.setattr(verify.OmegaGrid, "moments", lambda grid, chi: moments(grid, chi)[:-1])
+    column = verify.VacuumMoments.column
+    monkeypatch.setattr(verify.VacuumMoments, "column", lambda vm, chi: column(vm, chi)[:-1])
     result = verify.run_suite("prop610", max_n=3, d=2)
     assert result.passed is False
     # one word fewer compared for each chi of each cell: 182 at full length
@@ -340,13 +340,13 @@ def test_each_suite_verifies_its_pinned_instance_count(suite, instances):
 
 def test_lemma67_evaluates_each_distinct_plan_pair_once_per_cell(monkeypatch):
     calls = []
-    values = verify.OmegaGrid.values
+    values = verify.VacuumMoments.values
 
-    def counted(grid, plan, n):
+    def counted(vm, plan, n):
         calls.append(n)
-        return values(grid, plan, n)
+        return values(vm, plan, n)
 
-    monkeypatch.setattr(verify.OmegaGrid, "values", counted)
+    monkeypatch.setattr(verify.VacuumMoments, "values", counted)
     assert verify.run_suite("lemma67", max_n=4, d=2).passed
     # both plans of each of the 148 distinct (strip plan, reverse-mixture
     # plan) pairs of n <= 4, in each of the three cells of every length;
@@ -376,8 +376,8 @@ def test_lemma67_fails_each_scenario_as_a_per_scenario_loop_does(monkeypatch, at
     assert result.passed is False
     # the reference: both plans of every scenario evaluated on their own
     expected = {}
-    for label, n, grid in verify._fock_cells(4, 2, 0):
-        omegas = grid.omegas(n)
+    for label, n, vm in verify._fock_cells(4, 2, 0):
+        omegas = vm.omegas(n)
         cell_fail = []
         scenarios = 0
         for chi, traces in deque.replays(n):
@@ -390,11 +390,11 @@ def test_lemma67_fails_each_scenario_as_a_per_scenario_loop_does(monkeypatch, at
                     continue
                 plan = verify.reverse_mixture_plan_for_blocks(
                     verify.block_data(trace.output_partition, chi.letters))
-                expected_values = grid.values(plan, n)
-                actual_values = grid.values(strip_plan, n)
+                expected_values = vm.values(plan, n)
+                actual_values = vm.values(strip_plan, n)
                 for omega, want, got in zip(omegas, expected_values, actual_values):
                     if got != want:
-                        want, got = grid.table.rational(want, n), grid.table.rational(got, n)
+                        want, got = vm.table.rational(want, n), vm.table.rational(got, n)
                         cell_fail.append(f"{where} omega={list(omega)}: expected {want}, got {got}")
         expected[label] = cell_fail, len(omegas) * scenarios
     assert any(cell_fail for cell_fail, _ in expected.values())
@@ -416,17 +416,34 @@ def test_cor410_counts_each_check_apart():
 def test_fock_suites_build_one_grid_per_table(monkeypatch):
     built = []
 
-    class Counted(verify.OmegaGrid):
-        def __init__(self, vm):
-            super().__init__(vm)
-            built.append(vm.table)
+    class Counted(verify.VacuumMoments):
+        def __init__(self, table):
+            super().__init__(table)
+            built.append(table)
 
     monkeypatch.setattr(verify, "_SHARED", {})
-    monkeypatch.setattr(verify, "OmegaGrid", Counted)
+    monkeypatch.setattr(verify, "VacuumMoments", Counted)
     for suite in ("lemma67", "prop610", "thm65"):
         assert verify.run_suite(suite, max_n=4, d=2).passed
     # symbolic d=2 covering every symbolic cell, random d = 1 and 2 with n_o = 4
     assert len(built) == len(verify._SHARED) == 3
+
+
+def test_thm65_reuses_the_moment_columns_prop610_swept(monkeypatch):
+    swept = []
+    sweep = verify.VacuumMoments._sweep
+
+    def counted(vm, chi, letters):
+        swept.append(chi)
+        return sweep(vm, chi, letters)
+
+    monkeypatch.setattr(verify, "_SHARED", {})
+    monkeypatch.setattr(verify.VacuumMoments, "_sweep", counted)
+    assert verify.run_suite("prop610", max_n=4, d=2).passed
+    # one column per chi of length 1..4 on each of the three tables
+    assert len(swept) == 3 * 30
+    assert verify.run_suite("thm65", max_n=4, d=2).passed
+    assert len(swept) == 90
 
 
 def test_verify_refuses_an_oversized_drawn_table_before_any_sweep(monkeypatch):
