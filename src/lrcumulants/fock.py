@@ -982,14 +982,16 @@ class VacuumMoments:
         """Every index word of length n, in product order."""
         return list(product(range(1, self.table.d + 1), repeat=n))
 
-    def column(self, chi_str: str) -> list:
+    def column(self, chi: "ChiWord | str") -> list:
         """The vacuum moment of the bi-word (omega, chi) at every omega in
         [d]^len(chi), kept for later calls."""
-        column = self._columns.get(chi_str)
+        column = self._columns.get(chi)
         if column is None:
-            chi_str = _chi_word(chi_str).letters  # ValueError unless chi is a word over {l, r}
-            column = self._columns[chi_str] = self._sweep(
-                chi_str, (range(1, self.table.d + 1),) * len(chi_str))
+            chi = _chi_word(chi).letters  # ValueError unless chi is a word over {l, r}
+            column = self._columns.get(chi)
+            if column is None:
+                column = self._columns[chi] = self._sweep(
+                    chi, (range(1, self.table.d + 1),) * len(chi))
         return column
 
     def values(self, plan, n: int) -> list:
@@ -997,16 +999,17 @@ class VacuumMoments:
         factors = [self._mixture_column(kind, order, n) for kind, order in plan]
         return reduce(mul, factors) if factors else [1] * self.table.d ** n
 
-    def family_sums(self, chi_str: str) -> list:
+    def family_sums(self, chi: "ChiWord | str") -> list:
         """The family sum of :func:`moment_via_sigma` at every omega: one
         gathered mixture column per block of :func:`sigma_mixture_plan`,
         summed on the plan's ``unit`` DAG, as the CLI does one bi-word at
         a time."""
-        mixtures, plan = sigma_mixture_plan(ChiWord(chi_str))
-        n = len(chi_str)
+        chi = _chi_word(chi)
+        mixtures, plan = sigma_mixture_plan(chi)
+        n = chi.n
         return dag_sum(plan.unit, [self._mixture_column(kind, order, n) for kind, order in mixtures])
 
-    def cumulants(self, chi_str: str) -> list:
+    def cumulants(self, chi: "ChiWord | str") -> list:
         """The chi-cumulant of the bi-word (omega, chi) at every omega.
 
         The moment-cumulant recursion of :class:`~.cumulants.CumulantEngine`,
@@ -1017,19 +1020,23 @@ class VacuumMoments:
         factor set to 0, since that term is K_chi itself.  Every column
         reached is read from the engine's memo or computed and kept there.
         """
-        column = self._cumulants.get(chi_str)
+        column = self._cumulants.get(chi)
         if column is None:
-            blocks, plan = sigma_nc_plan(ChiWord(chi_str))
-            k = len(chi_str)
-            zero = Column([0] * self.table.d ** k)
-            factors = [
-                zero if len(positions) == k else self._gathered(
-                    self.cumulants("".join([chi_str[q] for q in positions])), positions, k)
-                for positions in blocks
-            ]
-            rest = dag_sum(plan.unit, factors)
-            column = [m - t for m, t in zip(self.column(chi_str), rest)]
-            self._cumulants[chi_str] = column
+            chi = _chi_word(chi)
+            letters = chi.letters
+            column = self._cumulants.get(letters)
+            if column is None:
+                blocks, plan = sigma_nc_plan(chi)
+                k = chi.n
+                zero = Column([0] * self.table.d ** k)
+                factors = [
+                    zero if len(positions) == k else self._gathered(
+                        self.cumulants("".join([letters[q] for q in positions])), positions, k)
+                    for positions in blocks
+                ]
+                rest = dag_sum(plan.unit, factors)
+                column = [m - t for m, t in zip(self.column(letters), rest)]
+                self._cumulants[letters] = column
         return column
 
     def _apply(self, vec: FockVector, i: int, h: str, reach: Iterable[Word]) -> FockVector:

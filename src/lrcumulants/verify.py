@@ -34,7 +34,6 @@ from .fock import (
     CoefficientTable,
     PolyScalar,
     VacuumMoments,
-    _unfactor,
     bimixture_symbol,
     bimixture_template,
     lemma67_vector,
@@ -391,37 +390,40 @@ def suite_cor410(max_n: int = 5, **_) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _strip_monomial(path, chi: ChiWord) -> Optional[tuple]:
-    """The operator side of Lemma 6.7 for (chi, path) as the monomial of
-    an omega-independent plan (see :func:`_decoded`); None unless it is
-    one term of factor 1 times the vacuum.
+class _Strips(tuple):
+    """The stand-in coefficient of :func:`_strip_plan`: the (kind,
+    0-based positions) blocks its strips read.  The product of two is
+    their concatenation; any other product is a plain tuple."""
 
-    One run of ``lemma67_vector`` on omega = (1, ..., n) records it,
-    against a stand-in table over d = n letters whose every coefficient
-    is its own formal symbol: each symbol of the result names the
-    positions (plus one) that one strip read, in order.
-    """
-    n = chi.n
-    # omega's letters are 1..n, so every stripped word is a valid symbol
-    stand_in = SimpleNamespace(d=n, coeff=PolyScalar._symbol)
-    vec = lemma67_vector(path, chi, tuple(range(1, n + 1)), stand_in)
-    terms = PolyScalar._coerce(vec.get((), 0)).terms
-    if set(vec) - {()} or list(terms.values()) != [1]:
-        return None
-    (mono,) = terms
-    return mono
+    __slots__ = ()
 
+    @classmethod
+    def read(cls, kind: str, word) -> "_Strips":
+        # omega = (1, ..., n), so the stripped word spells its positions
+        return cls([(kind, tuple([m - 1 for m in word]))])
 
-def _decoded(mono: Optional[tuple]) -> Optional[tuple]:
-    """The plan a monomial of :func:`_strip_monomial` records, one
-    (kind, 0-based positions) block per symbol; None for None."""
-    return None if mono is None else tuple(
-        (kind, tuple([m - 1 for m in word])) for kind, word in map(_unfactor, mono))
+    def __mul__(self, other):
+        return _Strips(self + other)
 
 
 def _strip_plan(path, chi: ChiWord) -> Optional[tuple]:
-    """The operator side of Lemma 6.7 for (chi, path) as a plan, or None."""
-    return _decoded(_strip_monomial(path, chi))
+    """The operator side of Lemma 6.7 for (chi, path) as a sorted plan;
+    None unless it is one recorded product times the vacuum.
+
+    One run of ``lemma67_vector`` on omega = (1, ..., n) against a
+    stand-in table over d = n letters records it, one block per strip.
+    The run covers every omega: which positions each strip reads, and
+    whether it fits, depend on chi and the path alone, never on omega's
+    letters, so at any omega the product is the product of the plan's
+    blocks read at omega.
+    """
+    n = chi.n
+    stand_in = SimpleNamespace(d=n, coeff=_Strips.read)
+    vec = lemma67_vector(path, chi, tuple(range(1, n + 1)), stand_in)
+    strips = vec.get(())
+    if len(vec) != 1 or type(strips) is not _Strips:
+        return None
+    return tuple(sorted(strips))
 
 
 def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
@@ -435,8 +437,7 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     # per n: the replay's trace-count failures, every distinct (strip plan,
     # reverse-mixture plan) pair in first-seen order, and every (chi, path)
     # with the index of its pair, recorded once from one all-chi replay and
-    # shared by the cells of that n; pairs are told apart by the strip
-    # plan's raw monomial, so each distinct one is decoded once
+    # shared by the cells of that n
     scenarios: Dict[int, Tuple[List[str], List[tuple], List[tuple]]] = {}
     for label, n, vm in cells:
         table = vm.table
@@ -448,14 +449,10 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
             indexed = []
             for chi, traces in replays(n):
                 for path, trace in _scenarios(chi, paths, traces, walk_fail):
-                    pair = _strip_monomial(path, chi), reverse_mixture_plan_for_blocks(
+                    pair = _strip_plan(path, chi), reverse_mixture_plan_for_blocks(
                         block_data(trace.output_partition, chi.letters))
                     indexed.append((chi, path, pairs.setdefault(pair, len(pairs))))
-            plans = list(pairs)
-            pairs.clear()  # so each monomial is freed as its plan is decoded
-            for k, (mono, plan) in enumerate(plans):
-                plans[k] = _decoded(mono), plan
-            scenarios[n] = walk_fail, indexed, plans
+            scenarios[n] = walk_fail, indexed, list(pairs)
         walk_fail, cell_scenarios, pairs = scenarios[n]
         # each pair's two plans are evaluated once per cell, each on its
         # own: None when the strip plan is None, else where they differ

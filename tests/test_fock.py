@@ -654,6 +654,26 @@ def test_grid_matches_the_single_word_routes(table):
                 ]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_stand_in_run_covers_every_omega_beyond_length_four(data):
+    n = data.draw(st.integers(5, 7), label="n")
+    chi = ChiWord(data.draw(st.text("lr", min_size=n, max_size=n), label="chi"))
+    path = data.draw(st.sampled_from(enumerate_luk(n)), label="path")
+    if data.draw(st.booleans(), label="symbolic"):
+        d = data.draw(st.integers(1, 2), label="d")
+        table = CoefficientTable.symbolic(d, n)
+    else:
+        d = data.draw(st.integers(1, 3), label="d")
+        table = CoefficientTable.random(d, n, data.draw(st.integers(0, 10**6), label="seed"))
+    omega = data.draw(st.tuples(*[st.integers(1, d)] * n), label="omega")
+    vm = VacuumMoments(table)
+    plan = verify._strip_plan(path, chi)
+    assert plan is not None
+    at = vm.omegas(n).index(omega)
+    assert lemma67_vector(path, chi, omega, table).get((), 0) == vm.values(plan, n)[at]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.text("lr", min_size=7, max_size=7), st.integers(0, 10**6))
 def test_family_sums_match_the_engine_at_length_seven(chi, seed):
@@ -706,6 +726,27 @@ def test_cumulant_columns_reject_a_chi_that_is_not_a_word_over_l_and_r():
     for chi in ("", "x", "lx", "rlL"):
         with pytest.raises(ValueError):
             vm.cumulants(chi)
+
+
+def test_moment_columns_take_a_chi_word_or_its_letters(monkeypatch):
+    vm = VacuumMoments(CoefficientTable.random(2, 3, seed=0))
+    methods = (vm.column, vm.family_sums, vm.cumulants)
+    for method in methods:
+        for chi in ("l", "lr", "rrl"):
+            assert method(ChiWord(chi)) == method(chi)
+        for bad in ("lx", ""):
+            with pytest.raises(ValueError):
+                method(bad)
+    # the memos are keyed by letters: a chi word finds its letters' column,
+    # and letters that were asked for before build no chi word
+    assert vm.column(ChiWord("lr")) is vm.column("lr")
+    assert vm.cumulants(ChiWord("lr")) is vm.cumulants("lr")
+    built = []
+    chi_word = fock._chi_word
+    monkeypatch.setattr(fock, "_chi_word", lambda chi: built.append(chi) or chi_word(chi))
+    vm.column("rrl")
+    vm.cumulants("rrl")
+    assert built == []
 
 
 def test_each_shared_table_grid_keeps_its_own_cumulant_columns():

@@ -404,6 +404,40 @@ def test_lemma67_fails_each_scenario_as_a_per_scenario_loop_does(monkeypatch, at
     ]
 
 
+def strip_plan_mismatches(max_n):
+    """(compared, differing, missing): how many (chi, path) with n <= max_n
+    there are, how many have a strip plan that is not their reverse-mixture
+    plan as a multiset, and how many have no strip plan."""
+    compared = differing = missing = 0
+    for n in range(1, max_n + 1):
+        paths = enumerate_luk(n)
+        for chi, traces in deque.replays(n):
+            for path, trace in zip(paths, traces, strict=True):
+                compared += 1
+                strip_plan = verify._strip_plan(path, chi)
+                plan = verify.reverse_mixture_plan_for_blocks(
+                    verify.block_data(trace.output_partition, chi.letters))
+                missing += strip_plan is None
+                differing += strip_plan != tuple(sorted(plan))
+    return compared, differing, missing
+
+
+@pytest.mark.parametrize(
+    "attr, perturb, differing, missing",
+    [
+        (None, None, 0, 0),
+        ("reverse_mixture_plan_for_blocks", first_long_block_reversed, 9_940, 0),
+        ("lemma67_vector", doubled_vector, 10_066, 10_066),
+    ],
+)
+def test_each_strip_plan_is_its_reverse_mixture_plan(monkeypatch, attr, perturb, differing, missing):
+    # Lemma 6.7 as plans: the strips of every single-track product read
+    # the reverse mixtures of the scenario's output blocks, in some order
+    if attr is not None:
+        monkeypatch.setattr(verify, attr, perturb(getattr(verify, attr)))
+    assert strip_plan_mismatches(6) == (10_066, differing, missing)
+
+
 def test_cor410_counts_each_check_apart():
     result = verify.run_suite("cor410", max_n=4)
     for chi in verify.all_chi(4):
