@@ -2,11 +2,13 @@
 """Run every verification suite and print a one-line summary per suite.
 
 Default scales finish in seconds; --full runs the acceptance scales.
-On a 2-vCPU Xeon host with Python 3.11, the suites of --full took
-3.6-4.6 s together over three runs (3.7-4.8 s wall for a whole run):
-lemma67 1.4-1.9 s, prop610 1.2-1.3 s, thm65 0.5-0.6 s, and the five
-combinatorial suites 0.42-0.77 s together (cor410 0.18-0.36 s; thm49,
-prop46, lemma48 and prop413 0.05-0.13 s each).
+On a 2-vCPU Xeon host with Python 3.11, whose speed switched between
+two levels about 1.7x apart, the suites of --full took 3.1-5.1 s
+together over nine runs (3.2-5.3 s wall for a whole run): lemma67
+0.9-1.8 s (1.0 s or less in five runs), prop610 1.2-2.2 s, thm65
+0.4-0.7 s, and the five combinatorial suites 0.44-0.79 s together
+(cor410 0.19-0.35 s; thm49, prop46, lemma48 and prop413 0.05-0.13 s
+each).
 """
 
 import argparse

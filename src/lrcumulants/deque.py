@@ -51,7 +51,18 @@ class ChiWord:
     __slots__ = ("n", "letters", "m_ell", "m_r", "slot", "_blocks")
 
     def __init__(self, letters: "str | Iterable[str]"):
-        word = "".join(letters)
+        """A str of letters, or an iterable of one-letter strs; ``ValueError``
+        for anything else, and unless the word is non-empty over {l, r}."""
+        if isinstance(letters, str):
+            word = str(letters)
+        else:
+            try:
+                items = tuple(letters)
+            except TypeError:
+                items = None
+            if items is None or not all(isinstance(h, str) and len(h) == 1 for h in items):
+                raise ValueError(f"chi word must be a str or an iterable of letters, got {letters!r}")
+            word = "".join(items)
         if not word:
             raise ValueError("chi word must be non-empty")
         bad = set(word) - {LEFT, RIGHT}
@@ -396,13 +407,15 @@ BlockData = Tuple[Tuple[int, ...], str]  # (0-based positions, restricted chi)
 PartitionData = Tuple[Tuple[BlockData, ...], ...]
 
 
+def block_entry(block: Tuple[int, ...], chi_str: str) -> BlockData:
+    """One block of 1-based positions as its 0-based positions, paired with
+    the restriction of chi to the block."""
+    return tuple([m - 1 for m in block]), "".join([chi_str[m - 1] for m in block])
+
+
 def block_data(p: Partition, chi_str: str) -> Tuple[BlockData, ...]:
-    """The blocks of p as 0-based position tuples, each paired with the
-    restriction of chi to the block."""
-    return tuple(
-        (tuple(m - 1 for m in block), "".join(chi_str[m - 1] for m in block))
-        for block in p.blocks
-    )
+    """:func:`block_entry` of every block of p, in p's block order."""
+    return tuple([block_entry(block, chi_str) for block in p.blocks])
 
 
 @lru_cache(maxsize=None)

@@ -100,7 +100,7 @@ class PolyScalar:
                 raise ValueError(f"coefficient {c!r} of {mono!r} is not an int or Fraction")
             if c:
                 kept[mono] = c
-        object.__setattr__(self, "terms", kept)
+        _set_terms(self, kept)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
@@ -112,7 +112,7 @@ class PolyScalar:
         """The polynomial with these terms, taking ownership of the dict:
         for a dict built fresh by the caller, with no zero coefficient."""
         value = object.__new__(cls)
-        object.__setattr__(value, "terms", terms)
+        _set_terms(value, terms)
         return value
 
     @classmethod
@@ -192,7 +192,9 @@ class PolyScalar:
             if len(a) == 1 == len(b):  # one nonzero coefficient times another
                 ((m1, c1),) = a.items()
                 ((m2, c2),) = b.items()
-                return PolyScalar._of({tuple(sorted(m1 + m2)): c1 * c2})
+                value = object.__new__(PolyScalar)
+                _set_terms(value, {tuple(sorted(m1 + m2)): c1 * c2})
+                return value
             terms: Dict[Monomial, Fraction] = {}
             for m1, c1 in a.items():
                 for m2, c2 in b.items():
@@ -265,6 +267,11 @@ class PolyScalar:
 
     def to_json(self) -> List[dict]:
         return [{"coeff": str(c), "monomial": names} for names, c in self._rendered()]
+
+
+# the slot's own setter, bound once: it writes past the refusing
+# ``__setattr__``, for the constructors and the hot products alone
+_set_terms = PolyScalar.terms.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +920,13 @@ class VacuumMoments:
     :class:`PolyScalar` alike.  They never apply an operator, and
     :meth:`column` reads no plan, so Prop 6.10's two routes share only the
     table.
+
+    Every gathered column is kept, in one memo per route, keyed by value:
+    a mixture column by (kind, position order, n), read by :meth:`values`
+    and :meth:`family_sums`, and a sub-word's cumulant column read at the
+    positions of a longer word by (sub-word letters, positions, k), read
+    by :meth:`cumulants`.  The mixture routes never read the cumulant
+    memo, nor :meth:`cumulants` the mixture memo.
     """
 
     def __init__(self, table: CoefficientTable):
@@ -927,6 +941,12 @@ class VacuumMoments:
         # (length k, position order) -> the itemgetter that reads, per omega
         # in [d]^k, omega at those positions from the column of that length
         self._gathers: Dict[Tuple[int, Tuple[int, ...]], itemgetter] = {}
+        # the gathered columns, one memo per route: (kind, position order,
+        # length n) -> a mixture column of values and family_sums, and
+        # (sub-word letters, positions, length k) -> that sub-word's
+        # cumulant column read at those positions of a length-k word
+        self._mixtures: Dict[Tuple[str, Tuple[int, ...], int], Column] = {}
+        self._sub_cumulants: Dict[Tuple[str, Tuple[int, ...], int], Column] = {}
 
     # -- one word --------------------------------------------------------------
 
@@ -985,7 +1005,9 @@ class VacuumMoments:
     def column(self, chi: "ChiWord | str") -> list:
         """The vacuum moment of the bi-word (omega, chi) at every omega in
         [d]^len(chi), kept for later calls."""
-        column = self._columns.get(chi)
+        # a ChiWord never equals its letters, and a list is no key: only a
+        # str can hit before chi is read as a ChiWord
+        column = self._columns.get(chi) if type(chi) is str else None
         if column is None:
             chi = _chi_word(chi).letters  # ValueError unless chi is a word over {l, r}
             column = self._columns.get(chi)
@@ -1020,7 +1042,7 @@ class VacuumMoments:
         factor set to 0, since that term is K_chi itself.  Every column
         reached is read from the engine's memo or computed and kept there.
         """
-        column = self._cumulants.get(chi)
+        column = self._cumulants.get(chi) if type(chi) is str else None  # as in column
         if column is None:
             chi = _chi_word(chi)
             letters = chi.letters
@@ -1030,8 +1052,8 @@ class VacuumMoments:
                 k = chi.n
                 zero = Column([0] * self.table.d ** k)
                 factors = [
-                    zero if len(positions) == k else self._gathered(
-                        self.cumulants("".join([letters[q] for q in positions])), positions, k)
+                    zero if len(positions) == k else
+                    self._sub_cumulant("".join([letters[q] for q in positions]), positions, k)
                     for positions in blocks
                 ]
                 rest = dag_sum(plan.unit, factors)
@@ -1088,13 +1110,28 @@ class VacuumMoments:
 
     def _mixture_column(self, kind: str, order: Tuple[int, ...], n: int) -> Column:
         """Per omega in [d]^n, coeff(kind, omega at those positions in that
-        order), gathered from the coefficient column of that length."""
-        p = len(order)
-        column = self._coefficients.get((kind, p))
+        order), gathered from the coefficient column of that length; kept
+        for later calls."""
+        key = kind, order, n
+        column = self._mixtures.get(key)
         if column is None:
-            coeff = self.table.coeff
-            column = self._coefficients[kind, p] = [coeff(kind, word) for word in self.omegas(p)]
-        return self._gathered(column, order, n)
+            p = len(order)
+            coefficients = self._coefficients.get((kind, p))
+            if coefficients is None:
+                coeff = self.table.coeff
+                coefficients = self._coefficients[kind, p] = [
+                    coeff(kind, word) for word in self.omegas(p)]
+            column = self._mixtures[key] = self._gathered(coefficients, order, n)
+        return column
+
+    def _sub_cumulant(self, sub: str, positions: Tuple[int, ...], k: int) -> Column:
+        """Per omega in [d]^k, the cumulant of the sub-word with sides sub
+        at omega read at those positions; kept for later calls."""
+        key = sub, positions, k
+        column = self._sub_cumulants.get(key)
+        if column is None:
+            column = self._sub_cumulants[key] = self._gathered(self.cumulants(sub), positions, k)
+        return column
 
     def _gathered(self, column: list, order: Tuple[int, ...], k: int) -> Column:
         """Per omega in [d]^k, the column's value at omega read at those

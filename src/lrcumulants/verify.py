@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import product, zip_longest
 from math import factorial
 from operator import attrgetter
@@ -20,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .cumulants import CumulantEngine, is_combinatorially_bifree_upto, mobius_cumulant
 from .deque import (
     ChiWord,
-    block_data,
+    block_entry,
     chi_opposite,
     combined_standings,
     family,
@@ -446,12 +447,21 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
             paths = enumerate_luk(n)
             walk_fail: List[str] = []
             pairs: Dict[tuple, int] = {}
+            blocks: Dict[tuple, tuple] = {}  # each distinct (kind, order) block of the pairs
             indexed = []
             for chi, traces in replays(n):
+                # a chi has at most 2**n - 1 distinct blocks, where its
+                # scenarios have one per insertion: each is built once
+                entries = cache(partial(block_entry, chi_str=chi.letters))
                 for path, trace in _scenarios(chi, paths, traces, walk_fail):
                     pair = _strip_plan(path, chi), reverse_mixture_plan_for_blocks(
-                        block_data(trace.output_partition, chi.letters))
-                    indexed.append((chi, path, pairs.setdefault(pair, len(pairs))))
+                        tuple(map(entries, trace.output_partition.blocks)))
+                    k = pairs.get(pair)
+                    if k is None:  # kept for the whole suite: its plans share each distinct block
+                        pair = tuple([None if plan is None else tuple(map(blocks.setdefault, plan, plan))
+                                      for plan in pair])
+                        k = pairs[pair] = len(pairs)
+                    indexed.append((chi, path, k))
             scenarios[n] = walk_fail, indexed, list(pairs)
         walk_fail, cell_scenarios, pairs = scenarios[n]
         # each pair's two plans are evaluated once per cell, each on its

@@ -733,10 +733,15 @@ def test_moment_columns_take_a_chi_word_or_its_letters(monkeypatch):
     methods = (vm.column, vm.family_sums, vm.cumulants)
     for method in methods:
         for chi in ("l", "lr", "rrl"):
-            assert method(ChiWord(chi)) == method(chi)
-        for bad in ("lx", ""):
+            assert method(ChiWord(chi)) == method(chi) == method(list(chi)) == method(tuple(chi))
+        for bad in ("lx", "", ["l", 5], ["lr"], b"lr", 5, None):
             with pytest.raises(ValueError):
                 method(bad)
+    # a chi word is a str or an iterable of one-letter strs, and nothing else
+    for bad in (5, None, ["l", 5], b"lr", ["lr", "l"], "lx", []):
+        with pytest.raises(ValueError):
+            ChiWord(bad)
+    assert ChiWord(["l", "r"]) == ChiWord(iter("lr")) == ChiWord("lr")
     # the memos are keyed by letters: a chi word finds its letters' column,
     # and letters that were asked for before build no chi word
     assert vm.column(ChiWord("lr")) is vm.column("lr")
@@ -747,6 +752,58 @@ def test_moment_columns_take_a_chi_word_or_its_letters(monkeypatch):
     vm.column("rrl")
     vm.cumulants("rrl")
     assert built == []
+
+
+def fill_gathered_memos(vm, max_n):
+    """Ask vm for every single-block mixture column, every family sum and
+    every chi-cumulant of length <= max_n."""
+    for n in range(1, max_n + 1):
+        for chi in verify.all_chi(n):
+            vm.family_sums(chi)
+            vm.values((bimixture_template(chi.letters),), n)
+            vm.values((reverse_bimixture_template(chi.letters),), n)
+            vm.cumulants(chi)
+
+
+@pytest.mark.parametrize(
+    "table", [CoefficientTable.random(3, 4, 1), CoefficientTable.symbolic(2, 4)], ids=["random", "symbolic"]
+)
+def test_every_kept_gathered_column_is_the_column_its_key_names(table):
+    vm = VacuumMoments(table)
+    fill_gathered_memos(vm, 4)
+    assert vm._mixtures and vm._sub_cumulants
+
+    def mixture(kind, order, n):
+        return [table.coeff(kind, tuple(omega[p] for p in order)) for omega in vm.omegas(n)]
+
+    # what the plan methods hand out, once every column is kept
+    for n in range(1, 5):
+        for chi in verify.all_chi(n):
+            for kind, order in (bimixture_template(chi.letters), reverse_bimixture_template(chi.letters)):
+                assert vm.values(((kind, order),), n) == mixture(kind, order, n)
+    for key, column in vm._mixtures.items():
+        assert column == mixture(*key)
+    fresh = VacuumMoments(table)
+    for (sub, positions, k), column in vm._sub_cumulants.items():
+        at = dict(zip(fresh.omegas(len(sub)), fresh.cumulants(sub)))
+        assert column == [at[tuple(omega[p] for p in positions)] for omega in fresh.omegas(k)]
+
+
+def test_the_mixture_and_operator_routes_keep_their_gathers_apart(monkeypatch):
+    swept = []
+    sweep = VacuumMoments._sweep
+    monkeypatch.setattr(VacuumMoments, "_sweep", lambda vm, *args: swept.append(args) or sweep(vm, *args))
+    table = CoefficientTable.random(2, 4, 0)
+    mixtures = VacuumMoments(table)
+    for n in range(1, 5):
+        for chi in verify.all_chi(n):
+            mixtures.family_sums(chi)
+            mixtures.values((bimixture_template(chi.letters),), n)
+    assert mixtures._mixtures and not mixtures._sub_cumulants and swept == []
+    operators = VacuumMoments(table)
+    for chi in verify.all_chi(4):
+        operators.cumulants(chi)
+    assert operators._sub_cumulants and swept and not operators._mixtures
 
 
 def test_each_shared_table_grid_keeps_its_own_cumulant_columns():

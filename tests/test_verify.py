@@ -389,7 +389,7 @@ def test_lemma67_fails_each_scenario_as_a_per_scenario_loop_does(monkeypatch, at
                     cell_fail.append(f"{where}: the product is not one vacuum term of factor 1")
                     continue
                 plan = verify.reverse_mixture_plan_for_blocks(
-                    verify.block_data(trace.output_partition, chi.letters))
+                    deque.block_data(trace.output_partition, chi.letters))
                 expected_values = vm.values(plan, n)
                 actual_values = vm.values(strip_plan, n)
                 for omega, want, got in zip(omegas, expected_values, actual_values):
@@ -416,7 +416,7 @@ def strip_plan_mismatches(max_n):
                 compared += 1
                 strip_plan = verify._strip_plan(path, chi)
                 plan = verify.reverse_mixture_plan_for_blocks(
-                    verify.block_data(trace.output_partition, chi.letters))
+                    deque.block_data(trace.output_partition, chi.letters))
                 missing += strip_plan is None
                 differing += strip_plan != tuple(sorted(plan))
     return compared, differing, missing
@@ -478,6 +478,66 @@ def test_thm65_reuses_the_moment_columns_prop610_swept(monkeypatch):
     assert len(swept) == 3 * 30
     assert verify.run_suite("thm65", max_n=4, d=2).passed
     assert len(swept) == 90
+
+
+def test_prop610_and_thm65_keep_each_gathered_column_once(monkeypatch):
+    monkeypatch.setattr(verify, "_SHARED", {})
+
+    def sizes():
+        return [(len(vm._mixtures), len(vm._sub_cumulants)) for vm in verify._SHARED.values()]
+
+    assert verify.run_suite("prop610", max_n=4, d=2).passed
+    # per table: one mixture column per distinct (kind, order, n) of the
+    # family sums of every chi of length 1..4, and no cumulant gather
+    assert sizes() == [(68, 0)] * 3
+    assert verify.run_suite("thm65", max_n=4, d=2).passed
+    # each chi's own mixture column is a block of its family sum, so thm65
+    # adds no mixture column; one gather per distinct (sub-word, positions, k)
+    assert sizes() == [(68, 86)] * 3
+
+
+def test_lemma67_builds_each_block_entry_once_per_chi(monkeypatch):
+    plans = []
+    entries = []
+    plan_for_blocks = verify.reverse_mixture_plan_for_blocks
+    block_entry = verify.block_entry
+    monkeypatch.setattr(verify, "reverse_mixture_plan_for_blocks",
+                        lambda blocks: plans.append(blocks) or plan_for_blocks(blocks))
+    monkeypatch.setattr(verify, "block_entry",
+                        lambda block, chi_str: entries.append((chi_str, block)) or block_entry(block, chi_str))
+    assert verify.run_suite("lemma67", max_n=4, d=2).passed
+    # the whole plan of each scenario, once per scenario
+    assert len(plans) == PINNED_INSTANCES["prop46"] == 274
+    assert plans == [
+        deque.block_data(trace.output_partition, chi.letters)
+        for n in range(1, 5) for chi, traces in deque.replays(n) for trace in traces
+    ]
+    # one entry per distinct output block of each chi, where the scenarios
+    # have 654 blocks between them
+    distinct = {
+        (chi.letters, block)
+        for n in range(1, 5) for chi in verify.all_chi(n)
+        for p in deque.pchi_by_enumeration(chi) for block in p.blocks
+    }
+    assert len(entries) == len(set(entries)) == len(distinct) == 310
+    assert set(entries) == distinct
+
+
+def test_lemma67_keeps_one_copy_of_each_distinct_plan_block(monkeypatch):
+    ids = {}
+    values = verify.VacuumMoments.values
+
+    def spy(vm, plan, n):
+        for block in plan:
+            ids.setdefault((n, block), set()).add(id(block))
+        return values(vm, plan, n)
+
+    monkeypatch.setattr(verify.VacuumMoments, "values", spy)
+    assert verify.run_suite("lemma67", max_n=4, d=2).passed
+    # the kept plans live until the suite returns, so no id is reused:
+    # equal blocks of one length are one object, shared by strip plans and
+    # reverse-mixture plans alike
+    assert ids and all(len(found) == 1 for found in ids.values())
 
 
 def test_verify_refuses_an_oversized_drawn_table_before_any_sweep(monkeypatch):
