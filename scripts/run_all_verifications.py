@@ -2,13 +2,12 @@
 """Run every verification suite and print a one-line summary per suite.
 
 Default scales finish in seconds; --full runs the acceptance scales.
-On a 2-vCPU Xeon host with Python 3.11, whose speed switched between
-two levels about 1.7x apart, the suites of --full took 3.1-5.1 s
-together over nine runs (3.2-5.3 s wall for a whole run): lemma67
-0.9-1.8 s (1.0 s or less in five runs), prop610 1.2-2.2 s, thm65
-0.4-0.7 s, and the five combinatorial suites 0.44-0.79 s together
-(cor410 0.19-0.35 s; thm49, prop46, lemma48 and prop413 0.05-0.13 s
-each).
+On a 2-vCPU Xeon host with Python 3.11, whose speed switches between
+two levels about 1.7x apart, the suites of --full took 3.1-3.9 s
+together over nine runs (3.2-3.8 s wall for a whole run, six of them
+timed): lemma67 0.9-1.2 s, prop610 1.2-1.6 s, thm65 0.4-0.5 s, and the
+five combinatorial suites 0.47-0.64 s together in three runs (cor410
+0.21-0.27 s; thm49, prop46, lemma48 and prop413 0.05-0.12 s each).
 """
 
 import argparse

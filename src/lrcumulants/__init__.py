@@ -33,9 +33,7 @@ from .deque import (
 )
 from .cumulants import (
     CumulantEngine,
-    free_cumulant,
     is_combinatorially_bifree_upto,
-    lr_cumulant,
     moment_from_cumulants,
 )
 from .fock import (
@@ -51,7 +49,6 @@ from .fock import (
     inner_product,
     lemma67_vector,
     moment_via_pchi,
-    operator_word_functional,
     reverse_bimixture_symbol,
     reverse_bimixture_template,
     vacuum_expectation,

@@ -20,6 +20,7 @@ moment-cumulant formula over NC(n), carried to the family of chi by
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import product
 from operator import add, mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -82,15 +83,6 @@ class CumulantEngine:
     def moment(self, chi: "ChiWord | str", word: Sequence) -> object:
         """Sum of cumulant products over the full partition family of chi."""
         return moment_from_cumulants(chi, word, self._kappa)
-
-
-def lr_cumulant(chi: "ChiWord | str", word: Sequence, phi: MomentFunctional) -> object:
-    """The chi-cumulant of the word under the moment functional phi.
-
-    For repeated evaluations against the same phi, build one
-    :class:`CumulantEngine` and reuse it.
-    """
-    return CumulantEngine(phi).cumulant(chi, word)
 
 
 #: A sum over NC(n) as a DAG, children first: per node, its weight and its
@@ -257,13 +249,6 @@ def moment_from_cumulants(
     return total
 
 
-def free_cumulant(word: Sequence, phi: MomentFunctional) -> object:
-    """The length-n free cumulant: the chi-cumulant for the constant
-    all-"l" word (the all-"r" word gives the same value)."""
-    word = tuple(word)
-    return lr_cumulant("l" * len(word), word, phi)
-
-
 def is_combinatorially_bifree_upto(
     pairs: Sequence[Tuple[object, object]],
     phi: MomentFunctional,
@@ -281,8 +266,6 @@ def is_combinatorially_bifree_upto(
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    from itertools import product
-
     engine = CumulantEngine(phi)
     d = len(pairs)
     violations: List[Tuple[str, Tuple[int, ...], object]] = []

@@ -21,7 +21,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, chain, product, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -896,9 +896,9 @@ class VacuumMoments:
     one word.  Every index word omega in [d]^n at once, in
     ``itertools.product`` order: :meth:`column` sweeps the moments of one
     chi word, :meth:`cumulants` runs the moment-cumulant recursion on those
-    columns, and :meth:`values` and :meth:`family_sums` evaluate mixture
-    plans.  The engine keeps every memo, column and gather index it builds
-    for as long as it lives.
+    columns, and :meth:`mixture` and :meth:`family_sums` read mixture
+    blocks.  The engine keeps its memos, moment and cumulant columns and
+    gather indices for as long as it lives.
 
     Moments are evaluated by applying the operators to the vacuum
     right-to-left.  The canonical operators act like a double-ended queue:
@@ -912,21 +912,20 @@ class VacuumMoments:
     under the remaining operators is zero.  The reach sets come from the
     operators' definitions alone, never from the partition families.
 
-    A plan is a tuple of (kind, 0-based position order) blocks, as built by
-    :func:`mixture_plan`, standing at omega for the product over its blocks
-    of coeff(kind, omega at those positions in that order).  The plan
-    methods gather one dense coefficient column per block over all d**n
-    words and multiply them as :class:`~.cumulants.Column`, graded ints and
-    :class:`PolyScalar` alike.  They never apply an operator, and
-    :meth:`column` reads no plan, so Prop 6.10's two routes share only the
-    table.
+    A mixture block is a (kind, 0-based position order) pair, as in the
+    plans of :func:`mixture_plan`, standing at omega for coeff(kind, omega
+    at those positions in that order).  :meth:`mixture` gathers its dense
+    column over all d**n words from the kept coefficient column, on every
+    call, and :meth:`family_sums` multiplies and sums such columns as
+    :class:`~.cumulants.Column`, graded ints and :class:`PolyScalar` alike.
+    Neither applies an operator, and :meth:`column` reads no mixture, so
+    Prop 6.10's two routes share only the table.
 
-    Every gathered column is kept, in one memo per route, keyed by value:
-    a mixture column by (kind, position order, n), read by :meth:`values`
-    and :meth:`family_sums`, and a sub-word's cumulant column read at the
-    positions of a longer word by (sub-word letters, positions, k), read
-    by :meth:`cumulants`.  The mixture routes never read the cumulant
-    memo, nor :meth:`cumulants` the mixture memo.
+    Mixture columns are not kept: a caller that reads one block again, as
+    the lemma67 suite does within a cell, keeps its own columns for as
+    long as it needs them.  A sub-word's cumulant column read at the
+    positions of a longer word is kept, by (sub-word letters, positions,
+    k), for :meth:`cumulants` alone.
     """
 
     def __init__(self, table: CoefficientTable):
@@ -941,11 +940,8 @@ class VacuumMoments:
         # (length k, position order) -> the itemgetter that reads, per omega
         # in [d]^k, omega at those positions from the column of that length
         self._gathers: Dict[Tuple[int, Tuple[int, ...]], itemgetter] = {}
-        # the gathered columns, one memo per route: (kind, position order,
-        # length n) -> a mixture column of values and family_sums, and
         # (sub-word letters, positions, length k) -> that sub-word's
         # cumulant column read at those positions of a length-k word
-        self._mixtures: Dict[Tuple[str, Tuple[int, ...], int], Column] = {}
         self._sub_cumulants: Dict[Tuple[str, Tuple[int, ...], int], Column] = {}
 
     # -- one word --------------------------------------------------------------
@@ -1016,11 +1012,6 @@ class VacuumMoments:
                     chi, (range(1, self.table.d + 1),) * len(chi))
         return column
 
-    def values(self, plan, n: int) -> list:
-        """The product of the plan's blocks at every omega of length n."""
-        factors = [self._mixture_column(kind, order, n) for kind, order in plan]
-        return reduce(mul, factors) if factors else [1] * self.table.d ** n
-
     def family_sums(self, chi: "ChiWord | str") -> list:
         """The family sum of :func:`moment_via_sigma` at every omega: one
         gathered mixture column per block of :func:`sigma_mixture_plan`,
@@ -1029,7 +1020,7 @@ class VacuumMoments:
         chi = _chi_word(chi)
         mixtures, plan = sigma_mixture_plan(chi)
         n = chi.n
-        return dag_sum(plan.unit, [self._mixture_column(kind, order, n) for kind, order in mixtures])
+        return dag_sum(plan.unit, [self.mixture(kind, order, n) for kind, order in mixtures])
 
     def cumulants(self, chi: "ChiWord | str") -> list:
         """The chi-cumulant of the bi-word (omega, chi) at every omega.
@@ -1108,21 +1099,17 @@ class VacuumMoments:
 
         return descend(len(chi) - 1, vacuum_vector())
 
-    def _mixture_column(self, kind: str, order: Tuple[int, ...], n: int) -> Column:
+    def mixture(self, kind: str, order: Tuple[int, ...], n: int) -> Column:
         """Per omega in [d]^n, coeff(kind, omega at those positions in that
-        order), gathered from the coefficient column of that length; kept
-        for later calls."""
-        key = kind, order, n
-        column = self._mixtures.get(key)
-        if column is None:
-            p = len(order)
-            coefficients = self._coefficients.get((kind, p))
-            if coefficients is None:
-                coeff = self.table.coeff
-                coefficients = self._coefficients[kind, p] = [
-                    coeff(kind, word) for word in self.omegas(p)]
-            column = self._mixtures[key] = self._gathered(coefficients, order, n)
-        return column
+        order), gathered afresh from the coefficient column of that
+        length."""
+        p = len(order)
+        coefficients = self._coefficients.get((kind, p))
+        if coefficients is None:
+            coeff = self.table.coeff
+            coefficients = self._coefficients[kind, p] = [
+                coeff(kind, word) for word in self.omegas(p)]
+        return self._gathered(coefficients, order, n)
 
     def _sub_cumulant(self, sub: str, positions: Tuple[int, ...], k: int) -> Column:
         """Per omega in [d]^k, the cumulant of the sub-word with sides sub
@@ -1170,26 +1157,6 @@ def _reachable(chi: Sequence[str], letters: Sequence[Sequence[int]]) -> List[set
             grown.update([z + (i,) for i in ids for z in last])
         reach.append(grown)
     return reach
-
-
-def operator_word_functional(operators: Mapping[object, OperatorExpr]):
-    """Vacuum-moment functional over words of named operators.
-
-    ``operators`` maps opaque element ids to operator expressions; the
-    returned callable evaluates the vacuum moment of the corresponding
-    product, memoized per word.  General but unpruned; meant for modest
-    word lengths.
-    """
-    memo: Dict[Tuple, object] = {}
-
-    def phi(word: Tuple) -> object:
-        value = memo.get(word)
-        if value is None:
-            value = vacuum_expectation([operators[x] for x in word])
-            memo[word] = value
-        return value
-
-    return phi
 
 
 def moment_via_pchi(omega: Word, chi: "ChiWord | str", table: CoefficientTable):

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import product, zip_longest
 from math import factorial
-from operator import attrgetter
+from operator import attrgetter, mul
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -435,11 +435,12 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
     cells = _fock_cells(max_n, d, seed)
     if max_n >= 5 and d >= 2:  # single-track products stay cheap
         cells.insert(0, ("symbolic n=5 d=2", 5, shared("symbolic", 2, SYMBOLIC_N_O)))
-    # per n: the replay's trace-count failures, every distinct (strip plan,
-    # reverse-mixture plan) pair in first-seen order, and every (chi, path)
-    # with the index of its pair, recorded once from one all-chi replay and
-    # shared by the cells of that n
-    scenarios: Dict[int, Tuple[List[str], List[tuple], List[tuple]]] = {}
+    # per n: the replay's trace-count failures, every (chi, path) with the
+    # index of its pair, every distinct (strip plan, reverse-mixture plan)
+    # pair in first-seen order, and every distinct (kind, order) block of
+    # the pairs, recorded once from one all-chi replay and shared by the
+    # cells of that n
+    scenarios: Dict[int, Tuple[List[str], List[tuple], List[tuple], Dict[tuple, tuple]]] = {}
     for label, n, vm in cells:
         table = vm.table
         omegas = vm.omegas(n)
@@ -462,17 +463,19 @@ def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult
                                       for plan in pair])
                         k = pairs[pair] = len(pairs)
                     indexed.append((chi, path, k))
-            scenarios[n] = walk_fail, indexed, list(pairs)
-        walk_fail, cell_scenarios, pairs = scenarios[n]
+            scenarios[n] = walk_fail, indexed, list(pairs), blocks
+        walk_fail, cell_scenarios, pairs, blocks = scenarios[n]
+        # one mixture column per distinct block, dropped when the cell ends;
         # each pair's two plans are evaluated once per cell, each on its
         # own: None when the strip plan is None, else where they differ
+        columns = {block: vm.mixture(*block, n) for block in blocks}
         mismatches: List[Optional[List[str]]] = []
         for strip_plan, plan in pairs:
             if strip_plan is None:
                 mismatches.append(None)
                 continue
-            expected = vm.values(plan, n)
-            actual = vm.values(strip_plan, n)
+            expected = reduce(mul, map(columns.__getitem__, plan))
+            actual = reduce(mul, map(columns.__getitem__, strip_plan))
             mismatches.append([] if actual == expected else [
                 f" omega={list(omega)}: "
                 f"expected {table.rational(want, n)}, got {table.rational(got, n)}"
@@ -551,7 +554,7 @@ def suite_thm65(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """Every chi-cumulant of a canonical-operator word collapses to the
     single mixture coefficient of its bi-word."""
     def routes(vm: VacuumMoments, chi: str) -> tuple:
-        return vm.cumulants(chi), vm.values((bimixture_template(chi),), len(chi))
+        return vm.cumulants(chi), vm.mixture(*bimixture_template(chi), len(chi))
 
     return _route_sweep("thm65", routes, ("cumulant", "mixture"),
                         "cumulants equal their mixture coefficient", max_n, d, seed)
@@ -638,6 +641,8 @@ def suite_eq12y(**_) -> SuiteResult:
 def suite_bifree(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """With per-index separated symbols every mixed cumulant vanishes;
     injecting one mixed coefficient produces a pinpointed violation."""
+    if d < 2:
+        raise ValueError("d must be at least 2: a mixed cumulant has two distinct indices")
     result = SuiteResult("bifree", {"max_n": max_n, "d": d, "seed": seed})
     vm = shared("separated", d, max_n, seed)
     table = vm.table

@@ -3,7 +3,7 @@
 import json
 
 import lrcumulants.cli as cli
-from lrcumulants import cumulants
+from lrcumulants import cumulants, verify
 from lrcumulants.cli import main
 from lrcumulants.fock import CoefficientTable, VacuumMoments
 from lrcumulants.partitions import MAX_GROUND_SET, Permutation
@@ -296,6 +296,15 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_bifree_refuses_fewer_than_two_indices_before_building_a_table(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_SHARED", {})
+    for d in ("1", "0"):
+        code, out, err = run(capsys, "verify", "bifree", "--d", d)
+        assert code == 2, d
+        assert out == "" and err == "error: d must be at least 2: a mixed cumulant has two distinct indices\n"
+    assert verify._SHARED == {}
 
 
 def test_verify_zero_instances_fails_loudly(capsys):

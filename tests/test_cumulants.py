@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import json
+from functools import cache
 from math import comb
 
 import pytest
@@ -18,9 +19,7 @@ from lrcumulants.cumulants import (
     CumulantEngine,
     NCPlan,
     dag_sum,
-    free_cumulant,
     is_combinatorially_bifree_upto,
-    lr_cumulant,
     mobius_cumulant,
     moment_from_cumulants,
 )
@@ -61,13 +60,13 @@ def all_chi(n):
 def test_single_letter_cumulant_is_the_moment():
     phi = rational_functional(1, seed=0)
     for chi in ("l", "r"):
-        assert lr_cumulant(chi, (1,), phi) == phi((1,))
+        assert CumulantEngine(phi).cumulant(chi, (1,)) == phi((1,))
 
 
 def test_length_two_free_cumulant():
     phi = rational_functional(2, seed=1)
     expected = phi((1, 2)) - phi((1,)) * phi((2,))
-    assert free_cumulant((1, 2), phi) == expected
+    assert CumulantEngine(phi).cumulant("ll", (1, 2)) == expected
 
 
 def test_chi_independent_up_to_three():
@@ -75,9 +74,10 @@ def test_chi_independent_up_to_three():
         for seed in (0, 1):
             phi = rational_functional(n, seed)
             word = tuple(range(1, n + 1))
-            reference = free_cumulant(word, phi)
+            engine = CumulantEngine(phi)
+            reference = engine.cumulant("l" * n, word)
             for chi in all_chi(n):
-                assert lr_cumulant(chi, word, phi) == reference
+                assert engine.cumulant(chi, word) == reference
 
 
 def test_constant_words_agree():
@@ -85,7 +85,8 @@ def test_constant_words_agree():
         for seed in (0, 5):
             phi = rational_functional(n, seed)
             word = tuple(range(1, n + 1))
-            assert lr_cumulant("l" * n, word, phi) == lr_cumulant("r" * n, word, phi)
+            engine = CumulantEngine(phi)
+            assert engine.cumulant("l" * n, word) == engine.cumulant("r" * n, word)
 
 
 def test_interleaved_cumulant_identity_length_four():
@@ -133,7 +134,7 @@ def test_recursion_is_a_fixed_polynomial_in_the_moments():
 def test_length_mismatch_rejected():
     phi = rational_functional(3, seed=0)
     with pytest.raises(ValueError):
-        lr_cumulant("lr", (1, 2, 3), phi)
+        CumulantEngine(phi).cumulant("lr", (1, 2, 3))
     with pytest.raises(ValueError):
         moment_from_cumulants("lrl", (1, 2), lambda c, w: 1)
 
@@ -163,7 +164,7 @@ def test_reversal_adjoint_relation_on_operator_words():
     # cumulants of starred operator words equal the reverse-chi cumulants of
     # the reversed plain words (coefficients are rational, so conjugation
     # drops out)
-    from lrcumulants.fock import adjoint, canonical_operator, operator_word_functional
+    from lrcumulants.fock import adjoint, canonical_operator, vacuum_expectation
 
     table = CoefficientTable.random(2, 4, seed=4)
     ops = {}
@@ -172,7 +173,7 @@ def test_reversal_adjoint_relation_on_operator_words():
             op = canonical_operator(i, h, table)
             ops[(i, h)] = op
             ops[(i, h, "*")] = adjoint(op)
-    engine = CumulantEngine(operator_word_functional(ops))
+    engine = CumulantEngine(cache(lambda word: vacuum_expectation([ops[x] for x in word])))
     for n in range(1, 5):
         for chi in all_chi(n):
             for omega in itertools.product((1, 2), repeat=n):

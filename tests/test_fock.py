@@ -9,6 +9,8 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -631,6 +633,11 @@ GRID_TABLES = [CoefficientTable.symbolic(2, 4)] + [
 ]
 
 
+def plan_values(vm, plan, n):
+    """The product of the plan's mixture columns at every omega of length n."""
+    return reduce(mul, [vm.mixture(kind, order, n) for kind, order in plan])
+
+
 @pytest.mark.parametrize("table", GRID_TABLES, ids=lambda t: f"{t.mode}-d{t.d}")
 def test_grid_matches_the_single_word_routes(table):
     vm = VacuumMoments(table)  # one engine for every length, as in the sweeps
@@ -648,7 +655,7 @@ def test_grid_matches_the_single_word_routes(table):
             for path in enumerate_luk(n):
                 plan = verify._strip_plan(path, ChiWord(chi))
                 assert plan is not None
-                assert vm.values(plan, n) == [
+                assert plan_values(vm, plan, n) == [
                     lemma67_vector(path, ChiWord(chi), omega, table).get((), 0)
                     for omega in omegas
                 ]
@@ -671,7 +678,7 @@ def test_one_stand_in_run_covers_every_omega_beyond_length_four(data):
     plan = verify._strip_plan(path, chi)
     assert plan is not None
     at = vm.omegas(n).index(omega)
-    assert lemma67_vector(path, chi, omega, table).get((), 0) == vm.values(plan, n)[at]
+    assert lemma67_vector(path, chi, omega, table).get((), 0) == plan_values(vm, plan, n)[at]
 
 
 @settings(max_examples=20, deadline=None)
@@ -760,8 +767,8 @@ def fill_gathered_memos(vm, max_n):
     for n in range(1, max_n + 1):
         for chi in verify.all_chi(n):
             vm.family_sums(chi)
-            vm.values((bimixture_template(chi.letters),), n)
-            vm.values((reverse_bimixture_template(chi.letters),), n)
+            vm.mixture(*bimixture_template(chi.letters), n)
+            vm.mixture(*reverse_bimixture_template(chi.letters), n)
             vm.cumulants(chi)
 
 
@@ -771,18 +778,20 @@ def fill_gathered_memos(vm, max_n):
 def test_every_kept_gathered_column_is_the_column_its_key_names(table):
     vm = VacuumMoments(table)
     fill_gathered_memos(vm, 4)
-    assert vm._mixtures and vm._sub_cumulants
+    # the engine keeps sub-cumulant gathers, and no mixture column
+    assert vm._sub_cumulants and not hasattr(vm, "_mixtures")
 
     def mixture(kind, order, n):
         return [table.coeff(kind, tuple(omega[p] for p in order)) for omega in vm.omegas(n)]
 
-    # what the plan methods hand out, once every column is kept
+    # what the mixture route hands out, once every gather index is kept:
+    # the column its block names, gathered afresh on every call
     for n in range(1, 5):
         for chi in verify.all_chi(n):
             for kind, order in (bimixture_template(chi.letters), reverse_bimixture_template(chi.letters)):
-                assert vm.values(((kind, order),), n) == mixture(kind, order, n)
-    for key, column in vm._mixtures.items():
-        assert column == mixture(*key)
+                column = vm.mixture(kind, order, n)
+                assert column == mixture(kind, order, n)
+                assert vm.mixture(kind, order, n) is not column
     fresh = VacuumMoments(table)
     for (sub, positions, k), column in vm._sub_cumulants.items():
         at = dict(zip(fresh.omegas(len(sub)), fresh.cumulants(sub)))
@@ -793,17 +802,21 @@ def test_the_mixture_and_operator_routes_keep_their_gathers_apart(monkeypatch):
     swept = []
     sweep = VacuumMoments._sweep
     monkeypatch.setattr(VacuumMoments, "_sweep", lambda vm, *args: swept.append(args) or sweep(vm, *args))
+    gathered = []
+    mixture = VacuumMoments.mixture
+    monkeypatch.setattr(VacuumMoments, "mixture", lambda vm, *args: gathered.append(args) or mixture(vm, *args))
     table = CoefficientTable.random(2, 4, 0)
     mixtures = VacuumMoments(table)
     for n in range(1, 5):
         for chi in verify.all_chi(n):
             mixtures.family_sums(chi)
-            mixtures.values((bimixture_template(chi.letters),), n)
-    assert mixtures._mixtures and not mixtures._sub_cumulants and swept == []
+            mixtures.mixture(*bimixture_template(chi.letters), n)
+    assert gathered and mixtures._coefficients and not mixtures._sub_cumulants and swept == []
+    gathered.clear()
     operators = VacuumMoments(table)
     for chi in verify.all_chi(4):
         operators.cumulants(chi)
-    assert operators._sub_cumulants and swept and not operators._mixtures
+    assert operators._sub_cumulants and swept and gathered == [] and not operators._coefficients
 
 
 def test_each_shared_table_grid_keeps_its_own_cumulant_columns():

@@ -1,6 +1,8 @@
 """A suite fails when one of its routes or constructions is wrong."""
 
 import re
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -53,6 +55,11 @@ def reversed_columns(vm_type):
             return super().column(chi_str)[::-1]
 
     return Reversed
+
+
+def plan_values(vm, plan, n):
+    """The product of the plan's mixture columns at every omega of length n."""
+    return reduce(mul, [vm.mixture(kind, order, n) for kind, order in plan])
 
 
 def first_long_block_reversed(plan_for_blocks):
@@ -339,19 +346,31 @@ def test_each_suite_verifies_its_pinned_instance_count(suite, instances):
 
 
 def test_lemma67_evaluates_each_distinct_plan_pair_once_per_cell(monkeypatch):
-    calls = []
-    values = verify.VacuumMoments.values
-
-    def counted(vm, plan, n):
-        calls.append(n)
-        return values(vm, plan, n)
-
-    monkeypatch.setattr(verify.VacuumMoments, "values", counted)
+    gathered = []
+    products = []
+    mixture = verify.VacuumMoments.mixture
+    monkeypatch.setattr(verify.VacuumMoments, "mixture",
+                        lambda vm, kind, order, n: gathered.append(n) or mixture(vm, kind, order, n))
+    monkeypatch.setattr(verify, "reduce", lambda *args: products.append(args) or reduce(*args))
     assert verify.run_suite("lemma67", max_n=4, d=2).passed
-    # both plans of each of the 148 distinct (strip plan, reverse-mixture
-    # plan) pairs of n <= 4, in each of the three cells of every length;
-    # both plans of each of the 274 scenarios would be 1,644
-    assert len(calls) == 888
+    # the distinct (strip plan, reverse-mixture plan) pairs of each length,
+    # and the distinct blocks of their plans
+    pairs = {n: set() for n in range(1, 5)}
+    for n in pairs:
+        for chi, traces in deque.replays(n):
+            for path, trace in zip(enumerate_luk(n), traces, strict=True):
+                pairs[n].add((verify._strip_plan(path, chi), verify.reverse_mixture_plan_for_blocks(
+                    deque.block_data(trace.output_partition, chi.letters))))
+    blocks = {n: {block for pair in pairs[n] for plan in pair for block in plan} for n in pairs}
+    assert [len(blocks[n]) for n in pairs] == [2, 6, 16, 44]
+    # one mixture column per distinct block in each of the three cells of
+    # every length, in cell order
+    assert len(gathered) == 204
+    assert gathered == [n for _ in range(3) for n in pairs for _ in blocks[n]]
+    # both plans of each of the 148 distinct pairs, in each of the three
+    # cells of every length; both plans of each scenario would be 1,644
+    assert sum(map(len, pairs.values())) == 148
+    assert len(products) == 888
 
 
 @pytest.mark.parametrize(
@@ -390,8 +409,8 @@ def test_lemma67_fails_each_scenario_as_a_per_scenario_loop_does(monkeypatch, at
                     continue
                 plan = verify.reverse_mixture_plan_for_blocks(
                     deque.block_data(trace.output_partition, chi.letters))
-                expected_values = vm.values(plan, n)
-                actual_values = vm.values(strip_plan, n)
+                expected_values = plan_values(vm, plan, n)
+                actual_values = plan_values(vm, strip_plan, n)
                 for omega, want, got in zip(omegas, expected_values, actual_values):
                     if got != want:
                         want, got = vm.table.rational(want, n), vm.table.rational(got, n)
@@ -484,16 +503,16 @@ def test_prop610_and_thm65_keep_each_gathered_column_once(monkeypatch):
     monkeypatch.setattr(verify, "_SHARED", {})
 
     def sizes():
-        return [(len(vm._mixtures), len(vm._sub_cumulants)) for vm in verify._SHARED.values()]
+        assert not any(hasattr(vm, "_mixtures") for vm in verify._SHARED.values())
+        return [len(vm._sub_cumulants) for vm in verify._SHARED.values()]
 
     assert verify.run_suite("prop610", max_n=4, d=2).passed
-    # per table: one mixture column per distinct (kind, order, n) of the
-    # family sums of every chi of length 1..4, and no cumulant gather
-    assert sizes() == [(68, 0)] * 3
+    # per table: mixture columns are gathered on demand, and the family
+    # sums make no cumulant gather
+    assert sizes() == [0] * 3
     assert verify.run_suite("thm65", max_n=4, d=2).passed
-    # each chi's own mixture column is a block of its family sum, so thm65
-    # adds no mixture column; one gather per distinct (sub-word, positions, k)
-    assert sizes() == [(68, 86)] * 3
+    # one gather per distinct (sub-word, positions, k)
+    assert sizes() == [86] * 3
 
 
 def test_lemma67_builds_each_block_entry_once_per_chi(monkeypatch):
@@ -525,19 +544,21 @@ def test_lemma67_builds_each_block_entry_once_per_chi(monkeypatch):
 
 def test_lemma67_keeps_one_copy_of_each_distinct_plan_block(monkeypatch):
     ids = {}
-    values = verify.VacuumMoments.values
+    calls = []
+    mixture = verify.VacuumMoments.mixture
 
-    def spy(vm, plan, n):
-        for block in plan:
-            ids.setdefault((n, block), set()).add(id(block))
-        return values(vm, plan, n)
+    def spy(vm, kind, order, n):
+        ids.setdefault((n, kind, order), set()).add(id(order))
+        calls.append((n, kind, order))
+        return mixture(vm, kind, order, n)
 
-    monkeypatch.setattr(verify.VacuumMoments, "values", spy)
+    monkeypatch.setattr(verify.VacuumMoments, "mixture", spy)
     assert verify.run_suite("lemma67", max_n=4, d=2).passed
     # the kept plans live until the suite returns, so no id is reused:
-    # equal blocks of one length are one object, shared by strip plans and
-    # reverse-mixture plans alike
+    # each distinct block of one length is one object, whose column each
+    # of the length's three cells gathers once
     assert ids and all(len(found) == 1 for found in ids.values())
+    assert len(calls) == 3 * len(ids)
 
 
 def test_verify_refuses_an_oversized_drawn_table_before_any_sweep(monkeypatch):
