@@ -3,11 +3,12 @@
 
 Default scales finish in seconds; --full runs the acceptance scales.
 On a 2-vCPU Xeon host with Python 3.11, whose speed switches between
-two levels about 1.7x apart, the suites of --full took 3.1-3.9 s
-together over nine runs (3.2-3.8 s wall for a whole run, six of them
-timed): lemma67 0.9-1.2 s, prop610 1.2-1.6 s, thm65 0.4-0.5 s, and the
-five combinatorial suites 0.47-0.64 s together in three runs (cor410
-0.21-0.27 s; thm49, prop46, lemma48 and prop413 0.05-0.12 s each).
+two levels about 1.7x apart, the suites of --full took 2.6-3.6 s
+together over eight runs from a copy with no __pycache__ (2.7-3.7 s wall
+for a whole run): lemma67 0.9-1.4 s, prop610 0.75-1.2 s, thm65
+0.4-0.6 s, and the five combinatorial suites 0.43-0.54 s together
+(cor410 0.18-0.24 s; thm49, prop46, lemma48 and prop413 0.05-0.10 s
+each).
 """
 
 import argparse

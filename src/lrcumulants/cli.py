@@ -145,9 +145,14 @@ def _parse_ints(text: str, what: str) -> tuple:
 
 def _load_table(args, n: int, omega: tuple) -> CoefficientTable:
     """The query's table.  A word longer than ``MAX_GROUND_SET`` is refused
-    before a table is built, after a symbolic table too large to build."""
+    before a table is built, after a symbolic table too large to build, and
+    so are a ``--d`` and an omega letter below 1."""
     if args.table and (args.symbolic or args.d is not None):
         raise UsageError("--table excludes --symbolic and --d: a table file sets its own d")
+    if args.d is not None and args.d < 1:
+        raise UsageError(f"--d must be a positive integer, got {args.d}")
+    if min(omega) < 1:
+        raise UsageError(f"--omega letters must be positive integers, got {min(omega)}")
     if args.table:
         _check_ground_set(n)
         try:

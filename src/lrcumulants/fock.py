@@ -894,11 +894,12 @@ class VacuumMoments:
     One word at a time: the engine is callable on a word of (index, side)
     pairs, memoized, and :meth:`sweep_subwords` memoizes every sub-word of
     one word.  Every index word omega in [d]^n at once, in
-    ``itertools.product`` order: :meth:`column` sweeps the moments of one
-    chi word, :meth:`cumulants` runs the moment-cumulant recursion on those
-    columns, and :meth:`mixture` and :meth:`family_sums` read mixture
-    blocks.  The engine keeps its memos, moment and cumulant columns and
-    gather indices for as long as it lives.
+    ``itertools.product`` order: :meth:`column` gives the moments of one
+    chi word, from one sweep that fills the columns of every chi word of
+    that length, :meth:`cumulants` runs the moment-cumulant recursion on
+    those columns, and :meth:`mixture` and :meth:`family_sums` read
+    mixture blocks.  The engine keeps its memos, moment and cumulant
+    columns and gather indices for as long as it lives.
 
     Moments are evaluated by applying the operators to the vacuum
     right-to-left.  The canonical operators act like a double-ended queue:
@@ -911,6 +912,12 @@ class VacuumMoments:
     the table and the state before it; every other word's vacuum moment
     under the remaining operators is zero.  The reach sets come from the
     operators' definitions alone, never from the partition families.
+    Words that share a tail of (index, side) pairs share every state up to
+    it, so :meth:`_sweep` walks the tail trie and applies each tail's
+    operator once.  With every index at every position, the reach of a
+    position is every word of length <= m for both sides alike, so one
+    sweep over all chi words of a length applies each operator on the
+    same words as a sweep of one chi word.
 
     A mixture block is a (kind, 0-based position order) pair, as in the
     plans of :func:`mixture_plan`, standing at omega for coeff(kind, omega
@@ -950,8 +957,8 @@ class VacuumMoments:
         _check_operators(cword, self.table.d)  # before the lookup: (True, "l") == (1, "l")
         value = self._memo.get(cword)
         if value is None:
-            chi = tuple(h for _, h in cword)
-            value = self._memo[cword] = self._sweep(chi, tuple((i,) for i, _ in cword))[0]
+            chi = "".join([h for _, h in cword])
+            value = self._memo[cword] = self._sweep(chi, [(i,) for i, _ in cword])[chi][0]
         return value
 
     def sweep_subwords(self, cword: CWord) -> None:
@@ -1000,16 +1007,18 @@ class VacuumMoments:
 
     def column(self, chi: "ChiWord | str") -> list:
         """The vacuum moment of the bi-word (omega, chi) at every omega in
-        [d]^len(chi), kept for later calls."""
+        [d]^len(chi).  A miss sweeps both sides at every position, once,
+        and keeps the column of every chi word of that length."""
         # a ChiWord never equals its letters, and a list is no key: only a
         # str can hit before chi is read as a ChiWord
         column = self._columns.get(chi) if type(chi) is str else None
         if column is None:
             chi = _chi_word(chi).letters  # ValueError unless chi is a word over {l, r}
             column = self._columns.get(chi)
-            if column is None:
-                column = self._columns[chi] = self._sweep(
-                    chi, (range(1, self.table.d + 1),) * len(chi))
+            if column is None:  # one sweep fills every column of this length
+                n = len(chi)
+                self._columns.update(self._sweep(("lr",) * n, (range(1, self.table.d + 1),) * n))
+                column = self._columns[chi]
         return column
 
     def family_sums(self, chi: "ChiWord | str") -> list:
@@ -1079,25 +1088,34 @@ class VacuumMoments:
                 out[z] = total
         return out
 
-    def _sweep(self, chi: Sequence[str], letters: Sequence[Sequence[int]]) -> list:
-        """The moment of every word with sides chi and an index from
-        letters[m] at each position m, in product order over letters.
+    def _sweep(self, sides: Sequence[str], letters: Sequence[Sequence[int]]) -> Dict[str, list]:
+        """chi letters -> the moment of every word with sides chi and an
+        index from letters[m] at each position m, in product order over
+        letters, for every chi with a side from sides[m] at each position
+        m ("l", "r" or "lr").
 
-        A depth-first sweep from the right end: the state after the
-        operators at positions m.. is computed once and shared by every
-        word with that tail, on the words that every choice of letters
-        at positions < m can bring to the vacuum.
+        A depth-first sweep from the right end over the (side, index) tail
+        trie: the state after the operators at positions m.. is computed
+        once and shared by every word with that tail, whatever its sides
+        and indices at positions < m, on the words that every choice of
+        sides and letters there can bring to the vacuum.  With "lr" and
+        every index at every position, as :meth:`column` calls it, one
+        sweep fills the column of every chi word of that length, and those
+        words are every word of length <= m, as in a sweep of one chi.
         """
-        reach = _reachable(chi, letters)
+        reach = _reachable(sides, letters)
 
-        def descend(m: int, vec: FockVector) -> list:
+        def descend(m: int, vec: FockVector) -> Dict[str, list]:
             if m < 0:
-                return [vec.get(VACUUM, 0)]
-            h = chi[m]
-            columns = [descend(m - 1, self._apply(vec, i, h, reach[m])) for i in letters[m]]
-            return [v for values in zip(*columns) for v in values]  # position m varies fastest
+                return {"": [vec.get(VACUUM, 0)]}
+            out = {}
+            for h in sides[m]:
+                heads = [descend(m - 1, self._apply(vec, i, h, reach[m])) for i in letters[m]]
+                for head in heads[0]:  # position m varies fastest
+                    out[head + h] = [v for values in zip(*[c[head] for c in heads]) for v in values]
+            return out
 
-        return descend(len(chi) - 1, vacuum_vector())
+        return descend(len(sides) - 1, vacuum_vector())
 
     def mixture(self, kind: str, order: Tuple[int, ...], n: int) -> Column:
         """Per omega in [d]^n, coeff(kind, omega at those positions in that
@@ -1137,23 +1155,25 @@ class VacuumMoments:
         return Column(gather(column))
 
 
-def _reachable(chi: Sequence[str], letters: Sequence[Sequence[int]]) -> List[set]:
-    """reach[m] for m < len(chi): the words z = u + v that the operators at
-    positions < m, with an index from letters[p] at each position p, can
-    bring to the vacuum.  They act from position m - 1 down to 0, so u is
-    a sub-sequence of their left indices in that order and reversed v one
-    of their right indices.  The operator at m pops first on its side:
-    reach[m + 1] adds to reach[m] its index put before every word of
-    reach[m] on side l, after it on side r.  With every index at every
-    position, reach[m] is every word of length <= m.
+def _reachable(sides: Sequence[str], letters: Sequence[Sequence[int]]) -> List[set]:
+    """reach[m] for m < len(sides): the words z = u + v that the operators
+    at positions < m, with a side from sides[p] and an index from
+    letters[p] at each position p, can bring to the vacuum.  They act from
+    position m - 1 down to 0, so u is a sub-sequence of their left indices
+    in that order and reversed v one of their right indices.  The operator
+    at m pops first on its side: reach[m + 1] adds to reach[m] its index
+    put before every word of reach[m] on side l, after it on side r.  With
+    every index at every position, reach[m] is every word of length <= m,
+    whatever the sides: the reach of each single chi, so a sweep over both
+    sides applies every operator on the same words as one chi's sweep.
     """
     reach = [{VACUUM}]
-    for h, ids in zip(chi[:-1], letters):
+    for hs, ids in zip(sides[:-1], letters):
         last = reach[-1]
         grown = set(last)
-        if h == "l":
+        if "l" in hs:
             grown.update([(i,) + z for i in ids for z in last])
-        else:
+        if "r" in hs:
             grown.update([z + (i,) for i in ids for z in last])
         reach.append(grown)
     return reach

@@ -136,8 +136,11 @@ def _fock_cells(max_n: int, d: int, seed: int) -> List[Tuple[str, int, VacuumMom
 
     Symbolic cells stay small (full formal expansion); concrete cells with
     seeded random rationals cover the full requested range.  Each d has
-    one table of each kind, covering every length of its cells.
+    one table of each kind, covering every length of its cells.  A d
+    below 1 is refused before any table is built, whatever max_n.
     """
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
     cells = [("symbolic", n, min(d, 2)) for n in range(1, min(max_n, 4) + 1)]
     if max_n >= 5:
         cells.append(("symbolic", 5, 1))

@@ -307,6 +307,35 @@ def test_verify_bifree_refuses_fewer_than_two_indices_before_building_a_table(mo
     assert verify._SHARED == {}
 
 
+def test_verify_refuses_d_below_one_before_building_a_table(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_SHARED", {})
+    for suite in ("lemma67", "prop610", "thm65"):
+        for d, max_n in (("0", ()), ("-1", ()), ("0", ("--max-n", "0"))):
+            code, out, err = run(capsys, "verify", suite, "--d", d, *max_n)
+            assert code == 2, (suite, d, max_n)
+            assert out == "" and err == f"error: d must be a positive integer, got {d}\n"
+    assert verify._SHARED == {}
+
+
+def test_a_query_refuses_d_or_omega_letters_below_one_before_building_a_table(monkeypatch, capsys):
+    built = []
+    for name in ("symbolic", "from_file"):
+        monkeypatch.setattr(cli.CoefficientTable, name, lambda *args: built.append(args))
+    for command in ("moment", "cumulant"):
+        for query, message in (
+            (("--omega", "1,1", "--d", "0"), "--d must be a positive integer, got 0"),
+            (("--omega", "1,1", "--d", "-2", "--symbolic"), "--d must be a positive integer, got -2"),
+            # with no --d, d defaults to the largest omega letter
+            (("--omega", "0,0"), "--omega letters must be positive integers, got 0"),
+            (("--omega", "2,-1", "--d", "2"), "--omega letters must be positive integers, got -1"),
+            (("--omega", "1,0", "--table", "t.json"), "--omega letters must be positive integers, got 0"),
+        ):
+            code, out, err = run(capsys, command, "--chi", "lr", *query)
+            assert code == 2, (command, query)
+            assert out == "" and err == f"error: {message}\n"
+    assert built == []
+
+
 def test_verify_zero_instances_fails_loudly(capsys):
     code, out, _ = run(capsys, "verify", "thm49", "--max-n", "0")
     assert code == 1

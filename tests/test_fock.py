@@ -608,6 +608,13 @@ def test_sequential_moments_match_explicit_operator_route():
                     cword = tuple(zip(omega, chi))
                     ops = [canonical_operator(i, h, table) for i, h in cword]
                     assert vm(cword) == vacuum_expectation(ops), (table.mode, cword)
+        # the columns, swept over both sides at once, against the same oracle
+        columns = VacuumMoments(table)
+        for n in range(1, 4):
+            for chi in map("".join, itertools.product("lr", repeat=n)):
+                for omega, value in zip(columns.omegas(n), columns.column(chi)):
+                    ops = [canonical_operator(i, h, table) for i, h in zip(omega, chi)]
+                    assert value == vacuum_expectation(ops), (table.mode, chi, omega)
 
 
 def test_sequential_moments_match_partition_sums():
@@ -1141,6 +1148,25 @@ def test_sub_word_sweep_fails_under_an_injected_defect(defect, monkeypatch, tmp_
         out = capsys.readouterr().out
         assert code == 1, source
         assert "FAIL mobius sum equals mixture coefficient" in out
+
+
+def test_one_tail_trie_sweep_fills_every_column_of_a_length():
+    vm = VacuumMoments(CoefficientTable.random(2, 4, 0))
+    apply = vm._apply
+    terms = []
+    vm._apply = lambda vec, i, h, reach: terms.append(sum(len(z) + 1 for z in reach)) or apply(vec, i, h, reach)
+    columns = [vm.column(chi) for chi in verify.all_chi(4)]
+    # each (side, index) tail is applied once, on every word of length <= m
+    # at position m: 4 + 16 + 64 + 256 applications visiting 4 * 49 + 16 *
+    # 17 + 64 * 5 + 256 * 1 (word, split) terms, where a sweep per chi
+    # makes 480 applications visiting 3,552 terms
+    assert (len(terms), sum(terms)) == (340, 1044)
+    # the reach of both sides at once is the reach of each single chi
+    every_word = [{z for k in range(m + 1) for z in itertools.product((1, 2), repeat=k)} for m in range(4)]
+    for sides in [("lr",) * 4] + [tuple(chi.letters) for chi in verify.all_chi(4)]:
+        assert _reachable(sides, [(1, 2)] * 4) == every_word
+    assert set(vm._columns) == {chi.letters for chi in verify.all_chi(4)}
+    assert [vm.column(chi) for chi in verify.all_chi(4)] == columns and len(terms) == 340
 
 
 def test_moment_columns_equal_the_single_word_values():

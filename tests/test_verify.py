@@ -486,17 +486,18 @@ def test_thm65_reuses_the_moment_columns_prop610_swept(monkeypatch):
     swept = []
     sweep = verify.VacuumMoments._sweep
 
-    def counted(vm, chi, letters):
-        swept.append(chi)
-        return sweep(vm, chi, letters)
+    def counted(vm, sides, letters):
+        swept.append((vm, len(sides)))
+        return sweep(vm, sides, letters)
 
     monkeypatch.setattr(verify, "_SHARED", {})
     monkeypatch.setattr(verify.VacuumMoments, "_sweep", counted)
     assert verify.run_suite("prop610", max_n=4, d=2).passed
-    # one column per chi of length 1..4 on each of the three tables
-    assert len(swept) == 3 * 30
+    # one sweep per length 1..4 on each of the three tables, filling the
+    # columns of every chi of that length
+    assert len(swept) == len(set(swept)) == 3 * 4
     assert verify.run_suite("thm65", max_n=4, d=2).passed
-    assert len(swept) == 90
+    assert len(swept) == 12
 
 
 def test_prop610_and_thm65_keep_each_gathered_column_once(monkeypatch):
