@@ -3,11 +3,11 @@
 
 Default scales finish in seconds; --full runs the acceptance scales.
 On a 2-vCPU Xeon host with Python 3.11, whose speed switches between
-two levels about 1.7x apart, the suites of --full took 2.6-3.6 s
-together over eight runs from a copy with no __pycache__ (2.7-3.7 s wall
-for a whole run): lemma67 0.9-1.4 s, prop610 0.75-1.2 s, thm65
-0.4-0.6 s, and the five combinatorial suites 0.43-0.54 s together
-(cor410 0.18-0.24 s; thm49, prop46, lemma48 and prop413 0.05-0.10 s
+two levels about 1.7x apart, the suites of --full took 2.3-2.9 s
+together over six runs from a copy with no __pycache__ (2.4-3.0 s wall
+for a whole run): prop610 0.85-1.1 s, thm65 0.5-0.8 s, lemma67
+0.17-0.31 s, and the five combinatorial suites 0.55-0.87 s together
+(cor410 0.22-0.39 s; thm49, prop46, lemma48 and prop413 0.06-0.15 s
 each).
 """
 

@@ -928,11 +928,10 @@ class VacuumMoments:
     Neither applies an operator, and :meth:`column` reads no mixture, so
     Prop 6.10's two routes share only the table.
 
-    Mixture columns are not kept: a caller that reads one block again, as
-    the lemma67 suite does within a cell, keeps its own columns for as
-    long as it needs them.  A sub-word's cumulant column read at the
-    positions of a longer word is kept, by (sub-word letters, positions,
-    k), for :meth:`cumulants` alone.
+    Mixture columns are not kept: a caller that reads one block again
+    keeps its own columns for as long as it needs them.  A sub-word's
+    cumulant column read at the positions of a longer word is kept, by
+    (sub-word letters, positions, k), for :meth:`cumulants` alone.
     """
 
     def __init__(self, table: CoefficientTable):

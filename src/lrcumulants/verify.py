@@ -419,7 +419,8 @@ def _strip_plan(path, chi: ChiWord) -> Optional[tuple]:
     The run covers every omega: which positions each strip reads, and
     whether it fits, depend on chi and the path alone, never on omega's
     letters, so at any omega the product is the product of the plan's
-    blocks read at omega.
+    blocks read at omega.  :func:`suite_lemma67` compares it with the
+    scenario's reverse-mixture plan, sorted, once per (chi, path).
     """
     n = chi.n
     stand_in = SimpleNamespace(d=n, coeff=_Strips.read)
@@ -433,68 +434,58 @@ def _strip_plan(path, chi: ChiWord) -> Optional[tuple]:
 def suite_lemma67(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     """Alternating annihilation-block/creator products applied to the
     vacuum give the product of reverse-mixtures over the scenario's
-    output-time partition."""
+    output-time partition.
+
+    Each scenario's strip plan is compared with its reverse-mixture plan,
+    sorted, once per (chi, path).  Equal sorted plans give equal products
+    at every omega of every table, since graded ints and
+    :class:`PolyScalar` multiply commutatively, so only scenarios whose
+    plans differ are evaluated on each cell's grid.  A cell counts every
+    scenario at every omega of its grid.
+    """
     result = SuiteResult("lemma67", {"max_n": max_n, "d": d, "seed": seed})
     cells = _fock_cells(max_n, d, seed)
     if max_n >= 5 and d >= 2:  # single-track products stay cheap
         cells.insert(0, ("symbolic n=5 d=2", 5, shared("symbolic", 2, SYMBOLIC_N_O)))
-    # per n: the replay's trace-count failures, every (chi, path) with the
-    # index of its pair, every distinct (strip plan, reverse-mixture plan)
-    # pair in first-seen order, and every distinct (kind, order) block of
-    # the pairs, recorded once from one all-chi replay and shared by the
-    # cells of that n
-    scenarios: Dict[int, Tuple[List[str], List[tuple], List[tuple], Dict[tuple, tuple]]] = {}
+    # per n: the replay's trace-count failures, the number of scenarios,
+    # and (where, strip plan, plan) for each scenario whose plans differ,
+    # in scenario order, recorded once from one all-chi replay and shared
+    # by the cells of that n
+    scenarios: Dict[int, Tuple[List[str], int, List[tuple]]] = {}
     for label, n, vm in cells:
         table = vm.table
         omegas = vm.omegas(n)
         if n not in scenarios:
             paths = enumerate_luk(n)
             walk_fail: List[str] = []
-            pairs: Dict[tuple, int] = {}
-            blocks: Dict[tuple, tuple] = {}  # each distinct (kind, order) block of the pairs
-            indexed = []
+            count = 0
+            differing = []
             for chi, traces in replays(n):
                 # a chi has at most 2**n - 1 distinct blocks, where its
                 # scenarios have one per insertion: each is built once
                 entries = cache(partial(block_entry, chi_str=chi.letters))
                 for path, trace in _scenarios(chi, paths, traces, walk_fail):
-                    pair = _strip_plan(path, chi), reverse_mixture_plan_for_blocks(
-                        tuple(map(entries, trace.output_partition.blocks)))
-                    k = pairs.get(pair)
-                    if k is None:  # kept for the whole suite: its plans share each distinct block
-                        pair = tuple([None if plan is None else tuple(map(blocks.setdefault, plan, plan))
-                                      for plan in pair])
-                        k = pairs[pair] = len(pairs)
-                    indexed.append((chi, path, k))
-            scenarios[n] = walk_fail, indexed, list(pairs), blocks
-        walk_fail, cell_scenarios, pairs, blocks = scenarios[n]
-        # one mixture column per distinct block, dropped when the cell ends;
-        # each pair's two plans are evaluated once per cell, each on its
-        # own: None when the strip plan is None, else where they differ
-        columns = {block: vm.mixture(*block, n) for block in blocks}
-        mismatches: List[Optional[List[str]]] = []
-        for strip_plan, plan in pairs:
+                    count += 1
+                    strip_plan = _strip_plan(path, chi)
+                    plan = reverse_mixture_plan_for_blocks(tuple(map(entries, trace.output_partition.blocks)))
+                    if strip_plan != tuple(sorted(plan)):
+                        differing.append((f"chi={chi.letters} rise={list(path.rise)}", strip_plan, plan))
+            scenarios[n] = walk_fail, count, differing
+        walk_fail, count, differing = scenarios[n]
+        cell_fail = list(walk_fail)
+        for where, strip_plan, plan in differing:
             if strip_plan is None:
-                mismatches.append(None)
+                cell_fail.append(f"{where}: the product is not one vacuum term of factor 1")
                 continue
-            expected = reduce(mul, map(columns.__getitem__, plan))
-            actual = reduce(mul, map(columns.__getitem__, strip_plan))
-            mismatches.append([] if actual == expected else [
-                f" omega={list(omega)}: "
+            expected = reduce(mul, [vm.mixture(*block, n) for block in plan])
+            actual = reduce(mul, [vm.mixture(*block, n) for block in strip_plan])
+            cell_fail += [
+                f"{where} omega={list(omega)}: "
                 f"expected {table.rational(want, n)}, got {table.rational(got, n)}"
                 for omega, want, got in zip(omegas, expected, actual)
                 if got != want
-            ])
-        cell_fail = list(walk_fail)
-        for chi, path, k in cell_scenarios:
-            mismatch = mismatches[k]
-            if mismatch is None:
-                cell_fail.append(f"chi={chi.letters} rise={list(path.rise)}: "
-                                 "the product is not one vacuum term of factor 1")
-            elif mismatch:
-                where = f"chi={chi.letters} rise={list(path.rise)}"
-                cell_fail += [where + at for at in mismatch]
-        cell_count = len(omegas) * len(cell_scenarios)
+            ]
+        cell_count = len(omegas) * count
         summary = f"{cell_count} products collapse to the vacuum multiple"
         result.add_sweep(label, summary, cell_count, cell_fail)
     return result
@@ -646,6 +637,8 @@ def suite_bifree(max_n: int = 4, d: int = 2, seed: int = 0, **_) -> SuiteResult:
     injecting one mixed coefficient produces a pinpointed violation."""
     if d < 2:
         raise ValueError("d must be at least 2: a mixed cumulant has two distinct indices")
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2: a mixed cumulant has two letters or more, got {max_n}")
     result = SuiteResult("bifree", {"max_n": max_n, "d": d, "seed": seed})
     vm = shared("separated", d, max_n, seed)
     table = vm.table

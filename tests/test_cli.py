@@ -304,6 +304,13 @@ def test_verify_bifree_refuses_fewer_than_two_indices_before_building_a_table(mo
         code, out, err = run(capsys, "verify", "bifree", "--d", d)
         assert code == 2, d
         assert out == "" and err == "error: d must be at least 2: a mixed cumulant has two distinct indices\n"
+    # a mixed cumulant also needs two letters: max_n below 2 is refused
+    # with its own name, not the separated table's n_o
+    for max_n in ("1", "0", "-2"):
+        code, out, err = run(capsys, "verify", "bifree", "--max-n", max_n)
+        assert code == 2, max_n
+        assert out == "" and err == (
+            f"error: max_n must be at least 2: a mixed cumulant has two letters or more, got {max_n}\n")
     assert verify._SHARED == {}
 
 

@@ -346,31 +346,25 @@ def test_each_suite_verifies_its_pinned_instance_count(suite, instances):
 
 
 def test_lemma67_evaluates_each_distinct_plan_pair_once_per_cell(monkeypatch):
+    compared = []
     gathered = []
-    products = []
+    strip_plan = verify._strip_plan
     mixture = verify.VacuumMoments.mixture
+    monkeypatch.setattr(verify, "_strip_plan",
+                        lambda path, chi: compared.append((chi.letters, path.rise)) or strip_plan(path, chi))
     monkeypatch.setattr(verify.VacuumMoments, "mixture",
                         lambda vm, kind, order, n: gathered.append(n) or mixture(vm, kind, order, n))
-    monkeypatch.setattr(verify, "reduce", lambda *args: products.append(args) or reduce(*args))
     assert verify.run_suite("lemma67", max_n=4, d=2).passed
-    # the distinct (strip plan, reverse-mixture plan) pairs of each length,
-    # and the distinct blocks of their plans
-    pairs = {n: set() for n in range(1, 5)}
-    for n in pairs:
-        for chi, traces in deque.replays(n):
-            for path, trace in zip(enumerate_luk(n), traces, strict=True):
-                pairs[n].add((verify._strip_plan(path, chi), verify.reverse_mixture_plan_for_blocks(
-                    deque.block_data(trace.output_partition, chi.letters))))
-    blocks = {n: {block for pair in pairs[n] for plan in pair for block in plan} for n in pairs}
-    assert [len(blocks[n]) for n in pairs] == [2, 6, 16, 44]
-    # one mixture column per distinct block in each of the three cells of
-    # every length, in cell order
-    assert len(gathered) == 204
-    assert gathered == [n for _ in range(3) for n in pairs for _ in blocks[n]]
-    # both plans of each of the 148 distinct pairs, in each of the three
-    # cells of every length; both plans of each scenario would be 1,644
-    assert sum(map(len, pairs.values())) == 148
-    assert len(products) == 888
+    # one strip plan per (chi, path), in replay order, shared by the three
+    # cells of its length
+    assert len(compared) == PINNED_INSTANCES["prop46"] == 274
+    assert compared == [
+        (chi.letters, path.rise)
+        for n in range(1, 5) for chi in verify.all_chi(n) for path in enumerate_luk(n)
+    ]
+    # every scenario's two plans are equal once sorted, so no cell
+    # evaluates a plan on its grid
+    assert gathered == []
 
 
 @pytest.mark.parametrize(
@@ -544,22 +538,26 @@ def test_lemma67_builds_each_block_entry_once_per_chi(monkeypatch):
 
 
 def test_lemma67_keeps_one_copy_of_each_distinct_plan_block(monkeypatch):
-    ids = {}
+    perturbed = first_long_block_reversed(verify.reverse_mixture_plan_for_blocks)
+    monkeypatch.setattr(verify, "reverse_mixture_plan_for_blocks", perturbed)
     calls = []
     mixture = verify.VacuumMoments.mixture
-
-    def spy(vm, kind, order, n):
-        ids.setdefault((n, kind, order), set()).add(id(order))
-        calls.append((n, kind, order))
-        return mixture(vm, kind, order, n)
-
-    monkeypatch.setattr(verify.VacuumMoments, "mixture", spy)
-    assert verify.run_suite("lemma67", max_n=4, d=2).passed
-    # the kept plans live until the suite returns, so no id is reused:
-    # each distinct block of one length is one object, whose column each
-    # of the length's three cells gathers once
-    assert ids and all(len(found) == 1 for found in ids.values())
-    assert len(calls) == 3 * len(ids)
+    monkeypatch.setattr(verify.VacuumMoments, "mixture",
+                        lambda vm, kind, order, n: calls.append((n, kind, order)) or mixture(vm, kind, order, n))
+    assert verify.run_suite("lemma67", max_n=4, d=2).passed is False
+    # per length, both plans of each scenario whose plans differ once sorted
+    differing = {n: [] for n in range(1, 5)}
+    for n in differing:
+        for chi, traces in deque.replays(n):
+            for path, trace in zip(enumerate_luk(n), traces, strict=True):
+                strip_plan = verify._strip_plan(path, chi)
+                plan = perturbed(deque.block_data(trace.output_partition, chi.letters))
+                if strip_plan != tuple(sorted(plan)):
+                    differing[n].append(plan + strip_plan)
+    # each block of those plans is gathered once in each of the three cells
+    # of every length, in cell order; the equal plans gather nothing
+    assert calls == [(n, *block) for _ in range(3) for n in differing for plans in differing[n] for block in plans]
+    assert len(calls) == 3_336
 
 
 def test_verify_refuses_an_oversized_drawn_table_before_any_sweep(monkeypatch):
